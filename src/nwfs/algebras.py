@@ -155,12 +155,8 @@ def algebra_from_fillers(
     if len(step.squares) != len(table.squares):
         raise IncompatibleInput("table does not cover the generating squares of its arrow")
     C = table.target.dom
-    base = C.base
-    if table.fillers:
-        cells_target = induce(step.gen_codomains, list(table.fillers))
-    else:
-        cells_target = PresheafMap(step.gen_codomains.apex, C, {a: {} for a in base.objects})
-    p = induce(step.factorisation_cocone(), [identity_map(C), cells_target])
+    cells_target = induce(step.gen_codomains, list(table.fillers), C)
+    p = induce(step.factorisation_cocone(), [identity_map(C), cells_target], C)
     alg = AlgebraStructure(target=table.target, structure=p, step=step)
     problems = validate_algebra(alg)
     if problems:
@@ -168,8 +164,14 @@ def algebra_from_fillers(
     return alg
 
 
-def _filler_candidates(j: ArrowObj, g: ArrowObj, sq: Square) -> list[PresheafMap]:
-    """All diagonal fillers of one square, by constrained enumeration."""
+def _fillers(sq: Square) -> list[PresheafMap]:
+    """Every diagonal filler of one square, in enumerate_maps order.
+
+    The filler is pinned to the top along the square's source arrow and
+    constrained over the bottom elementwise, so the search space is the
+    genuine solution space rather than all maps.
+    """
+    j, g = sq.source, sq.target
     base = g.f.source.base
     pinned: dict[tuple[str, int], int] = {}
     for a in base.objects:
@@ -195,7 +197,7 @@ def square_filler_sets(
     """Per generating square, every filler it admits."""
     arrow = as_arrow(g)
     squares = tuple(generating_squares(gens, arrow))
-    sets = [_filler_candidates(gens.members[i], arrow, sq) for i, sq in squares]
+    sets = [_fillers(sq) for _, sq in squares]
     return squares, sets
 
 
@@ -219,40 +221,33 @@ def enumerate_algebra_structures(
 ) -> list[AlgebraStructure]:
     """Every algebra structure on the one-step factorisation of g.
 
-    The structure map is pinned to the identity on the image of the left
-    half and constrained over the right half elementwise, so the search
-    space is the genuine solution space rather than all maps.
+    A structure map is exactly a filler of the square from the left half to
+    g whose top is the identity and whose bottom is the right half.
     """
     arrow = as_arrow(g)
     step = build_onestep(gens, arrow)
-    C = arrow.dom
-    base = C.base
-    pinned: dict[tuple[str, int], int] = {}
-    for a in base.objects:
-        for c in C.carrier[a]:
-            spot = (a, step.left.components[a][c])
-            if pinned.get(spot, c) != c:
-                return []
-            pinned[spot] = c
-    allowed = {
-        (a, u): tuple(
-            c for c in C.carrier[a] if arrow.f.components[a][c] == step.right.components[a][u]
-        )
-        for a in base.objects
-        for u in step.mid.carrier[a]
-    }
-    return [
-        AlgebraStructure(target=arrow, structure=p, step=step)
-        for p in enumerate_maps(step.mid, C, pinned=pinned, allowed=allowed)
-    ]
+    sq = Square(
+        source=ArrowObj(step.left), target=arrow, top=identity_map(arrow.dom), bottom=step.right
+    )
+    return [AlgebraStructure(target=arrow, structure=p, step=step) for p in _fillers(sq)]
 
 
 @dataclass(frozen=True)
 class BijectionReport:
-    algebra_count: int
-    table_count: int
+    """Both listings, in enumeration order, and what checking them found."""
+
+    algebras: tuple[AlgebraStructure, ...]
+    tables: tuple[LiftingTable, ...]
     product_count: int
     problems: tuple[str, ...]
+
+    @property
+    def algebra_count(self) -> int:
+        return len(self.algebras)
+
+    @property
+    def table_count(self) -> int:
+        return len(self.tables)
 
     @property
     def ok(self) -> bool:
@@ -294,8 +289,8 @@ def check_bijection(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> Bijection
         if not all(maps_equal(a, b) for a, b in zip(back.fillers, t.fillers)):
             problems.append(f"round trip through algebras moves table {m}")
     return BijectionReport(
-        algebra_count=len(algebras),
-        table_count=len(tables),
+        algebras=tuple(algebras),
+        tables=tuple(tables),
         product_count=product_count,
         problems=tuple(problems),
     )

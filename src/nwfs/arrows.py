@@ -79,18 +79,6 @@ def identity_square(f: ArrowObj) -> Square:
     return Square(source=f, target=f, top=identity_map(f.dom), bottom=identity_map(f.cod))
 
 
-def compose_squares(second: Square, first: Square) -> Square:
-    """Paste squares vertically: first from f to g, second from g to h."""
-    if first.target != second.source:
-        raise IncompatibleInput("compose_squares: middle arrows differ")
-    return Square(
-        source=first.source,
-        target=second.target,
-        top=compose_maps(second.top, first.top),
-        bottom=compose_maps(second.bottom, first.bottom),
-    )
-
-
 @dataclass(frozen=True)
 class GeneratingSet:
     """A finite family of arrows used to generate a factorisation system."""

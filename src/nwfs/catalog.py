@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arrows import ArrowObj, GeneratingSet
-from .core import EngineError, FinCategory, Morphism, Presheaf, PresheafMap, presheaf
+from .core import EngineError, FinCategory, IncompatibleInput, Morphism, Presheaf, PresheafMap, presheaf
 
 
 class UnknownCatalogKey(EngineError):

@@ -203,23 +203,19 @@ def chain_colimit(steps: Sequence[PresheafMap], start: Presheaf | None = None) -
     return Cocone(apex=q.apex, legs=legs, provenance="chain")
 
 
-def induce(cocone: Cocone, targets: Sequence[PresheafMap]) -> PresheafMap:
-    """The unique map out of the apex determined by one target map per leg.
+def induce(cocone: Cocone, targets: Sequence[PresheafMap], cod: Presheaf) -> PresheafMap:
+    """The unique map out of the apex into `cod` determined by one target map per leg.
 
-    Targets must agree wherever legs identify elements, and together they
-    must reach a common codomain; both are checked. The legs of every cocone
-    built in this module are jointly surjective, which is what makes the
-    induced map total.
+    Targets must agree wherever legs identify elements and must land in
+    `cod`; both are checked. The legs of every cocone built in this module
+    are jointly surjective, which is what makes the induced map total.
     """
     if len(targets) != len(cocone.legs):
         raise IncompatibleInput(
             f"induce: {len(cocone.legs)} legs but {len(targets)} target maps"
         )
-    if not targets:
-        raise IncompatibleInput("induce: need at least one target map to determine the codomain")
-    Z = targets[0].target
     for i, t in enumerate(targets):
-        if not _same(t.target, Z):
+        if not _same(t.target, cod):
             raise IncompatibleInput(f"induce: target map {i} has a different codomain")
         if not _same(t.source, cocone.legs[i].source):
             raise IncompatibleInput(f"induce: target map {i} does not start at leg {i}'s source")
@@ -245,4 +241,4 @@ def induce(cocone: Cocone, targets: Sequence[PresheafMap]) -> PresheafMap:
             raise InternalCheckFailed(
                 f"induce: apex elements {missing} at object {a!r} not reached by any leg"
             )
-    return PresheafMap(apex, Z, comps)
+    return PresheafMap(apex, cod, comps)

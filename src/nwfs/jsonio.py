@@ -61,6 +61,11 @@ def _expect(doc: Any, key: str, kind: type | tuple, path: str) -> Any:
     return value
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; booleans are ints to Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_keyed(doc: Any, path: str) -> dict[int, int]:
     if not isinstance(doc, dict):
         raise InputError(path, f"expected an object, got {type(doc).__name__}")
@@ -70,7 +75,7 @@ def _int_keyed(doc: Any, path: str) -> dict[int, int]:
             ik = int(k)
         except (TypeError, ValueError):
             raise InputError(f"{path}/{k}", "key is not an integer element id") from None
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise InputError(f"{path}/{k}", "value is not an integer element id")
         out[ik] = v
     return out
@@ -146,9 +151,7 @@ def load_presheaf(doc: Any, path: str, ambient: FinCategory | None) -> Presheaf:
         op = f"{path}/sets/{obj}"
         if obj not in base.objects:
             raise InputError(op, f"unknown object {obj!r}")
-        if not isinstance(elems, list) or not all(
-            isinstance(e, int) and not isinstance(e, bool) for e in elems
-        ):
+        if not isinstance(elems, list) or not all(_is_int(e) for e in elems):
             raise InputError(op, "expected a list of integer element ids")
         carrier[obj] = elems
     actions = {
@@ -409,7 +412,7 @@ def laws_certificate(report, rule_tokens, sample_spec, seed: int | None = None) 
     }
 
 
-def enumeration_certificate(report, algebras, tables, cat, gens, arrow, seed=None) -> dict:
+def enumeration_certificate(report, cat, gens, arrow, seed=None) -> dict:
     docs, digests = input_block(cat, gens, arrow)
     small = report.algebra_count <= 64 and report.table_count <= 64
     return {
@@ -423,8 +426,8 @@ def enumeration_certificate(report, algebras, tables, cat, gens, arrow, seed=Non
         "product_count": report.product_count,
         "problems": list(report.problems),
         "ok": report.ok,
-        "algebras": [components_doc(a.structure) for a in algebras] if small else None,
-        "tables": [[components_doc(f) for f in t.fillers] for t in tables] if small else None,
+        "algebras": [components_doc(a.structure) for a in report.algebras] if small else None,
+        "tables": [[components_doc(f) for f in t.fillers] for t in report.tables] if small else None,
         "timing": {"elapsed_s": None, "work": {"algebras": report.algebra_count}},
     }
 
@@ -512,6 +515,21 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
     steps_doc = body.get("steps", [])
     folds_doc = body.get("folds", [])
     pairs_doc = body.get("pairs", [])
+    # stages and links are always present; the rest are null where not taken
+    for key, entries, nullable in (
+        ("stages", raw_stages, False),
+        ("links", links_doc, False),
+        ("steps", steps_doc, True),
+        ("folds", folds_doc, True),
+        ("pairs", pairs_doc, True),
+    ):
+        if not isinstance(entries, list):
+            problems.append(f"{path}/{key}: expected a list, got {type(entries).__name__}")
+            return None
+        for i, entry in enumerate(entries):
+            if not (isinstance(entry, dict) or (nullable and entry is None)):
+                problems.append(f"{path}/{key}/{i}: expected an object, got {type(entry).__name__}")
+                return None
     if not (len(links_doc) == n - 1 and len(steps_doc) == len(folds_doc) == len(pairs_doc) == n):
         problems.append(f"{path}: stage/link/step list lengths are inconsistent")
         return None
@@ -840,7 +858,7 @@ def _sample_from_spec(spec, problems) -> list | None:
     kind = spec.get("kind")
     if kind == "exhaustive":
         max_total = spec.get("max_total")
-        if not isinstance(max_total, int) or max_total < 0:
+        if not _is_int(max_total) or max_total < 0:
             problems.append("/sample/max_total: expected a non-negative integer")
             return None
         return laws.exhaustive_arrows(max_total)
@@ -851,7 +869,7 @@ def _sample_from_spec(spec, problems) -> list | None:
             problems.append(str(err))
             return None
         count, seed = spec.get("count"), spec.get("seed")
-        if not isinstance(count, int) or not isinstance(seed, int):
+        if not _is_int(count) or not _is_int(seed):
             problems.append("/sample: seeded samples need integer count and seed")
             return None
         return laws.sample_arrows(base, count, seed)
@@ -906,10 +924,10 @@ def _validate_enumeration_cert(doc, problems) -> None:
     _check(problems, list(doc.get("problems", [])) == list(report.problems), "/problems", "recorded problems differ")
     _check(problems, doc.get("ok") == report.ok, "/ok", "summary flag differs from recomputation")
     if doc.get("algebras") is not None:
-        listed = [components_doc(a.structure) for a in algebras.enumerate_algebra_structures(gens, arrow)]
+        listed = [components_doc(a.structure) for a in report.algebras]
         _check(problems, doc["algebras"] == listed, "/algebras", "recorded listing differs from recomputation")
     if doc.get("tables") is not None:
-        listed = [[components_doc(f) for f in t.fillers] for t in algebras.enumerate_lifting_tables(gens, arrow)]
+        listed = [[components_doc(f) for f in t.fillers] for t in report.tables]
         _check(problems, doc["tables"] == listed, "/tables", "recorded listing differs from recomputation")
 
 

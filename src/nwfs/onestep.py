@@ -58,10 +58,6 @@ class OneStepFactorization:
     right: PresheafMap
     cells: PresheafMap
 
-    @property
-    def injections(self) -> tuple[PresheafMap, ...]:
-        return self.gen_codomains.legs
-
     @cached_property
     def square_index(self) -> dict[tuple, int]:
         return {square_key(i, sq): n for n, (i, sq) in enumerate(self.squares)}
@@ -82,23 +78,17 @@ def build_onestep(gens: GeneratingSet, g: ArrowObj) -> OneStepFactorization:
     cod_parts = [gens.members[i].cod for i, _ in squares]
     gen_domains = coproduct(dom_parts, base=base)
     gen_codomains = coproduct(cod_parts, base=base)
-
-    if squares:
-        gen_sum = induce(
-            gen_domains,
-            [compose_maps(gen_codomains.legs[n], gens.members[i].f) for n, (i, _) in enumerate(squares)],
-        )
-        attach = induce(gen_domains, [sq.top for _, sq in squares])
-        project = induce(gen_codomains, [sq.bottom for _, sq in squares])
-    else:
-        empty = gen_domains.apex
-        gen_sum = PresheafMap(empty, gen_codomains.apex, {a: {} for a in base.objects})
-        attach = PresheafMap(empty, g.dom, {a: {} for a in base.objects})
-        project = PresheafMap(gen_codomains.apex, g.cod, {a: {} for a in base.objects})
+    gen_sum = induce(
+        gen_domains,
+        [compose_maps(gen_codomains.legs[n], gens.members[i].f) for n, (i, _) in enumerate(squares)],
+        gen_codomains.apex,
+    )
+    attach = induce(gen_domains, [sq.top for _, sq in squares], g.dom)
+    project = induce(gen_codomains, [sq.bottom for _, sq in squares], g.cod)
 
     po = pushout(attach, gen_sum)
     left, cells = po.legs
-    right = induce(po, [g.f, project])
+    right = induce(po, [g.f, project], g.cod)
     return OneStepFactorization(
         arrow=g,
         gens=gens,
@@ -154,13 +144,7 @@ def onestep_on_square(
             raise InternalCheckFailed("onestep_on_square: pasted square missing from the target step")
         cell_targets.append(target_step.cell_leg(n))
 
+    mid = target_step.mid
     dom_target = compose_maps(target_step.left, sq.top)
-    if cell_targets:
-        cod_target = induce(source_step.gen_codomains, cell_targets)
-    else:
-        cod_target = PresheafMap(
-            source_step.gen_codomains.apex,
-            target_step.mid,
-            {a: {} for a in sq.top.source.base.objects},
-        )
-    return induce(source_step.factorisation_cocone(), [dom_target, cod_target])
+    cod_target = induce(source_step.gen_codomains, cell_targets, mid)
+    return induce(source_step.factorisation_cocone(), [dom_target, cod_target], mid)

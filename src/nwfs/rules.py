@@ -142,7 +142,7 @@ def cograph_rule() -> FactorizationRule:
         return FactorTriple(
             left=cp.legs[0],
             mid=cp.apex,
-            right=induce(cp, [f, identity_map(f.target)]),
+            right=induce(cp, [f, identity_map(f.target)], f.target),
         )
 
     def on_square(sq: Square) -> PresheafMap:
@@ -151,6 +151,7 @@ def cograph_rule() -> FactorizationRule:
         return induce(
             cpf,
             [compose_maps(cpg.legs[0], sq.top), compose_maps(cpg.legs[1], sq.bottom)],
+            cpg.apex,
         )
 
     def comult(f: PresheafMap) -> PresheafMap:
@@ -159,12 +160,13 @@ def cograph_rule() -> FactorizationRule:
         return induce(
             cpf,
             [cpm.legs[0], compose_maps(cpm.legs[1], cpf.legs[1])],
+            cpm.apex,
         )
 
     def mult(f: PresheafMap) -> PresheafMap:
         cpf = coproduct([f.source, f.target])
         cpr = coproduct([cpf.apex, f.target])
-        return induce(cpr, [identity_map(cpf.apex), cpf.legs[1]])
+        return induce(cpr, [identity_map(cpf.apex), cpf.legs[1]], cpf.apex)
 
     return FactorizationRule("cograph", factor, on_square, comult, mult)
 
@@ -473,8 +475,8 @@ def mutant_rule(index: int) -> FactorizationRule:
     def bad_mult_misroute(f: PresheafMap) -> PresheafMap:
         cpf = coproduct([f.source, f.target])
         cpr = coproduct([cpf.apex, f.target])
-        folded = induce(cpf, [compose_maps(cpf.legs[1], f), cpf.legs[1]])
-        return induce(cpr, [folded, cpf.legs[1]])
+        folded = induce(cpf, [compose_maps(cpf.legs[1], f), cpf.legs[1]], cpf.apex)
+        return induce(cpr, [folded, cpf.legs[1]], cpf.apex)
 
     def bad_comult_misroute(f: PresheafMap) -> PresheafMap:
         cpf = coproduct([f.source, f.target])
@@ -485,6 +487,7 @@ def mutant_rule(index: int) -> FactorizationRule:
                 compose_maps(cpm.legs[1], cpf.legs[0]),
                 compose_maps(cpm.legs[1], cpf.legs[1]),
             ],
+            cpm.apex,
         )
 
     def bad_mult_shift(f: PresheafMap) -> PresheafMap:
@@ -493,6 +496,7 @@ def mutant_rule(index: int) -> FactorizationRule:
         return induce(
             cpr,
             [identity_map(cpf.apex), compose_maps(cpf.legs[1], _cograph_shift(f.target))],
+            cpf.apex,
         )
 
     if index == 3:

@@ -146,11 +146,8 @@ class _Run:
             raise IncompatibleInput(f"one-step data for stage {i} was not built")
         return built
 
-    def connect(self, i: int, j: int) -> PresheafMap:
-        out = identity_map(self.stages[i].mid)
-        for k in range(i, j):
-            out = compose_maps(self.links[k], out)
-        return out
+    # the same connecting maps as a finished run, over the stages built so far
+    connect = SequenceState.connect
 
     def push(self, stage: Stage, link: PresheafMap, step, fold, pair) -> None:
         self.stages.append(stage)
@@ -238,7 +235,7 @@ def _limit_stage(run: _Run, block: int) -> None:
         kind="limit",
         mid=cocone.apex,
         left=compose_maps(cocone.legs[-1], run.last.left),
-        right=induce(cocone, [s.right for s in run.stages]),
+        right=induce(cocone, [s.right for s in run.stages], run.arrow.cod),
         cocone=cocone,
     )
     run.push(stage, link=cocone.legs[-1], step=None, fold=None, pair=None)
@@ -283,6 +280,7 @@ def _limit_successor_step(run: _Run, ordinal: str) -> None:
             )
             for i in below
         ],
+        step_w.mid,
     )
     second = induce(
         web,
@@ -300,6 +298,7 @@ def _limit_successor_step(run: _Run, ordinal: str) -> None:
             )
             for i in below
         ],
+        step_w.mid,
     )
     _finish_coequalizer_stage(run, step_w, first, second, ordinal)
 
@@ -321,7 +320,7 @@ def _finish_coequalizer_stage(
         kind="successor",
         mid=coeq.apex,
         left=compose_maps(link, run.last.left),
-        right=induce(coeq, [step.right]),
+        right=induce(coeq, [step.right], run.arrow.cod),
     )
     run.push(stage, link=link, step=None, fold=None, pair=None)
     run.steps[beta] = step
@@ -435,6 +434,7 @@ def build_comparison(free: SequenceState, plain: SequenceState) -> ComparisonRep
                 induce(
                     ps.cocone,
                     [compose_maps(fs.cocone.legs[i], maps[i]) for i in range(n)],
+                    fs.mid,
                 )
             )
             continue

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_surjection, set_map
+from conftest import finset, random_surjection, set_map
 from nwfs.algebras import (
     algebra_from_fillers,
     check_bijection,
@@ -12,11 +12,12 @@ from nwfs.algebras import (
     enumerate_lifting_tables,
     extract_algebra,
     fillers_from_algebra,
+    square_filler_sets,
     validate_algebra,
     validate_table,
 )
 from nwfs.arrows import as_arrow, generating_squares
-from nwfs.catalog import get_gens
+from nwfs.catalog import get_category, get_gens, representable
 from nwfs.core import (
     IncompatibleInput,
     compose_maps,
@@ -24,10 +25,12 @@ from nwfs.core import (
     identity_map,
     maps_equal,
 )
+from nwfs.onestep import build_onestep
 from nwfs.sequence import OrdinalBudget, run_free, run_plain
 
 POINT = get_gens("point")
 CODIAG = get_gens("codiagonal")
+HORNS1 = get_gens("horns<=1")
 
 
 def brute_force_fillers(gens, g):
@@ -44,6 +47,53 @@ def brute_force_fillers(gens, g):
         ]
         counts.append(len(hits))
     return counts
+
+
+def small_instances():
+    """Small (generating set, arrow) pairs over both catalog bases."""
+    for n, m in ((0, 0), (0, 2), (1, 1), (2, 1), (2, 2), (3, 2)):
+        for g in enumerate_maps(finset(n), finset(m))[:4]:
+            yield POINT, g
+            yield CODIAG, g
+    d1 = get_category("delta<=1")
+    shapes = [representable(d1, "0"), representable(d1, "1")]
+    for X in shapes:
+        for Y in shapes:
+            for g in enumerate_maps(X, Y):
+                yield HORNS1, g
+
+
+def test_lift_search_matches_brute_force_in_order():
+    """Both pinned searches equal all maps filtered by the two triangles."""
+    for gens, g in small_instances():
+        arrow = as_arrow(g)
+        step = build_onestep(gens, arrow)
+        oracle = [
+            p
+            for p in enumerate_maps(step.mid, arrow.dom)
+            if maps_equal(compose_maps(p, step.left), identity_map(arrow.dom))
+            and maps_equal(compose_maps(arrow.f, p), step.right)
+        ]
+        found = [a.structure for a in enumerate_algebra_structures(gens, arrow)]
+        assert [p.components for p in found] == [p.components for p in oracle]
+
+        squares, sets = square_filler_sets(gens, arrow)
+        assert len(sets) == len(squares)
+        for (i, sq), fillers in zip(squares, sets):
+            j = gens.members[i]
+            oracle = [
+                h
+                for h in enumerate_maps(j.cod, arrow.dom)
+                if maps_equal(compose_maps(h, j.f), sq.top)
+                and maps_equal(compose_maps(arrow.f, h), sq.bottom)
+            ]
+            assert [h.components for h in fillers] == [h.components for h in oracle]
+
+
+def test_bijection_on_the_empty_arrow():
+    report = check_bijection(POINT, set_map(0, 0, []))
+    assert (report.algebra_count, report.table_count, report.product_count) == (1, 1, 1)
+    assert report.ok
 
 
 def surjection_from(rng: random.Random, source_size: int) -> "PresheafMap":

@@ -15,7 +15,7 @@ from nwfs.catalog import (
     terminal_category,
     terminal_presheaf,
 )
-from nwfs.core import is_injective, validate
+from nwfs.core import IncompatibleInput, is_injective, validate
 
 
 def monotone_tuples(m: int, n: int):
@@ -112,12 +112,14 @@ def test_horn_inclusions_are_split_monos_into_representables():
 
 
 def test_horn_rejects_bad_parameters():
-    with pytest.raises(Exception):
+    with pytest.raises(IncompatibleInput):
         horn_inclusion(0, 0, truncation=1)
-    with pytest.raises(Exception):
+    with pytest.raises(IncompatibleInput):
         horn_inclusion(2, 3, truncation=2)
-    with pytest.raises(Exception):
+    with pytest.raises(IncompatibleInput):
         horn_inclusion(2, 0, truncation=0)
+    with pytest.raises(IncompatibleInput):
+        horn_inclusion(1, 5, 1)
 
 
 def test_generating_sets_validate():

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from nwfs.cli import main
+
 MAP_DOC = {
     "source": {"sets": {"0": [0, 1]}, "actions": {"id0": {"0": 0, "1": 1}}},
     "target": {"sets": {"0": [0, 1, 2]}, "actions": {"id0": {"0": 0, "1": 1, "2": 2}}},
@@ -174,3 +176,52 @@ def test_text_format_prints_a_stage_table(map_file):
     assert res.returncode == 0
     assert "converged" in res.stdout
     assert "0" in res.stdout
+
+
+def _honest_factorize_cert(tmp_path, map_file):
+    out = tmp_path / "cert.json"
+    assert main([
+        "factorize", "--category", "terminal", "--gens", "point",
+        "--map", str(map_file), "--out", str(out),
+    ]) == 0
+    return out, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("key", ["stages", "links", "steps", "folds", "pairs"])
+def test_validate_reports_a_run_field_that_is_not_a_list(tmp_path, map_file, capsys, key):
+    out, doc = _honest_factorize_cert(tmp_path, map_file)
+    doc["run"][key] = 5
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert "/run/" + key in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["stages", "links", "steps", "folds", "pairs"])
+def test_validate_reports_a_run_entry_that_is_not_an_object(tmp_path, map_file, capsys, key):
+    out, doc = _honest_factorize_cert(tmp_path, map_file)
+    doc["run"][key][0] = 5
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert f"/run/{key}/0: expected an object" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        {"kind": "exhaustive", "max_total": True},
+        {"kind": "seeded", "category": "delta<=1", "count": True, "seed": 12},
+        {"kind": "seeded", "category": "delta<=1", "count": 4, "seed": False},
+    ],
+)
+def test_validate_rejects_booleans_in_the_laws_sample(tmp_path, capsys, sample):
+    out = tmp_path / "laws.json"
+    assert main(["laws", "--samples", "4", "--seed", "12", "--category", "delta<=1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["sample"] = sample
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert "/sample" in capsys.readouterr().out
+

@@ -106,7 +106,7 @@ def test_coequalizer_universal_property(pair):
     for h in enumerate_maps(f.target, T):
         if not maps_equal(compose_maps(h, f), compose_maps(h, g)):
             continue
-        u = induce(cone, [h])
+        u = induce(cone, [h], T)
         assert maps_equal(compose_maps(u, proj), h)
         matches = [v for v in enumerate_maps(cone.apex, T) if maps_equal(compose_maps(v, proj), h)]
         assert len(matches) == 1
@@ -158,13 +158,30 @@ def test_induce_rejects_disagreeing_targets():
     cone = coequalizer(f, g)  # glues the two target elements
     h = set_map(2, 2, [0, 1])  # does not respect the gluing
     with pytest.raises(IncompatibleInput):
-        induce(cone, [h])
+        induce(cone, [h], h.target)
 
 
 def test_induce_folds_coproduct():
     cone = coproduct([finset(2), finset(3)])
     h0 = set_map(2, 3, [0, 1])
     h1 = set_map(3, 3, [0, 1, 2])
-    folded = induce(cone, [h0, h1])
+    folded = induce(cone, [h0, h1], h0.target)
     assert maps_equal(compose_maps(folded, cone.legs[0]), h0)
     assert maps_equal(compose_maps(folded, cone.legs[1]), h1)
+
+
+def test_induce_out_of_the_empty_coproduct_is_the_empty_map():
+    T = finset(3)
+    cone = coproduct([], base=T.base)
+    u = induce(cone, [], T)
+    assert u.target is T
+    assert u.components == {"0": {}}
+    assert validate(u) == []
+
+
+def test_induce_rejects_a_target_outside_the_codomain():
+    cone = coproduct([finset(2), finset(3)])
+    h0 = set_map(2, 3, [0, 1])
+    h1 = set_map(3, 3, [0, 1, 2])
+    with pytest.raises(IncompatibleInput):
+        induce(cone, [h0, h1], finset(4))

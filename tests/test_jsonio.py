@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import set_map
-from nwfs.algebras import check_bijection, enumerate_algebra_structures, enumerate_lifting_tables
+from nwfs.algebras import check_bijection, enumerate_lifting_tables
 from nwfs.arrows import as_arrow, generating_squares
 from nwfs.catalog import get_category, get_gens, representable, terminal_category
 from nwfs.core import maps_equal, validate
@@ -177,16 +177,7 @@ def test_laws_certificate_validates_and_catches_tampering():
 def test_enumeration_certificate_round_trip():
     g = set_map(2, 2, [0, 1])
     report = check_bijection(POINT, g)
-    cert = reload(
-        enumeration_certificate(
-            report,
-            enumerate_algebra_structures(POINT, g),
-            enumerate_lifting_tables(POINT, g),
-            terminal_category(),
-            POINT,
-            g,
-        )
-    )
+    cert = reload(enumeration_certificate(report, terminal_category(), POINT, g))
     assert validate_certificate(cert) == []
 
     off = copy.deepcopy(cert)

@@ -133,3 +133,13 @@ def test_new_cell_rides_above_the_old_one():
     )
     assert lift.components["0"] == {0: 1}
     assert s1.left.components["0"] == {0: 0}
+
+
+def test_on_square_out_of_the_empty_arrow_is_the_empty_map():
+    empty, g = set_map(0, 0, []), set_map(0, 2, [])
+    sq = Square(source=as_arrow(empty), target=as_arrow(g), top=empty, bottom=g)
+    target_step = build_onestep(POINT, as_arrow(g))
+    induced = onestep_on_square(POINT, sq, target_step=target_step)
+    assert induced.source.sizes == {"0": 0}
+    assert induced.target is target_step.mid
+    assert induced.components == {"0": {}}

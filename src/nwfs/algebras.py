@@ -167,9 +167,11 @@ def algebra_from_fillers(
 def _fillers(sq: Square) -> list[PresheafMap]:
     """Every diagonal filler of one square, in enumerate_maps order.
 
-    The filler is pinned to the top along the square's source arrow and
-    constrained over the bottom elementwise, so the search space is the
-    genuine solution space rather than all maps.
+    The filler is pinned to the top along the square's source arrow, and
+    each element of the source arrow's codomain may only go to the fibre of
+    g over the bottom's value there. The Yoneda-ordered search roots at
+    generating elements and checks the pins and fibres of every element it
+    forces from them, so it walks the fillers rather than all maps.
     """
     j, g = sq.source, sq.target
     base = g.f.source.base
@@ -207,7 +209,16 @@ def enumerate_lifting_tables(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> 
     Exhaustive by design; meant for small instances.
     """
     arrow = as_arrow(g)
-    squares, sets = square_filler_sets(gens, arrow)
+    return _tables(gens, arrow, *square_filler_sets(gens, arrow))
+
+
+def _tables(
+    gens: GeneratingSet,
+    arrow: ArrowObj,
+    squares: tuple[tuple[int, Square], ...],
+    sets: list[list[PresheafMap]],
+) -> list[LiftingTable]:
+    """The lifting tables of one filler listing, in product order."""
     if any(not s for s in sets):
         return []
     return [
@@ -258,8 +269,8 @@ def check_bijection(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> Bijection
     """Exhaustively verify that algebras and tables determine each other."""
     arrow = as_arrow(g)
     algebras = enumerate_algebra_structures(gens, arrow)
-    tables = enumerate_lifting_tables(gens, arrow)
-    _, sets = square_filler_sets(gens, arrow)
+    squares, sets = square_filler_sets(gens, arrow)
+    tables = _tables(gens, arrow, squares, sets)
     product_count = math.prod(len(s) for s in sets)
     problems: list[str] = []
 

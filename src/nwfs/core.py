@@ -10,6 +10,7 @@ CLI can surface them and tests can assert emptiness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -398,11 +399,22 @@ def enumerate_maps(
 ) -> list[PresheafMap]:
     """All natural transformations X -> Y, in a fixed order.
 
-    Enumeration is exhaustive backtracking over element assignments.
-    Variables are ordered by object id then element id, candidate targets
-    ascend, and outputs appear in lexicographic order of the resulting
-    assignment vectors. A naturality constraint is checked the moment both
-    elements it mentions have been assigned, so dead branches are cut early.
+    Outputs appear in lexicographic order of their assignment vectors. The
+    variables are the elements of X ordered by object id then element id,
+    and each ranks its values by their position among its candidates: the
+    pin, else its `allowed` entry, else the carrier of Y at its object,
+    which ascends.
+
+    The search runs in Yoneda order. A map is fixed by where it sends a set
+    of generating elements, so the search picks a root element (objects
+    with the most morphisms into them first) and then visits, breadth
+    first, every element the non-identity actions reach from it. A reached
+    element is forced: its only candidate is the action of Y on its
+    parent's value, which must still pass its pin or `allowed` entry. Every
+    other naturality constraint is checked as soon as both elements it
+    mentions are assigned. The search keeps its own stack, so its depth
+    does not grow with X, and the maps it finds are sorted into the output
+    order.
 
     `pinned` forces single values for chosen source elements and `allowed`
     restricts the candidate set for others; both are keyed by (object id,
@@ -413,51 +425,148 @@ def enumerate_maps(
     pinned = pinned or {}
     allowed = allowed or {}
     base = X.base
-    variables: list[tuple[str, int]] = [
-        (a, x) for a in sorted(base.objects) for x in X.carrier[a]
-    ]
-    index = {v: i for i, v in enumerate(variables)}
+    if not any(X.carrier[a] for a in base.objects):
+        return [PresheafMap(X, Y, {a: {} for a in base.objects})]
 
-    # constraints[i] lists (m, b, x) with i the later-assigned endpoint of the
-    # naturality square for morphism m at element x of X(cod m) = X(b).
-    constraints: list[list[tuple[str, str, int]]] = [[] for _ in variables]
+    # variables are numbered in output order; var[a][x] is the number of (a, x)
+    var: dict[str, dict[int, int]] = {}
+    first: dict[str, int] = {}
+    elements: list[tuple[str, int]] = []
+    for a in sorted(base.objects):
+        first[a] = len(elements)
+        var[a] = {x: i for i, x in enumerate(X.carrier[a], first[a])}
+        elements.extend((a, x) for x in X.carrier[a])
+    n = len(elements)
+
+    # arrows[a]: how a non-identity morphism into a moves elements there,
+    # in X (onto variables) and in Y
+    arrows: dict[str, list[tuple[Mapping[int, int], dict[int, int], Mapping[int, int]]]] = {
+        a: [] for a in base.objects
+    }
+    incoming = dict.fromkeys(base.objects, 0)
     for m in base.morphisms:
-        if base.identity.get(m.dom) == m.name:
-            continue
-        for x in X.carrier[m.cod]:
-            i = index[(m.cod, x)]
-            j = index[(m.dom, X.action[m.name][x])]
-            constraints[max(i, j)].append((m.name, m.cod, x))
+        incoming[m.cod] += 1
+        if base.identity.get(m.dom) != m.name:
+            arrows[m.cod].append((X.action[m.name], var[m.dom], Y.action[m.name]))
 
-    assignment: dict[tuple[str, int], int] = {}
-    results: list[PresheafMap] = []
+    # Breadth-first from each root. A variable reached for the first time is
+    # forced by the arrow that reached it; every other arrow between two
+    # variables is a check (s, d, act), meaning vals[d] == act[vals[s]], run
+    # when the later of the two is assigned. Those all lie in the current
+    # block, so each block's plan is complete once its walk ends.
+    step = [-1] * n
+    order: list[int] = []
+    parent: list[tuple[int, Mapping[int, int]]] = [(-1, {})] * n
+    checks: list[list[tuple[int, int, Mapping[int, int]]]] = [[] for _ in range(n)]
+    plan = []
+    for c in sorted(base.objects, key=lambda a: (-incoming[a], a)):
+        for x in X.carrier[c]:
+            root = var[c][x]
+            if step[root] >= 0:
+                continue
+            start = len(order)
+            step[root] = start
+            order.append(root)
+            i = start
+            while i < len(order):
+                u = order[i]
+                i += 1
+                a, e = elements[u]
+                for act_x, dvar, act_y in arrows[a]:
+                    w = dvar[act_x[e]]
+                    if step[w] < 0:
+                        step[w] = len(order)
+                        order.append(w)
+                        parent[w] = (u, act_y)
+                    else:
+                        checks[u if step[u] >= step[w] else w].append((u, w, act_y))
 
-    def ok(pos: int) -> bool:
-        for mor, b, x in constraints[pos]:
-            a = base.dom(mor)
-            lhs = assignment[(a, X.action[mor][x])]
-            rhs = Y.action[mor][assignment[(b, x)]]
-            if lhs != rhs:
+            key = (c, x)
+            if key in pinned:
+                candidates: Sequence[int] = (pinned[key],)
+            else:
+                candidates = allowed.get(key, Y.carrier[c])
+            forced = []
+            for w in order[start + 1 :]:
+                key = elements[w]
+                if key in pinned:
+                    keep: set[int] | None = {pinned[key]}
+                elif key in allowed:
+                    keep = set(allowed[key])
+                else:
+                    keep = None
+                forced.append((w, *parent[w], keep, checks[w]))
+            plan.append((root, candidates, checks[root], forced))
+
+    vals: list = [None] * n
+
+    def fits(root_checks, forced) -> bool:
+        for s, d, act in root_checks:
+            if act[vals[s]] != vals[d]:
                 return False
+        for w, p, force, keep, cons in forced:
+            y = force[vals[p]]
+            if keep is not None and y not in keep:
+                return False
+            vals[w] = y
+            for s, d, act in cons:
+                if act[vals[s]] != vals[d]:
+                    return False
         return True
 
-    def walk(pos: int) -> None:
-        if pos == len(variables):
-            comps: dict[str, dict[int, int]] = {a: {} for a in base.objects}
-            for (a, x), y in assignment.items():
-                comps[a][x] = y
-            results.append(PresheafMap(X, Y, comps))
-            return
-        a, x = variables[pos]
-        if (a, x) in pinned:
-            candidates: Sequence[int] = (pinned[(a, x)],)
+    # One frame per block, each holding the iterator over its root's
+    # remaining candidates; a solution is a full row of values.
+    found: list[tuple[int, ...]] = []
+    last = len(plan) - 1
+    its = [iter(())] * len(plan)
+    its[0] = iter(plan[0][1])
+    b = 0
+    while b >= 0:
+        root, _, root_checks, forced = plan[b]
+        if b == last:
+            for y in its[b]:
+                vals[root] = y
+                if fits(root_checks, forced):
+                    found.append(tuple(vals))
+            b -= 1
+            continue
+        for y in its[b]:
+            vals[root] = y
+            if fits(root_checks, forced):
+                b += 1
+                its[b] = iter(plan[b][1])
+                break
         else:
-            candidates = allowed.get((a, x), Y.carrier[a])
-        for y in candidates:
-            assignment[(a, x)] = y
-            if ok(pos):
-                walk(pos + 1)
-        assignment.pop((a, x), None)
+            b -= 1
 
-    walk(0)
-    return results
+    # Sort into output order. Carriers ascend, so a value ranks as itself,
+    # except under an `allowed` entry that lists its values out of order.
+    remap: list[tuple[int, dict[int, int]]] = []
+    for v, key in enumerate(elements):
+        seq = allowed.get(key)
+        if seq is not None and key not in pinned and not _ascending(seq):
+            remap.append((v, {y: i for i, y in enumerate(seq)}))
+    if remap:
+
+        def rank_key(row: tuple[int, ...]) -> list[int]:
+            ranked = list(row)
+            for v, ranks in remap:
+                ranked[v] = ranks[row[v]]
+            return ranked
+
+        found.sort(key=rank_key)
+    else:
+        found.sort()
+
+    layout = [(a, X.carrier[a], first[a], first[a] + len(X.carrier[a])) for a in base.objects]
+    out = []
+    for row in found:
+        comps = {}
+        for a, elts, lo, hi in layout:
+            comps[a] = dict(zip(elts, row[lo:hi]))
+        out.append(PresheafMap(X, Y, comps))
+    return out
+
+
+def _ascending(seq: Sequence[int]) -> bool:
+    return all(map(operator.lt, seq, seq[1:]))

@@ -611,6 +611,9 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
         covered = {a: set(sleft.components[a].values()) for a in cat.objects}
         for sn, sqdoc in enumerate(sq_docs):
             qp = f"{tp}/squares/{sn}"
+            if not isinstance(sqdoc, dict):
+                problems.append(f"{qp}: expected an object, got {type(sqdoc).__name__}")
+                return None
             gi = sqdoc.get("gen")
             want_gi, want_sq = expected[sn]
             if not _check(problems, gi == want_gi, f"{qp}/gen", f"recorded generator {gi}, recomputation gives {want_gi}"):
@@ -740,7 +743,9 @@ def _validate_sequence_cert(doc, problems) -> None:
 
     gamma = run["converged_at"]
     alg = doc.get("algebra")
-    if alg is not None:
+    if alg is not None and not isinstance(alg, dict):
+        problems.append(f"/algebra: expected an object, got {type(alg).__name__}")
+    elif alg is not None:
         if gamma is None or run["steps"][gamma] is None:
             problems.append("/algebra: recorded without a converged stage step")
         else:
@@ -760,7 +765,9 @@ def _validate_sequence_cert(doc, problems) -> None:
                     "structure map does not live over the factored arrow",
                 )
     table = doc.get("lifting_table")
-    if table is not None:
+    if table is not None and not isinstance(table, dict):
+        problems.append(f"/lifting_table: expected an object, got {type(table).__name__}")
+    elif table is not None:
         if gamma is None or run["steps"][gamma] is None:
             problems.append("/lifting_table: recorded without a converged stage step")
             return

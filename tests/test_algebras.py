@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import finset, random_surjection, set_map
+from nwfs import arrows
 from nwfs.algebras import (
     algebra_from_fillers,
     check_bijection,
@@ -17,9 +18,10 @@ from nwfs.algebras import (
     validate_table,
 )
 from nwfs.arrows import as_arrow, generating_squares
-from nwfs.catalog import get_category, get_gens, representable
+from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
 from nwfs.core import (
     IncompatibleInput,
+    PresheafMap,
     compose_maps,
     enumerate_maps,
     identity_map,
@@ -171,6 +173,21 @@ def test_bijection_with_no_fillers_anywhere():
     report = check_bijection(POINT, g)
     assert report.ok
     assert report.algebra_count == 0
+
+
+def test_bijection_lists_the_generating_squares_once_per_use(monkeypatch):
+    # once to build the step, once for the filler sets behind the tables and
+    # the product count
+    calls = []
+    listing = arrows.enumerate_squares
+    monkeypatch.setattr(arrows, "enumerate_squares", lambda j, g: calls.append(j) or listing(j, g))
+    base = get_category("delta<=1")
+    edge = representable(base, "1")
+    g = PresheafMap(edge, terminal_presheaf(base), {a: dict.fromkeys(edge.carrier[a], 0) for a in base.objects})
+    report = check_bijection(HORNS1, g)
+    assert report.ok, report.problems
+    assert report.algebra_count == report.product_count > 0
+    assert len(calls) == 2 * len(HORNS1.members)
 
 
 def test_algebra_count_detects_injectivity():

@@ -207,6 +207,20 @@ def test_validate_reports_a_run_entry_that_is_not_an_object(tmp_path, map_file, 
     assert f"/run/{key}/0: expected an object" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("path", ["/algebra", "/lifting_table", "/run/steps/0/squares/0"])
+def test_validate_reports_a_block_that_is_not_an_object(tmp_path, map_file, capsys, path):
+    out, doc = _honest_factorize_cert(tmp_path, map_file)
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split("/")[1:]]
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = 5
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert f"{path}: expected an object, got int" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "sample",
     [

@@ -178,8 +178,12 @@ def pushout(f: PresheafMap, g: PresheafMap) -> Cocone:
 def chain_colimit(steps: Sequence[PresheafMap], start: Presheaf | None = None) -> Cocone:
     """Colimit of a finite chain X0 -> X1 -> ... -> Xn, one leg per stage.
 
-    With no steps the chain is the single presheaf `start` and the colimit is
-    that presheaf with an identity leg.
+    A finite chain's colimit is its last stage Xn, and leg i is the composite
+    Xi -> Xn. The apex is Xn renumbered in order of first appearance: stage
+    by stage, and in carrier order within a stage. That is the numbering the
+    quotient of the coproduct of all stages would give, whose classes are
+    ranked by their least member. With no steps the chain is the single
+    presheaf `start` and the colimit is that presheaf with an identity leg.
     """
     if not steps:
         if start is None:
@@ -190,17 +194,30 @@ def chain_colimit(steps: Sequence[PresheafMap], start: Presheaf | None = None) -
         if not _same(m.source, stages[-1]):
             raise IncompatibleInput(f"chain_colimit: step {i} does not start where step {i - 1} ended")
         stages.append(m.target)
-    cp = coproduct(stages)
-    pairs = []
-    for i, m in enumerate(steps):
-        inj_here, inj_next = cp.legs[i], cp.legs[i + 1]
-        for a in m.source.base.objects:
-            for x in m.source.carrier[a]:
-                pairs.append((a, inj_here.components[a][x], inj_next.components[a][m.components[a][x]]))
-    q = quotient(cp.apex, pairs)
-    proj = q.legs[0]
-    legs = tuple(compose_maps(proj, inj) for inj in cp.legs)
-    return Cocone(apex=q.apex, legs=legs, provenance="chain")
+    last = stages[-1]
+    base = last.base
+    # to_last[i] holds the components of the composite Xi -> Xn
+    to_last = [{a: {x: x for x in last.carrier[a]} for a in base.objects}]
+    for m in reversed(steps):
+        after = to_last[-1]
+        to_last.append({a: {x: after[a][y] for x, y in m.components[a].items()} for a in base.objects})
+    to_last.reverse()
+    rank: dict[str, dict[int, int]] = {a: {} for a in base.objects}
+    for X, into in zip(stages, to_last):
+        for a in base.objects:
+            for x in X.carrier[a]:
+                rank[a].setdefault(into[a][x], len(rank[a]))
+    carrier = {a: tuple(range(len(rank[a]))) for a in base.objects}
+    action = {
+        m.name: {rank[m.cod][y]: rank[m.dom][last.action[m.name][y]] for y in rank[m.cod]}
+        for m in base.morphisms
+    }
+    apex = presheaf(base, carrier, action)
+    legs = tuple(
+        PresheafMap(X, apex, {a: {x: rank[a][into[a][x]] for x in X.carrier[a]} for a in base.objects})
+        for X, into in zip(stages, to_last)
+    )
+    return Cocone(apex=apex, legs=legs, provenance="chain")
 
 
 def induce(cocone: Cocone, targets: Sequence[PresheafMap], cod: Presheaf) -> PresheafMap:

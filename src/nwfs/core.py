@@ -45,7 +45,7 @@ class FinCategory:
     """A finite category with a total composition table.
 
     `table` maps (after, before) pairs of morphism names to the composite
-    name; `compose(g, f)` is g after f. Identities are listed per object in
+    name, so `table[(g, f)]` is g after f. Identities are listed per object in
     `identity`. Objects and morphisms are identified by string ids, and all
     deterministic orderings elsewhere in the package sort those ids.
     """
@@ -59,27 +59,6 @@ class FinCategory:
     @cached_property
     def _by_name(self) -> dict[str, Morphism]:
         return {m.name: m for m in self.morphisms}
-
-    def morphism(self, name: str) -> Morphism:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise IncompatibleInput(f"unknown morphism id {name!r} in category {self.name!r}") from None
-
-    def dom(self, name: str) -> str:
-        return self.morphism(name).dom
-
-    def cod(self, name: str) -> str:
-        return self.morphism(name).cod
-
-    def compose(self, g: str, f: str) -> str:
-        """Name of the composite g after f."""
-        gm, fm = self.morphism(g), self.morphism(f)
-        if fm.cod != gm.dom:
-            raise IncompatibleInput(
-                f"cannot compose {g!r} after {f!r}: cod({f!r}) = {fm.cod!r} but dom({g!r}) = {gm.dom!r}"
-            )
-        return self.table[(g, f)]
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return tuple(sorted(m.name for m in self.morphisms if m.dom == a and m.cod == b))

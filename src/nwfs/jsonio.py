@@ -497,6 +497,7 @@ def _load_inputs(doc, problems) -> tuple | None:
 def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
     """Recheck one serialized sequence run; return rebuilt pieces on success."""
     from .arrows import as_arrow, generating_squares
+    from .colimits import quotient
     from .core import compose_maps, identity_map, is_iso, is_surjective, maps_equal
 
     if not isinstance(body, dict):
@@ -580,6 +581,9 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
             return None
         _check(problems, maps_equal(lefts[i + 1], compose_maps(link, lefts[i])), lp, "link does not extend the left half")
         _check(problems, maps_equal(compose_maps(rights[i + 1], link), rights[i]), lp, "link does not cover the right half")
+        if kinds[i + 1] == "limit":
+            # a finite chain's colimit is its last stage
+            _check(problems, is_iso(link), lp, "link into a limit stage is not an isomorphism")
         links.append(link)
 
     steps: list = []
@@ -679,19 +683,31 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
             problems.append(str(err))
             continue
         fold = folds[i]
+        in_range = True
         for a in cat.objects:
             c1, c2 = u1.get(a, {}), u2.get(a, {})
             if set(c1) != set(c2):
                 problems.append(f"{pp}: the two parallel maps have different domains at object {a!r}")
+                in_range = False
                 continue
             for x, y1 in c1.items():
                 y2 = c2[x]
                 if y1 not in fold.components[a] or y2 not in fold.components[a]:
                     problems.append(f"{pp}: pair lands outside the step middle at object {a!r}")
+                    in_range = False
                     break
                 if fold.components[a][y1] != fold.components[a][y2]:
                     problems.append(f"{pp}: fold does not coequalize the recorded pair at object {a!r}, element {x}")
                     break
+        if not in_range:
+            continue
+        # a surjective fold that coequalizes the pair factors through the
+        # pair's coequalizer, so it is that coequalizer when the sizes agree
+        pair = [(a, y, u2[a][x]) for a in cat.objects for x, y in u1.get(a, {}).items()]
+        classes = quotient(steps[i]["mid"], pair).apex.sizes
+        for a in cat.objects:
+            hit = len(set(fold.components[a].values()))
+            _check(problems, hit == classes[a], pp, f"fold is not the coequalizer of the recorded pair at object {a!r}")
 
     if mode == "plain":
         _check(problems, all(f is None for f in folds_doc), f"{path}/folds", "plain mode must not record folds")
@@ -928,7 +944,11 @@ def _validate_enumeration_cert(doc, problems) -> None:
             f"/{key}",
             f"recorded {doc.get(key)}, recomputed {getattr(report, key)}",
         )
-    _check(problems, list(doc.get("problems", [])) == list(report.problems), "/problems", "recorded problems differ")
+    recorded = doc.get("problems", [])
+    if isinstance(recorded, list):
+        _check(problems, recorded == list(report.problems), "/problems", "recorded problems differ")
+    else:
+        problems.append(f"/problems: expected a list, got {type(recorded).__name__}")
     _check(problems, doc.get("ok") == report.ok, "/ok", "summary flag differs from recomputation")
     if doc.get("algebras") is not None:
         listed = [components_doc(a.structure) for a in report.algebras]

@@ -7,11 +7,17 @@ is then detectable as the connecting map becoming an isomorphism. The plain
 mode just re-applies the step and never identifies anything.
 
 Budgets are organised in blocks of successor steps. Between blocks the
-sequence passes to the colimit of the chain built so far (a limit stage); in
-free mode the first step after a limit stage coequalizes against the whole
-chain rather than a single predecessor. Limit-stage connecting maps are the
-last legs of a finite chain colimit and are isomorphisms by construction, so
-they are excluded from the convergence test.
+sequence passes to the colimit of the chain built so far (a limit stage).
+A finite chain's colimit is its last stage, renumbered, so a limit stage's
+connecting map is an isomorphism by construction and is excluded from the
+convergence test.
+
+Every free stage after the first is built by one step. The one-step middle
+of the current stage is coequalized against the folds below it: after a
+successor stage that is the previous fold alone, after a limit stage every
+fold in the chain. The pair leaves the colimit of the step middles carrying
+those folds; one map goes through the folds and the links up to the current
+stage, the other applies the step functor to those links.
 """
 
 from __future__ import annotations
@@ -65,7 +71,6 @@ class Stage:
     mid: Presheaf
     left: PresheafMap
     right: PresheafMap
-    cocone: Cocone | None = None  # the chain colimit cocone, limit stages only
 
 
 @dataclass(frozen=True)
@@ -203,29 +208,6 @@ def _first_step(run: _Run, ordinal: str) -> None:
     run.folds[idx] = fold
 
 
-def _successor_step(run: _Run, ordinal: str) -> None:
-    """Free-mode successor: coequalize the step against the previous fold."""
-    beta = run.last.index
-    alpha = beta - 1
-    step_b = build_onestep(run.gens, run.right_arrow(beta))
-    fold_a = run.folds[alpha]
-    if fold_a is None:
-        raise IncompatibleInput("successor step without a fold to coequalize against")
-    first = compose_maps(step_b.left, fold_a)
-    second = onestep_on_square(
-        run.gens,
-        Square(
-            source=run.right_arrow(alpha),
-            target=run.right_arrow(beta),
-            top=run.links[alpha],
-            bottom=identity_map(run.arrow.f.target),
-        ),
-        source_step=run.step_of(alpha),
-        target_step=step_b,
-    )
-    _finish_coequalizer_stage(run, step_b, first, second, ordinal)
-
-
 def _limit_stage(run: _Run, block: int) -> None:
     """Pass to the colimit of the chain built so far."""
     cocone = chain_colimit(list(run.links), start=run.stages[0].mid)
@@ -236,28 +218,30 @@ def _limit_stage(run: _Run, block: int) -> None:
         mid=cocone.apex,
         left=compose_maps(cocone.legs[-1], run.last.left),
         right=induce(cocone, [s.right for s in run.stages], run.arrow.cod),
-        cocone=cocone,
     )
     run.push(stage, link=cocone.legs[-1], step=None, fold=None, pair=None)
 
 
-def _limit_successor_step(run: _Run, ordinal: str) -> None:
-    """Free-mode step directly after a limit stage.
+def _free_step(run: _Run, ordinal: str) -> None:
+    """Free-mode stage: coequalize the new step against the folds below it.
 
-    Coequalizes against every fold below the limit at once: the folds are
-    transported up the chain of step middles and compared with the step
-    functor applied to the connecting maps into the limit.
+    After a successor stage the only fold below is the previous one; after a
+    limit stage it is every fold in the chain. The step middles carrying
+    those folds form a chain of their own, and both maps of the pair leave
+    its colimit: one through the folds and up to the current stage, the
+    other through the step functor applied to the links into it.
     """
-    omega = run.last.index
-    limit = run.stages[omega]
-    if limit.kind != "limit" or limit.cocone is None:
-        raise IncompatibleInput("limit successor taken without a limit stage")
-    step_w = build_onestep(run.gens, run.right_arrow(omega))
-    below = [i for i in range(omega) if run.folds[i] is not None]
-    # stages right under an earlier limit have no fold, so consecutive
-    # members of `below` are not always adjacent; connect them composite-wise
-    chain = [
-        onestep_on_square(
+    top = run.last.index
+    if run.last.kind == "limit":
+        below = [i for i in range(top) if run.folds[i] is not None]
+    else:
+        below = [top - 1]
+    if not below or run.folds[below[0]] is None:
+        raise IncompatibleInput("free step without a fold to coequalize against")
+    step = build_onestep(run.gens, run.right_arrow(top))
+
+    def carried(i: int, j: int, target_step: OneStepFactorization) -> PresheafMap:
+        return onestep_on_square(
             run.gens,
             Square(
                 source=run.right_arrow(i),
@@ -266,56 +250,26 @@ def _limit_successor_step(run: _Run, ordinal: str) -> None:
                 bottom=identity_map(run.arrow.f.target),
             ),
             source_step=run.step_of(i),
-            target_step=run.step_of(j),
+            target_step=target_step,
         )
-        for i, j in zip(below, below[1:])
-    ]
-    web = chain_colimit(chain, start=run.step_of(below[0]).mid)
+
+    # stages right under an earlier limit have no fold, so consecutive
+    # members of `below` are not always adjacent
+    web = chain_colimit(
+        [carried(i, j, run.step_of(j)) for i, j in zip(below, below[1:])],
+        start=run.step_of(below[0]).mid,
+    )
     first = induce(
         web,
-        [
-            compose_maps(
-                step_w.left,
-                compose_maps(limit.cocone.legs[i + 1], run.folds[i]),
-            )
-            for i in below
-        ],
-        step_w.mid,
+        [compose_maps(step.left, compose_maps(run.connect(i + 1, top), run.folds[i])) for i in below],
+        step.mid,
     )
-    second = induce(
-        web,
-        [
-            onestep_on_square(
-                run.gens,
-                Square(
-                    source=run.right_arrow(i),
-                    target=run.right_arrow(omega),
-                    top=run.connect(i, omega),
-                    bottom=identity_map(run.arrow.f.target),
-                ),
-                source_step=run.step_of(i),
-                target_step=step_w,
-            )
-            for i in below
-        ],
-        step_w.mid,
-    )
-    _finish_coequalizer_stage(run, step_w, first, second, ordinal)
-
-
-def _finish_coequalizer_stage(
-    run: _Run,
-    step: OneStepFactorization,
-    first: PresheafMap,
-    second: PresheafMap,
-    ordinal: str,
-) -> None:
-    beta = run.last.index
+    second = induce(web, [carried(i, top, step) for i in below], step.mid)
     coeq = coequalizer(first, second)
     fold = coeq.legs[0]
     link = compose_maps(fold, step.left)
     stage = Stage(
-        index=beta + 1,
+        index=top + 1,
         ordinal=ordinal,
         kind="successor",
         mid=coeq.apex,
@@ -323,9 +277,9 @@ def _finish_coequalizer_stage(
         right=induce(coeq, [step.right], run.arrow.cod),
     )
     run.push(stage, link=link, step=None, fold=None, pair=None)
-    run.steps[beta] = step
-    run.folds[beta] = fold
-    run.pairs[beta] = (first, second)
+    run.steps[top] = step
+    run.folds[top] = fold
+    run.pairs[top] = (first, second)
 
 
 def _run_sequence(
@@ -348,10 +302,8 @@ def _run_sequence(
                 return run.freeze()
             if mode == PLAIN or run.last.kind == "zero":
                 _first_step(run, _ordinal_label(block, taken + 1))
-            elif run.last.kind == "limit":
-                _limit_successor_step(run, _ordinal_label(block, taken + 1))
             else:
-                _successor_step(run, _ordinal_label(block, taken + 1))
+                _free_step(run, _ordinal_label(block, taken + 1))
             taken += 1
         if stop_at_convergence and run.converged_at is not None:
             return run.freeze()
@@ -428,15 +380,10 @@ def build_comparison(free: SequenceState, plain: SequenceState) -> ComparisonRep
     for n in range(1, n_stages):
         fs, ps = free.stages[n], plain.stages[n]
         if ps.kind == "limit":
-            if ps.cocone is None or fs.cocone is None:
-                raise IncompatibleInput(f"stage {n} is a limit stage without its cocone")
-            maps.append(
-                induce(
-                    ps.cocone,
-                    [compose_maps(fs.cocone.legs[i], maps[i]) for i in range(n)],
-                    fs.mid,
-                )
-            )
+            # inducing out of the plain chain checks that the maps below
+            # commute with the links into the limit
+            chain = Cocone(ps.mid, tuple(plain.connect(i, n) for i in range(n)), "chain")
+            maps.append(induce(chain, [compose_maps(free.connect(i, n), maps[i]) for i in range(n)], fs.mid))
             continue
         carried = onestep_on_square(
             free.gens,

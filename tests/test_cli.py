@@ -221,6 +221,21 @@ def test_validate_reports_a_block_that_is_not_an_object(tmp_path, map_file, caps
     assert f"{path}: expected an object, got int" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("problems", [5, None])
+def test_validate_reports_enumeration_problems_that_are_not_a_list(tmp_path, map_file, capsys, problems):
+    out = tmp_path / "enum.json"
+    assert main([
+        "enumerate", "--category", "terminal", "--gens", "point",
+        "--map", str(map_file), "--out", str(out),
+    ]) == 0
+    doc = json.loads(out.read_text())
+    doc["problems"] = problems
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert f"/problems: expected a list, got {type(problems).__name__}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "sample",
     [

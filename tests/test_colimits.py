@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import finset, parallel_pairs, set_map, set_maps
+from test_hom_search import reflexive_graphs
 from nwfs.catalog import get_category, representable
 from nwfs.colimits import chain_colimit, coequalizer, coproduct, induce, initial, pushout, quotient
 from nwfs.core import (
     IncompatibleInput,
+    PresheafMap,
     compose_maps,
     enumerate_maps,
     is_injective,
@@ -150,6 +152,59 @@ def test_chain_colimit_with_collapsing_links():
     cone = chain_colimit(steps)
     assert cone.apex.sizes == {"0": 1}
     assert all(is_surjective(leg) for leg in cone.legs)
+
+
+def quotient_of_coproduct(steps):
+    """The chain colimit as a quotient of the coproduct of every stage."""
+    stages = [steps[0].source] + [m.target for m in steps]
+    cp = coproduct(stages)
+    pairs = [
+        (a, cp.legs[i].components[a][x], cp.legs[i + 1].components[a][m.components[a][x]])
+        for i, m in enumerate(steps)
+        for a in m.source.base.objects
+        for x in m.source.carrier[a]
+    ]
+    q = quotient(cp.apex, pairs)
+    return q.apex, [compose_maps(q.legs[0], leg) for leg in cp.legs]
+
+
+@st.composite
+def set_chains(draw, max_steps: int = 4, max_size: int = 4):
+    """A chain of set maps whose stages carry random element ids."""
+    sizes = draw(st.lists(st.integers(0, max_size), min_size=2, max_size=max_steps + 1))
+    for k in range(1, len(sizes)):
+        if sizes[k - 1]:
+            sizes[k] = max(sizes[k], 1)
+    sets = [finset(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))) for n in sizes]
+    return [
+        PresheafMap(X, Y, {"0": {x: draw(st.sampled_from(Y.carrier["0"])) for x in X.carrier["0"]}})
+        for X, Y in zip(sets, sets[1:])
+    ]
+
+
+@st.composite
+def graph_chains(draw, max_steps: int = 3):
+    """A chain of reflexive-graph maps, each drawn from all maps between its ends."""
+    graphs = [draw(reflexive_graphs(0, 2, 2))]
+    graphs += [draw(reflexive_graphs(1, 3, 3)) for _ in range(draw(st.integers(1, max_steps)))]
+    steps = []
+    for X, Y in zip(graphs, graphs[1:]):
+        maps = enumerate_maps(X, Y)
+        steps.append(maps[draw(st.integers(0, len(maps) - 1))])
+    return steps
+
+
+@given(st.one_of(set_chains(), graph_chains()))
+@settings(max_examples=80, deadline=None)
+def test_chain_colimit_matches_the_quotient_of_the_coproduct(steps):
+    cone = chain_colimit(steps)
+    apex, legs = quotient_of_coproduct(steps)
+    assert dict(cone.apex.carrier) == dict(apex.carrier)
+    assert {m: dict(act) for m, act in cone.apex.action.items()} == {m: dict(act) for m, act in apex.action.items()}
+    assert len(cone.legs) == len(legs)
+    for got, want in zip(cone.legs, legs):
+        assert got.source is want.source
+        assert got.components == want.components
 
 
 def test_induce_rejects_disagreeing_targets():

@@ -6,8 +6,8 @@ import pytest
 from conftest import set_map
 from nwfs.algebras import check_bijection, enumerate_lifting_tables
 from nwfs.arrows import as_arrow, generating_squares
-from nwfs.catalog import get_category, get_gens, representable, terminal_category
-from nwfs.core import maps_equal, validate
+from nwfs.catalog import get_category, get_gens, representable, terminal_category, terminal_presheaf
+from nwfs.core import PresheafMap, maps_equal, validate
 from nwfs.jsonio import (
     InputError,
     canonical_bytes,
@@ -135,6 +135,43 @@ def test_sequence_certificate_catches_tampering():
     dropped = copy.deepcopy(reload(base))
     dropped["run"]["steps"] = []
     assert validate_certificate(dropped) != []
+
+
+def test_validator_rejects_a_fold_that_is_not_the_coequalizer():
+    # an honest run whose last stage is collapsed to the terminal presheaf:
+    # the collapsed fold still coequalizes the recorded pair, factors the
+    # link and covers the right half, but identifies far more than the pair
+    base = get_category("delta<=1")
+    edge = representable(base, "1")
+    point = terminal_presheaf(base)
+    g = PresheafMap(edge, point, {a: dict.fromkeys(edge.carrier[a], 0) for a in base.objects})
+    state = run_free(get_gens("horns<=1"), g, budget=OrdinalBudget(2, 1))
+    cert = reload(sequence_certificate(state))
+    assert validate_certificate(cert) == []
+
+    run = cert["run"]
+    assert [s["kind"] for s in run["stages"]] == ["zero", "onestep", "successor"]
+    squash = lambda doc: {a: dict.fromkeys(doc[a], 0) for a in doc}
+    run["stages"][2]["mid"] = presheaf_doc(point)
+    run["stages"][2]["left"] = squash(run["stages"][2]["left"])
+    run["stages"][2]["right"] = {a: {"0": 0} for a in base.objects}
+    run["links"][1] = squash(run["links"][1])
+    run["folds"][1] = squash(run["folds"][1])
+    run["cardinalities"][2] = point.sizes
+    problems = validate_certificate(cert)
+    assert "/run/pairs/1: fold is not the coequalizer of the recorded pair at object '0'" in problems
+    assert all(p.startswith("/run/pairs/1: fold is not the coequalizer") for p in problems)
+
+
+def test_validator_rejects_a_limit_stage_that_grows():
+    # in plain mode a stage may be a limit anywhere, but its link must be an iso
+    g = set_map(2, 2, [0, 0])
+    state = run_plain(POINT, g, budget=OrdinalBudget(2, 2), stop_at_convergence=False)
+    cert = reload(sequence_certificate(state))
+    assert [s["kind"] for s in cert["run"]["stages"]] == ["zero", "onestep", "onestep", "limit", "onestep", "onestep"]
+    assert validate_certificate(cert) == []
+    cert["run"]["stages"][2]["kind"] = "limit"
+    assert validate_certificate(cert) == ["/run/links/1: link into a limit stage is not an isomorphism"]
 
 
 def test_compare_certificate_validates_and_catches_tampering():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from conftest import random_set_map, set_map, set_maps
 from nwfs.arrows import Square, as_arrow
 from nwfs.catalog import get_gens
+from nwfs.colimits import chain_colimit
 from nwfs.core import IncompatibleInput, compose_maps, identity_map, is_iso, maps_equal
 from nwfs.onestep import build_onestep, onestep_on_square
 from nwfs.sequence import (
@@ -112,11 +113,12 @@ def test_limit_stage_bookkeeping():
                      "limit", "successor", "successor"]
     ordinals = [s.ordinal for s in state.stages]
     assert ordinals == ["0", "1", "2", "ω", "ω+1", "ω+2", "ω·2", "ω·2+1", "ω·2+2"]
-    limit = state.stages[3]
-    assert limit.cocone is not None
-    # the limit cocone legs commute with the links below it
-    for i in range(3):
-        assert maps_equal(limit.cocone.legs[i], state.connect(i, 3))
+    # the link into the limit is an iso, and the limit stage is already
+    # numbered as the colimit of the chain up to it
+    assert is_iso(state.links[2])
+    chain = chain_colimit(state.links[:3])
+    for i in range(4):
+        assert maps_equal(chain.legs[i], state.connect(i, 3))
 
 
 def test_connect_composes_links():

@@ -35,6 +35,7 @@ from .catalog import (
 )
 from .colimits import (
     Cocone,
+    attach,
     chain_colimit,
     coequalizer,
     coproduct,

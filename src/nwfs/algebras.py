@@ -155,8 +155,7 @@ def algebra_from_fillers(
     if len(step.squares) != len(table.squares):
         raise IncompatibleInput("table does not cover the generating squares of its arrow")
     C = table.target.dom
-    cells_target = induce(step.gen_codomains, list(table.fillers), C)
-    p = induce(step.factorisation_cocone(), [identity_map(C), cells_target], C)
+    p = induce(step.cocone, [identity_map(C), *table.fillers], C)
     alg = AlgebraStructure(target=table.target, structure=p, step=step)
     problems = validate_algebra(alg)
     if problems:

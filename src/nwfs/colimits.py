@@ -30,7 +30,6 @@ from .core import (
 class Cocone:
     apex: Presheaf
     legs: tuple[PresheafMap, ...]
-    provenance: str
 
 
 class UnionFind:
@@ -103,7 +102,7 @@ def quotient(X: Presheaf, pairs: Iterable[tuple[str, int, int]]) -> Cocone:
         apex,
         {a: {x: rank[a][uf[a].representative(x)] for x in X.carrier[a]} for a in base.objects},
     )
-    return Cocone(apex=apex, legs=(proj,), provenance="quotient")
+    return Cocone(apex=apex, legs=(proj,))
 
 
 def coproduct(parts: Sequence[Presheaf], base: FinCategory | None = None) -> Cocone:
@@ -111,7 +110,7 @@ def coproduct(parts: Sequence[Presheaf], base: FinCategory | None = None) -> Coc
     if not parts:
         if base is None:
             raise IncompatibleInput("coproduct of no parts needs an explicit base category")
-        return Cocone(apex=initial(base), legs=(), provenance="coproduct")
+        return Cocone(apex=initial(base), legs=())
     base = parts[0].base
     for p in parts[1:]:
         if not _same(p.base, base):
@@ -144,7 +143,7 @@ def coproduct(parts: Sequence[Presheaf], base: FinCategory | None = None) -> Coc
         )
         for i, p in enumerate(parts)
     )
-    return Cocone(apex=apex, legs=legs, provenance="coproduct")
+    return Cocone(apex=apex, legs=legs)
 
 
 def coequalizer(f: PresheafMap, g: PresheafMap) -> Cocone:
@@ -156,23 +155,36 @@ def coequalizer(f: PresheafMap, g: PresheafMap) -> Cocone:
         for a in f.source.base.objects
         for x in f.source.carrier[a]
     ]
-    q = quotient(f.target, pairs)
-    return Cocone(apex=q.apex, legs=q.legs, provenance="coequalizer")
+    return quotient(f.target, pairs)
+
+
+def attach(X: Presheaf, spans: Sequence[tuple[PresheafMap, PresheafMap]]) -> Cocone:
+    """X with a copy of B glued along A for every span (u: A -> X, v: A -> B).
+
+    One coproduct X + B0 + B1 + ... and one quotient that identifies u(a)
+    with v(a) for every span and every element a of its A. Legs come back in
+    the order (from X, from B0, from B1, ...).
+    """
+    for n, (u, v) in enumerate(spans):
+        if not _same(u.target, X):
+            raise IncompatibleInput(f"attach: span {n} does not land in the presheaf it attaches to")
+        if not _same(u.source, v.source):
+            raise IncompatibleInput(f"attach: the two maps of span {n} do not share a source")
+    cp = coproduct([X] + [v.target for _, v in spans])
+    into_x = cp.legs[0].components
+    pairs = [
+        (a, into_x[a][u.components[a][x]], leg.components[a][v.components[a][x]])
+        for (u, v), leg in zip(spans, cp.legs[1:])
+        for a in X.base.objects
+        for x in u.source.carrier[a]
+    ]
+    proj = quotient(cp.apex, pairs).legs[0]
+    return Cocone(apex=proj.target, legs=tuple(compose_maps(proj, leg) for leg in cp.legs))
 
 
 def pushout(f: PresheafMap, g: PresheafMap) -> Cocone:
-    """Pushout of the span f: A -> B, g: A -> C.
-
-    Computed as the coequalizer of the two composites A -> B + C. Legs come
-    back in the order (from B, from C).
-    """
-    if not _same(f.source, g.source):
-        raise IncompatibleInput("pushout: the two maps do not share a source")
-    cp = coproduct([f.target, g.target])
-    coeq = coequalizer(compose_maps(cp.legs[0], f), compose_maps(cp.legs[1], g))
-    proj = coeq.legs[0]
-    legs = (compose_maps(proj, cp.legs[0]), compose_maps(proj, cp.legs[1]))
-    return Cocone(apex=coeq.apex, legs=legs, provenance="pushout")
+    """Pushout of the span f: A -> B, g: A -> C, with legs (from B, from C)."""
+    return attach(f.target, [(f, g)])
 
 
 def chain_colimit(steps: Sequence[PresheafMap], start: Presheaf | None = None) -> Cocone:
@@ -188,7 +200,7 @@ def chain_colimit(steps: Sequence[PresheafMap], start: Presheaf | None = None) -
     if not steps:
         if start is None:
             raise IncompatibleInput("chain_colimit of an empty chain needs its single object")
-        return Cocone(apex=start, legs=(identity_map(start),), provenance="chain")
+        return Cocone(apex=start, legs=(identity_map(start),))
     stages = [steps[0].source]
     for i, m in enumerate(steps):
         if not _same(m.source, stages[-1]):
@@ -217,7 +229,7 @@ def chain_colimit(steps: Sequence[PresheafMap], start: Presheaf | None = None) -
         PresheafMap(X, apex, {a: {x: rank[a][into[a][x]] for x in X.carrier[a]} for a in base.objects})
         for X, into in zip(stages, to_last)
     )
-    return Cocone(apex=apex, legs=legs, provenance="chain")
+    return Cocone(apex=apex, legs=legs)
 
 
 def induce(cocone: Cocone, targets: Sequence[PresheafMap], cod: Presheaf) -> PresheafMap:

@@ -292,6 +292,12 @@ def digest(doc: Any) -> str:
 # certificates
 
 
+def cells_doc(cell_legs, objects) -> dict:
+    """A step's cell legs side by side: square order, then carrier order."""
+    cells = {a: [leg.components[a][x] for leg in cell_legs for x in leg.source.carrier[a]] for a in objects}
+    return components_doc({a: dict(enumerate(values)) for a, values in cells.items()})
+
+
 def sequence_body(state) -> dict:
     def opt_comps(m):
         return None if m is None else components_doc(m)
@@ -328,7 +334,7 @@ def sequence_body(state) -> dict:
                 "mid": presheaf_doc(st.mid),
                 "left": components_doc(st.left),
                 "right": components_doc(st.right),
-                "cells": components_doc(st.cells),
+                "cells": cells_doc(st.cocone.legs[1:], st.mid.base.objects),
                 "squares": [
                     {
                         "gen": i,
@@ -499,6 +505,7 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
     from .arrows import as_arrow, generating_squares
     from .colimits import quotient
     from .core import compose_maps, identity_map, is_iso, is_surjective, maps_equal
+    from .sequence import _ordinal_label
 
     if not isinstance(body, dict):
         problems.append(f"{path}: missing or not an object")
@@ -566,12 +573,19 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
     if kinds[0] == "zero":
         _check(problems, maps_equal(lefts[0], identity_map(C)), f"{path}/stages/0", "left half is not the identity")
         _check(problems, maps_equal(rights[0], arrow), f"{path}/stages/0", "right half is not the input arrow")
-    for i, kind in enumerate(kinds[1:], start=1):
-        if mode == "plain":
-            ok = kind in ("onestep", "limit")
-        else:
-            ok = kind == "onestep" if i == 1 else kind in ("successor", "limit")
-        _check(problems, ok, f"{path}/stages/{i}/kind", f"kind {kind!r} is not allowed here in {mode} mode")
+    block = offset = longest = 0  # a stage's ω-block, its successors in it, the most in any block
+    for i, (sdoc, kind) in enumerate(zip(raw_stages, kinds)):
+        if i:
+            if mode == "plain":
+                ok = kind in ("onestep", "limit")
+            else:
+                ok = kind == "onestep" if i == 1 else kind in ("successor", "limit")
+            _check(problems, ok, f"{path}/stages/{i}/kind", f"kind {kind!r} is not allowed here in {mode} mode")
+            block, offset = (block + 1, 0) if kind == "limit" else (block, offset + 1)
+            longest = max(longest, offset)
+        index, ordinal, want = sdoc.get("index"), sdoc.get("ordinal"), _ordinal_label(block, offset)
+        _check(problems, _is_int(index) and index == i, f"{path}/stages/{i}/index", f"recorded {index!r}, expected {i}")
+        _check(problems, ordinal == want, f"{path}/stages/{i}/ordinal", f"recorded {ordinal!r}, expected {want!r}")
 
     links: list = []
     for i, ldoc in enumerate(links_doc):
@@ -620,7 +634,7 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
                 return None
             gi = sqdoc.get("gen")
             want_gi, want_sq = expected[sn]
-            if not _check(problems, gi == want_gi, f"{qp}/gen", f"recorded generator {gi}, recomputation gives {want_gi}"):
+            if not _check(problems, _is_int(gi) and gi == want_gi, f"{qp}/gen", f"recorded generator {gi!r}, recomputation gives {want_gi}"):
                 return None
             j = gens.members[gi]
             top = _rebuild_map(sqdoc.get("top"), f"{qp}/top", j.f.source, mids[i], problems)
@@ -647,6 +661,7 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
                 tp,
                 f"step middle is not covered by the left half and the cells at object {a!r}",
             )
+        _check(problems, tdoc.get("cells") == cells_doc(cell_legs, cat.objects), f"{tp}/cells", "does not list the squares' cell legs")
         steps.append({"mid": smid, "left": sleft, "right": sright, "cells": cell_legs})
 
     folds: list = []
@@ -716,23 +731,27 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
         for i in range(n - 1):
             _check(problems, steps_doc[i] is not None, f"{path}/steps/{i}", "free mode stage is missing its step")
             _check(problems, folds_doc[i] is not None, f"{path}/folds/{i}", "free mode stage is missing its fold")
+            if kinds[i + 1] == "successor":
+                _check(problems, pairs_doc[i] is not None, f"{path}/pairs/{i}", "free mode successor stage is missing its pair")
 
-    gamma = body.get("converged_at")
-    if gamma is not None:
-        if not isinstance(gamma, int) or not 0 <= gamma < n - 1:
-            problems.append(f"{path}/converged_at: index {gamma!r} out of range")
-        else:
-            _check(problems, is_iso(links[gamma]), f"{path}/converged_at", f"link {gamma} is not an isomorphism")
-            for i in range(gamma):
-                if is_iso(links[i]):
-                    _check(
-                        problems,
-                        raw_stages[i + 1].get("kind") == "limit",
-                        f"{path}/converged_at",
-                        f"link {i} is already an isomorphism",
-                    )
+    # a run converges at its first link into a non-limit stage that is an iso
+    gamma, exhausted = body.get("converged_at"), body.get("exhausted")
+    first = next((i for i, link in enumerate(links) if kinds[i + 1] != "limit" and is_iso(link)), None)
+    if gamma is not None and not (_is_int(gamma) and 0 <= gamma < n - 1):
+        problems.append(f"{path}/converged_at: index {gamma!r} out of range")
+        gamma = None
     else:
-        _check(problems, body.get("exhausted") is True, f"{path}/exhausted", "run neither converged nor exhausted")
+        _check(problems, gamma == first, f"{path}/converged_at", f"recorded {gamma!r}, recomputed {first!r}")
+        _check(problems, exhausted is (gamma is None), f"{path}/exhausted", f"recorded {exhausted!r}, expected {gamma is None}")
+
+    # the stages fit the budget, and an exhausted run used all of it
+    budget = body.get("budget") if isinstance(body.get("budget"), dict) else {}
+    per_block, blocks = budget.get("successors_per_block"), budget.get("omega_blocks")
+    if not (_is_int(per_block) and _is_int(blocks) and per_block >= 1 and blocks >= 1):
+        problems.append(f"{path}/budget: expected positive integers successors_per_block and omega_blocks")
+    else:
+        fits = longest <= per_block and block < blocks and (exhausted is not True or n == blocks * (per_block + 1))
+        _check(problems, fits, f"{path}/budget", "the stages do not match the budget")
 
     cards = body.get("cardinalities")
     if isinstance(cards, list) and len(cards) == n:
@@ -744,7 +763,14 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
     if len(problems) > before + 24:
         del problems[before + 24 :]
         problems.append(f"{path}: further problems suppressed")
-    return {"mids": mids, "lefts": lefts, "rights": rights, "links": links, "steps": steps, "converged_at": gamma}
+    built = [st for st in steps if st is not None]
+    work = {"stages": n, "steps_built": len(built), "squares": sum(len(st["cells"]) for st in built), "elements": sum(m.total_size for m in mids)}
+    return {"mids": mids, "lefts": lefts, "rights": rights, "links": links, "steps": steps, "converged_at": gamma, "work": work}
+
+
+def _check_work(problems, doc, want) -> None:
+    timing = doc.get("timing")
+    _check(problems, isinstance(timing, dict) and timing.get("work") == want, "/timing/work", "recorded counters differ from the run")
 
 
 def _validate_sequence_cert(doc, problems) -> None:
@@ -755,6 +781,7 @@ def _validate_sequence_cert(doc, problems) -> None:
     run = _validate_run(doc.get("run"), "/run", cat, gens, arrow, problems)
     if run is None:
         return
+    _check_work(problems, doc, run["work"])
     from .core import compose_maps, identity_map, maps_equal
 
     gamma = run["converged_at"]
@@ -817,6 +844,7 @@ def _validate_compare_cert(doc, problems) -> None:
     plain = _validate_run(doc.get("plain"), "/plain", cat, gens, arrow, problems)
     if free is None or plain is None:
         return
+    _check_work(problems, doc, {"free": free["work"], "plain": plain["work"]})
     if isinstance(doc.get("free"), dict):
         _check(problems, doc["free"].get("mode") == "free", "/free/mode", "expected the free sequence")
     if isinstance(doc.get("plain"), dict):
@@ -927,6 +955,7 @@ def _validate_laws_cert(doc, problems) -> None:
         slim = {k: rec.get(k) for k in ("rule", "law", "arrow", "ok")} if isinstance(rec, dict) else None
         _check(problems, slim == new, f"/checks/{i}", f"recorded verdict differs from recomputation ({slim} vs {new})")
     _check(problems, doc.get("ok") == report.ok, "/ok", "summary flag differs from recomputation")
+    _check_work(problems, doc, {"checks": len(report.checks)})
 
 
 def _validate_enumeration_cert(doc, problems) -> None:
@@ -950,6 +979,7 @@ def _validate_enumeration_cert(doc, problems) -> None:
     else:
         problems.append(f"/problems: expected a list, got {type(recorded).__name__}")
     _check(problems, doc.get("ok") == report.ok, "/ok", "summary flag differs from recomputation")
+    _check_work(problems, doc, {"algebras": report.algebra_count})
     if doc.get("algebras") is not None:
         listed = [components_doc(a.structure) for a in report.algebras]
         _check(problems, doc["algebras"] == listed, "/algebras", "recorded listing differs from recomputation")
@@ -993,7 +1023,7 @@ def validate_certificate(doc: Any) -> list[str]:
     if not isinstance(doc, dict):
         return ["/: certificate must be a JSON object"]
     schema = doc.get("schema")
-    validator = _VALIDATORS.get(schema)
+    validator = _VALIDATORS.get(schema) if isinstance(schema, str) else None
     if validator is None:
         return [f"/schema: unknown schema {schema!r}"]
     try:

@@ -1,14 +1,14 @@
 """The one-step factorisation of an arrow against a generating set.
 
 Given a generating set J and an arrow g: C -> D, every commuting square from
-a generator into g contributes a copy of that generator. Summing the copies
-gives a single map between coproducts, the squares' top and bottom halves
-assemble into a counit pair, and pushing the summed generator map out along
-the top half produces a new middle object through which g factors. The right
-part of the factorisation is induced by g itself and the bottom halves.
+a generator j: A -> B into g contributes a cell: a copy of B glued onto C
+along the square's top A -> C. The new middle object is the single colimit
+`attach(C, [(top, j), ...])`, through which g factors: the left part is the
+leg from C, and the right part is induced by g itself and the squares'
+bottom halves.
 
 The construction is functorial in g: a commuting square g -> g2 induces a map
-between the two middle objects, computed on pushout representatives and
+between the two middle objects, computed on colimit representatives and
 re-checked for well-definedness during cocone induction.
 """
 
@@ -25,7 +25,7 @@ from .arrows import (
     square_key,
     validate_square,
 )
-from .colimits import Cocone, coproduct, induce, pushout
+from .colimits import Cocone, attach, induce
 from .core import (
     IncompatibleInput,
     InternalCheckFailed,
@@ -39,70 +39,41 @@ from .core import (
 class OneStepFactorization:
     """One application of the factorisation step to `arrow`.
 
-    Composing `right` after `left` returns the original arrow, `cells` embeds
-    the summed generator codomains into the middle, and the pushout cocone
-    (`left`, `cells`) is jointly surjective, so maps out of `mid` can be
-    induced legwise.
+    `cocone` is the colimit that builds `mid`: its first leg is `left`, and
+    leg n + 1 embeds the cell of square n. Composing `right` after `left`
+    returns the original arrow, and the legs are jointly surjective, so maps
+    out of `mid` are induced from one target per leg.
     """
 
     arrow: ArrowObj
     gens: GeneratingSet
     squares: tuple[tuple[int, Square], ...]
-    gen_domains: Cocone
-    gen_codomains: Cocone
-    gen_sum: PresheafMap
-    attach: PresheafMap
-    project: PresheafMap
-    mid: Presheaf
-    left: PresheafMap
+    cocone: Cocone
     right: PresheafMap
-    cells: PresheafMap
+
+    @property
+    def mid(self) -> Presheaf:
+        return self.cocone.apex
+
+    @property
+    def left(self) -> PresheafMap:
+        return self.cocone.legs[0]
 
     @cached_property
     def square_index(self) -> dict[tuple, int]:
         return {square_key(i, sq): n for n, (i, sq) in enumerate(self.squares)}
 
-    def factorisation_cocone(self) -> Cocone:
-        return Cocone(apex=self.mid, legs=(self.left, self.cells), provenance="pushout")
-
     def cell_leg(self, n: int) -> PresheafMap:
-        """The composite embedding of square n's generator codomain into mid."""
-        return compose_maps(self.cells, self.gen_codomains.legs[n])
+        """The embedding of square n's generator codomain into mid."""
+        return self.cocone.legs[n + 1]
 
 
 def build_onestep(gens: GeneratingSet, g: ArrowObj) -> OneStepFactorization:
     """Factor g once against gens."""
-    base = g.f.source.base
     squares = tuple(generating_squares(gens, g))
-    dom_parts = [gens.members[i].dom for i, _ in squares]
-    cod_parts = [gens.members[i].cod for i, _ in squares]
-    gen_domains = coproduct(dom_parts, base=base)
-    gen_codomains = coproduct(cod_parts, base=base)
-    gen_sum = induce(
-        gen_domains,
-        [compose_maps(gen_codomains.legs[n], gens.members[i].f) for n, (i, _) in enumerate(squares)],
-        gen_codomains.apex,
-    )
-    attach = induce(gen_domains, [sq.top for _, sq in squares], g.dom)
-    project = induce(gen_codomains, [sq.bottom for _, sq in squares], g.cod)
-
-    po = pushout(attach, gen_sum)
-    left, cells = po.legs
-    right = induce(po, [g.f, project], g.cod)
-    return OneStepFactorization(
-        arrow=g,
-        gens=gens,
-        squares=squares,
-        gen_domains=gen_domains,
-        gen_codomains=gen_codomains,
-        gen_sum=gen_sum,
-        attach=attach,
-        project=project,
-        mid=po.apex,
-        left=left,
-        right=right,
-        cells=cells,
-    )
+    cocone = attach(g.dom, [(sq.top, gens.members[i].f) for i, sq in squares])
+    right = induce(cocone, [g.f] + [sq.bottom for _, sq in squares], g.cod)
+    return OneStepFactorization(arrow=g, gens=gens, squares=squares, cocone=cocone, right=right)
 
 
 def onestep_on_square(
@@ -144,7 +115,4 @@ def onestep_on_square(
             raise InternalCheckFailed("onestep_on_square: pasted square missing from the target step")
         cell_targets.append(target_step.cell_leg(n))
 
-    mid = target_step.mid
-    dom_target = compose_maps(target_step.left, sq.top)
-    cod_target = induce(source_step.gen_codomains, cell_targets, mid)
-    return induce(source_step.factorisation_cocone(), [dom_target, cod_target], mid)
+    return induce(source_step.cocone, [compose_maps(target_step.left, sq.top)] + cell_targets, target_step.mid)

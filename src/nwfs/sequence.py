@@ -154,7 +154,8 @@ class _Run:
     # the same connecting maps as a finished run, over the stages built so far
     connect = SequenceState.connect
 
-    def push(self, stage: Stage, link: PresheafMap, step, fold, pair) -> None:
+    def push(self, stage: Stage, link: PresheafMap, step=None, fold=None, pair=None) -> None:
+        """Append a stage, the link into it, and the step data of the stage before it."""
         self.stages.append(stage)
         self.links.append(link)
         self.steps.append(step)
@@ -202,10 +203,7 @@ def _first_step(run: _Run, ordinal: str) -> None:
         left=compose_maps(step.left, run.last.left),
         right=step.right,
     )
-    run.push(stage, link=step.left, step=None, fold=None, pair=None)
-    # the entry belongs to the stage whose right part was factored
-    run.steps[idx] = step
-    run.folds[idx] = fold
+    run.push(stage, link=step.left, step=step, fold=fold)
 
 
 def _limit_stage(run: _Run, block: int) -> None:
@@ -219,7 +217,7 @@ def _limit_stage(run: _Run, block: int) -> None:
         left=compose_maps(cocone.legs[-1], run.last.left),
         right=induce(cocone, [s.right for s in run.stages], run.arrow.cod),
     )
-    run.push(stage, link=cocone.legs[-1], step=None, fold=None, pair=None)
+    run.push(stage, link=cocone.legs[-1])
 
 
 def _free_step(run: _Run, ordinal: str) -> None:
@@ -276,10 +274,7 @@ def _free_step(run: _Run, ordinal: str) -> None:
         left=compose_maps(link, run.last.left),
         right=induce(coeq, [step.right], run.arrow.cod),
     )
-    run.push(stage, link=link, step=None, fold=None, pair=None)
-    run.steps[top] = step
-    run.folds[top] = fold
-    run.pairs[top] = (first, second)
+    run.push(stage, link=link, step=step, fold=fold, pair=(first, second))
 
 
 def _run_sequence(
@@ -369,20 +364,14 @@ def build_comparison(free: SequenceState, plain: SequenceState) -> ComparisonRep
         } != {"onestep", "successor"}:
             raise IncompatibleInput(f"stage {n} kinds differ between the runs")
 
-    start = plain.stages[0].mid
-    maps: list[PresheafMap] = [
-        PresheafMap(
-            start,
-            free.stages[0].mid,
-            {a: {x: x for x in start.carrier[a]} for a in start.base.objects},
-        )
-    ]
+    # both runs start at the arrow's domain
+    maps = [PresheafMap(plain.stages[0].mid, free.stages[0].mid, identity_map(plain.stages[0].mid).components)]
     for n in range(1, n_stages):
         fs, ps = free.stages[n], plain.stages[n]
         if ps.kind == "limit":
             # inducing out of the plain chain checks that the maps below
             # commute with the links into the limit
-            chain = Cocone(ps.mid, tuple(plain.connect(i, n) for i in range(n)), "chain")
+            chain = Cocone(ps.mid, tuple(plain.connect(i, n) for i in range(n)))
             maps.append(induce(chain, [compose_maps(free.connect(i, n), maps[i]) for i in range(n)], fs.mid))
             continue
         carried = onestep_on_square(

@@ -254,3 +254,56 @@ def test_validate_rejects_booleans_in_the_laws_sample(tmp_path, capsys, sample):
     assert main(["validate", str(out)]) == 3
     assert "/sample" in capsys.readouterr().out
 
+
+@pytest.mark.parametrize(
+    "edits, problem",
+    [
+        ([("run/converged_at", 1000000)], "/run/converged_at: index 1000000 out of range"),
+        ([("run/converged_at", True)], "/run/converged_at: index True out of range"),
+        ([("schema", {"name": "nwfs.sequence/1"})], "/schema: unknown schema"),
+        ([("schema", ["nwfs.sequence/1"])], "/schema: unknown schema"),
+        ([("run/steps/0/squares/0/gen", 0.0)], "/run/steps/0/squares/0/gen: recorded generator 0.0"),
+        ([("run/steps/0/cells/0/0", 3)], "/run/steps/0/cells: does not list the squares' cell legs"),
+        ([("run/stages/1/index", 2)], "/run/stages/1/index: recorded 2, expected 1"),
+        ([("run/stages/2/ordinal", "ω")], "/run/stages/2/ordinal: recorded 'ω', expected '2'"),
+        ([("run/exhausted", True)], "/run/exhausted: recorded True, expected False"),
+        ([("run/converged_at", None), ("run/exhausted", True)], "/run/converged_at: recorded None, recomputed 1"),
+        ([("run/converged_at", None), ("run/exhausted", True)], "/run/budget: the stages do not match the budget"),
+        ([("run/budget/successors_per_block", 1)], "/run/budget: the stages do not match the budget"),
+        ([("run/budget/omega_blocks", 0)], "/run/budget: expected positive integers"),
+        ([("timing/work/elements", 13)], "/timing/work: recorded counters differ from the run"),
+        ([("run/pairs/1", None)], "/run/pairs/1: free mode successor stage is missing its pair"),
+    ],
+)
+def test_validate_reports_a_tampered_claim(tmp_path, map_file, capsys, edits, problem):
+    out, doc = _honest_factorize_cert(tmp_path, map_file)
+    for path, value in edits:
+        *parents, last = path.split("/")
+        holder = doc
+        for key in parents:
+            holder = holder[int(key)] if isinstance(holder, list) else holder[key]
+        holder[int(last) if isinstance(holder, list) else last] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert problem in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["enumerate", "--category", "terminal", "--gens", "point"],
+        ["laws", "--max-total", "2"],
+        ["compare", "--category", "terminal", "--gens", "point", "--budget-successors", "2"],
+    ],
+)
+def test_validate_reports_tampered_work_counters(tmp_path, map_file, capsys, command):
+    out = tmp_path / "cert.json"
+    args = command + (["--map", str(map_file)] if "--gens" in command else [])
+    assert main(args + ["--out", str(out)]) in (0, 2)
+    doc = json.loads(out.read_text())
+    doc["timing"]["work"] = {"elements": 1}
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert "/timing/work: recorded counters differ from the run" in capsys.readouterr().out

@@ -157,6 +157,7 @@ def test_validator_rejects_a_fold_that_is_not_the_coequalizer():
     run["stages"][2]["right"] = {a: {"0": 0} for a in base.objects}
     run["links"][1] = squash(run["links"][1])
     run["folds"][1] = squash(run["folds"][1])
+    cert["timing"]["work"]["elements"] += point.total_size - sum(run["cardinalities"][2].values())
     run["cardinalities"][2] = point.sizes
     problems = validate_certificate(cert)
     assert "/run/pairs/1: fold is not the coequalizer of the recorded pair at object '0'" in problems
@@ -171,7 +172,13 @@ def test_validator_rejects_a_limit_stage_that_grows():
     assert [s["kind"] for s in cert["run"]["stages"]] == ["zero", "onestep", "onestep", "limit", "onestep", "onestep"]
     assert validate_certificate(cert) == []
     cert["run"]["stages"][2]["kind"] = "limit"
-    assert validate_certificate(cert) == ["/run/links/1: link into a limit stage is not an isomorphism"]
+    # relabel the ordinals to match; the extra block overruns the budget
+    for stage, ordinal in zip(cert["run"]["stages"][2:], ["ω", "ω·2", "ω·2+1", "ω·2+2"]):
+        stage["ordinal"] = ordinal
+    assert validate_certificate(cert) == [
+        "/run/links/1: link into a limit stage is not an isomorphism",
+        "/run/budget: the stages do not match the budget",
+    ]
 
 
 def test_compare_certificate_validates_and_catches_tampering():

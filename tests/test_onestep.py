@@ -1,21 +1,28 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import set_map, set_maps
+from conftest import finset, set_map, set_maps
+from test_hom_search import reflexive_graphs
 from nwfs.arrows import Square, as_arrow, generating_squares, identity_square
 from nwfs.catalog import get_gens
+from nwfs.colimits import Cocone, coequalizer, coproduct, induce
 from nwfs.core import (
     IncompatibleInput,
+    PresheafMap,
     compose_maps,
+    enumerate_maps,
     identity_map,
     is_injective,
     maps_equal,
     validate,
 )
+from nwfs.jsonio import cells_doc, components_doc
 from nwfs.onestep import build_onestep, onestep_on_square
 
 POINT = get_gens("point")
 CODIAG = get_gens("codiagonal")
+HORNS = get_gens("horns<=1")
 
 
 def test_generating_squares_counts_for_point():
@@ -143,3 +150,70 @@ def test_on_square_out_of_the_empty_arrow_is_the_empty_map():
     assert induced.source.sizes == {"0": 0}
     assert induced.target is target_step.mid
     assert induced.components == {"0": {}}
+
+
+def staged_onestep(gens, g):
+    """The one-step middle built in stages, kept as the reference.
+
+    Sum the generator domains and codomains, induce the summed generator, the
+    attaching map and the projection out of the sums, push the summed
+    generator out along the attaching map (a coproduct, then a coequalizer),
+    and induce the right half out of that pushout.
+    """
+    base = g.f.source.base
+    squares = generating_squares(gens, g)
+    gen_domains = coproduct([gens.members[i].dom for i, _ in squares], base=base)
+    gen_codomains = coproduct([gens.members[i].cod for i, _ in squares], base=base)
+    gen_sum = induce(
+        gen_domains,
+        [compose_maps(gen_codomains.legs[n], gens.members[i].f) for n, (i, _) in enumerate(squares)],
+        gen_codomains.apex,
+    )
+    attach = induce(gen_domains, [sq.top for _, sq in squares], g.dom)
+    project = induce(gen_codomains, [sq.bottom for _, sq in squares], g.cod)
+    both = coproduct([g.dom, gen_codomains.apex])
+    proj = coequalizer(compose_maps(both.legs[0], attach), compose_maps(both.legs[1], gen_sum)).legs[0]
+    left, cells = (compose_maps(proj, leg) for leg in both.legs)
+    right = induce(Cocone(proj.target, (left, cells)), [g.f, project], g.cod)
+    cell_legs = [compose_maps(cells, leg) for leg in gen_codomains.legs]
+    return proj.target, left, right, cells, cell_legs
+
+
+@st.composite
+def set_maps_with_ids(draw, max_size: int = 5):
+    """A set map whose two sets carry random element ids."""
+    n_src = draw(st.integers(0, max_size))
+    n_tgt = draw(st.integers(1 if n_src else 0, max_size))
+    src = finset(draw(st.lists(st.integers(0, 20), min_size=n_src, max_size=n_src, unique=True)))
+    tgt = finset(draw(st.lists(st.integers(0, 20), min_size=n_tgt, max_size=n_tgt, unique=True)))
+    return PresheafMap(src, tgt, {"0": {x: draw(st.sampled_from(tgt.carrier["0"])) for x in src.carrier["0"]}})
+
+
+@st.composite
+def graph_maps(draw):
+    """A reflexive-graph map, drawn from all maps between two random graphs."""
+    X = draw(reflexive_graphs(0, 2, 2))
+    Y = draw(reflexive_graphs(1, 3, 3))
+    maps = enumerate_maps(X, Y)
+    return maps[draw(st.integers(0, len(maps) - 1))]
+
+
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from([POINT, CODIAG]), set_maps_with_ids()),
+        st.tuples(st.just(HORNS), graph_maps()),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_onestep_matches_the_staged_construction(case):
+    gens, g = case
+    step = build_onestep(gens, as_arrow(g))
+    mid, left, right, cells, cell_legs = staged_onestep(gens, as_arrow(g))
+    assert dict(step.mid.carrier) == dict(mid.carrier)
+    assert {m: dict(act) for m, act in step.mid.action.items()} == {m: dict(act) for m, act in mid.action.items()}
+    assert step.left.components == left.components
+    assert step.right.components == right.components
+    assert len(step.squares) == len(cell_legs)
+    for n, leg in enumerate(cell_legs):
+        assert step.cell_leg(n).components == leg.components
+    assert cells_doc(step.cocone.legs[1:], mid.base.objects) == components_doc(cells)

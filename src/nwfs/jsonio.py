@@ -945,14 +945,13 @@ def _validate_laws_cert(doc, problems) -> None:
         return
     report = laws.check_laws(rules_, sample)
     recorded = doc.get("checks")
-    recomputed = [
-        {"rule": c.rule, "law": c.law, "arrow": c.arrow, "ok": c.ok} for c in report.checks
-    ]
+    fields = ("rule", "law", "arrow", "ok", "detail")
+    recomputed = [{k: getattr(c, k) for k in fields} for c in report.checks]
     if not isinstance(recorded, list) or len(recorded) != len(recomputed):
         problems.append(f"/checks: expected {len(recomputed)} entries")
         return
     for i, (rec, new) in enumerate(zip(recorded, recomputed)):
-        slim = {k: rec.get(k) for k in ("rule", "law", "arrow", "ok")} if isinstance(rec, dict) else None
+        slim = {k: rec.get(k) for k in fields} if isinstance(rec, dict) else None
         _check(problems, slim == new, f"/checks/{i}", f"recorded verdict differs from recomputation ({slim} vs {new})")
     _check(problems, doc.get("ok") == report.ok, "/ok", "summary flag differs from recomputation")
     _check_work(problems, doc, {"checks": len(report.checks)})

@@ -27,7 +27,7 @@ from .core import (
     identity_map,
     presheaf,
 )
-from .rules import FactorizationRule, interchange
+from .rules import FactorizationRule, interchange, memo_scope
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,17 @@ def _equation(lhs: Callable[[], PresheafMap], rhs: Callable[[], PresheafMap]) ->
 
 
 def evaluate_rule(rule: FactorizationRule, arrow: ArrowObj) -> list[LawCheck]:
-    """Run every applicable law for one rule at one arrow."""
+    """Run every applicable law for one rule at one arrow.
+
+    The laws share one `rules.memo_scope`: a product or binary sum that
+    several laws mention is built once, and all of them are dropped when
+    this call returns.
+    """
+    with memo_scope():
+        return _evaluate_rule(rule, arrow)
+
+
+def _evaluate_rule(rule: FactorizationRule, arrow: ArrowObj) -> list[LawCheck]:
     f = arrow.f
     label = arrow.label or "arrow"
     checks: list[LawCheck] = []

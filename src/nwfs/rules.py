@@ -11,15 +11,25 @@ right half with the outer rule, the odot composite factors the inner left
 half instead, and `interchange` produces the canonical comparison between
 the two ways of stacking four rules. All of it is computed elementwise on
 finite carriers, nothing is symbolic.
+
+Binary products number their pairs lexicographically: at object a the pair
+(x, y) is element i·|Y_a| + j, where i and j are the positions of x and y in
+the sorted carriers, so every action is offset arithmetic. The builtin rules
+ask for products and binary sums through `memo_product` and `memo_sum`.
+Inside a `memo_scope`, which `laws.evaluate_rule` opens for the length of
+one evaluation, each is built once per pair of operand objects; outside it,
+as in `canonical_lift` or `compose_coalgebras`, every call builds afresh.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .arrows import ArrowObj, Square, as_arrow, validate_square
-from .colimits import coproduct, induce
+from .colimits import Cocone, coproduct, induce
 from .core import (
     IncompatibleInput,
     InternalCheckFailed,
@@ -27,7 +37,6 @@ from .core import (
     PresheafMap,
     compose_maps,
     identity_map,
-    presheaf,
 )
 
 
@@ -51,51 +60,108 @@ class FactorizationRule:
 
 @dataclass(frozen=True)
 class ProductData:
-    """A binary product with enough bookkeeping to pair maps into it."""
+    """A binary product X × Y with enough bookkeeping to pair maps into it.
+
+    At each object a the pair (x, y) is apex element i·|Y_a| + j, where i and
+    j are the positions of x in X.carrier[a] and of y in Y.carrier[a]: pairs
+    are numbered lexicographically. `rank1` and `rank2` hold those positions.
+    Within a `memo_scope`, `memo_product` hands the same instance to every
+    caller with the same operand objects, so nothing may modify it.
+    """
 
     apex: Presheaf
     proj1: PresheafMap
     proj2: PresheafMap
-    index: Mapping[str, Mapping[tuple[int, int], int]]
+    rank1: Mapping[str, Mapping[int, int]]
+    rank2: Mapping[str, Mapping[int, int]]
+
+    def index(self, a: str, x: int, y: int) -> int:
+        """The apex element at object a that stands for the pair (x, y)."""
+        return self.apex.carrier[a][self.rank1[a][x] * len(self.rank2[a]) + self.rank2[a][y]]
 
     def pair(self, f: PresheafMap, g: PresheafMap) -> PresheafMap:
         Z = f.source
-        comps = {
-            a: {
-                z: self.index[a][(f.components[a][z], g.components[a][z])]
-                for z in Z.carrier[a]
-            }
-            for a in Z.base.objects
-        }
+        comps = {}
+        for a in Z.base.objects:
+            r1, r2, out = self.rank1[a], self.rank2[a], self.apex.carrier[a]
+            width = len(r2)
+            fa, ga = f.components[a], g.components[a]
+            comps[a] = {z: out[r1[fa[z]] * width + r2[ga[z]]] for z in Z.carrier[a]}
         return PresheafMap(Z, self.apex, comps)
 
 
 def product_presheaf(X: Presheaf, Y: Presheaf) -> ProductData:
-    """Binary product, pairs enumerated lexicographically per object."""
+    """Binary product, pairs numbered lexicographically per object.
+
+    Each action is offset arithmetic: a morphism sends element i·|Y| + j to
+    rows[i] + cols[j], where rows[i] is the position of x's image times the
+    width of Y at the domain and cols[j] is the position of y's image. Keys
+    and values are taken from the apex carriers, so the tables share their
+    int objects with them.
+    """
     base = X.base
-    index: dict[str, dict[tuple[int, int], int]] = {}
-    for a in base.objects:
-        index[a] = {
-            (x, y): n
-            for n, (x, y) in enumerate(
-                (x, y) for x in X.carrier[a] for y in Y.carrier[a]
-            )
-        }
-    back = {a: {n: xy for xy, n in index[a].items()} for a in base.objects}
-    carrier = {a: tuple(range(len(index[a]))) for a in base.objects}
-    action = {
-        m.name: {
-            n: index[m.dom][
-                (X.action[m.name][back[m.cod][n][0]], Y.action[m.name][back[m.cod][n][1]])
-            ]
-            for n in carrier[m.cod]
-        }
-        for m in base.morphisms
-    }
-    apex = presheaf(base, carrier, action)
-    proj1 = PresheafMap(apex, X, {a: {n: back[a][n][0] for n in carrier[a]} for a in base.objects})
-    proj2 = PresheafMap(apex, Y, {a: {n: back[a][n][1] for n in carrier[a]} for a in base.objects})
-    return ProductData(apex=apex, proj1=proj1, proj2=proj2, index=index)
+    rank1 = {a: {x: i for i, x in enumerate(X.carrier[a])} for a in base.objects}
+    rank2 = {a: {y: j for j, y in enumerate(Y.carrier[a])} for a in base.objects}
+    carrier = {a: tuple(range(len(X.carrier[a]) * len(Y.carrier[a]))) for a in base.objects}
+    action = {}
+    for m in base.morphisms:
+        r1, r2, out = rank1[m.dom], rank2[m.dom], carrier[m.dom]
+        xa, ya, width = X.action[m.name], Y.action[m.name], len(r2)
+        rows = [r1[xa[x]] * width for x in X.carrier[m.cod]]
+        cols = [r2[ya[y]] for y in Y.carrier[m.cod]]
+        action[m.name] = dict(zip(carrier[m.cod], [out[r + c] for r in rows for c in cols]))
+    # carriers are sorted and every morphism acts, so no normalising is needed
+    apex = Presheaf(base=base, carrier=carrier, action=action)
+    proj1 = PresheafMap(
+        apex,
+        X,
+        {a: dict(zip(carrier[a], [x for x in X.carrier[a] for _ in Y.carrier[a]])) for a in base.objects},
+    )
+    proj2 = PresheafMap(
+        apex, Y, {a: dict(zip(carrier[a], Y.carrier[a] * len(X.carrier[a]))) for a in base.objects}
+    )
+    return ProductData(apex=apex, proj1=proj1, proj2=proj2, rank1=rank1, rank2=rank2)
+
+
+_MEMO: ContextVar[dict | None] = ContextVar("nwfs.rules.memo", default=None)
+
+
+@contextmanager
+def memo_scope() -> Iterator[None]:
+    """Share binary products and sums until the block ends.
+
+    Inside the scope, `memo_product(X, Y)` and `memo_sum(X, Y)` return what
+    they already built for the same operand objects. Entries are keyed by id
+    and hold their operands, so an id cannot be reused while it is a key.
+    Outside any scope both build afresh on every call. `laws.evaluate_rule`
+    opens one scope per evaluation, so nothing is kept across evaluations.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memo(kind: str, X: Presheaf, Y: Presheaf, build: Callable[[], object]):
+    memo = _MEMO.get()
+    if memo is None:
+        return build()
+    key = (kind, id(X), id(Y))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (X, Y, build())
+    return hit[2]
+
+
+def memo_product(X: Presheaf, Y: Presheaf) -> ProductData:
+    """`product_presheaf(X, Y)`, shared within a `memo_scope`."""
+    return _memo("product", X, Y, lambda: product_presheaf(X, Y))
+
+
+def memo_sum(X: Presheaf, Y: Presheaf) -> Cocone:
+    """`coproduct([X, Y])`, shared within a `memo_scope`."""
+    return _memo("sum", X, Y, lambda: coproduct([X, Y]))
 
 
 def graph_rule() -> FactorizationRule:
@@ -107,24 +173,24 @@ def graph_rule() -> FactorizationRule:
     """
 
     def factor(f: PresheafMap) -> FactorTriple:
-        P = product_presheaf(f.source, f.target)
+        P = memo_product(f.source, f.target)
         return FactorTriple(left=P.pair(identity_map(f.source), f), mid=P.apex, right=P.proj2)
 
     def on_square(sq: Square) -> PresheafMap:
-        Pf = product_presheaf(sq.source.dom, sq.source.cod)
-        Pg = product_presheaf(sq.target.dom, sq.target.cod)
+        Pf = memo_product(sq.source.dom, sq.source.cod)
+        Pg = memo_product(sq.target.dom, sq.target.cod)
         return Pg.pair(
             compose_maps(sq.top, Pf.proj1), compose_maps(sq.bottom, Pf.proj2)
         )
 
     def comult(f: PresheafMap) -> PresheafMap:
-        Pf = product_presheaf(f.source, f.target)
-        Pm = product_presheaf(f.source, Pf.apex)
+        Pf = memo_product(f.source, f.target)
+        Pm = memo_product(f.source, Pf.apex)
         return Pm.pair(Pf.proj1, identity_map(Pf.apex))
 
     def mult(f: PresheafMap) -> PresheafMap:
-        Pf = product_presheaf(f.source, f.target)
-        Pr = product_presheaf(Pf.apex, f.target)
+        Pf = memo_product(f.source, f.target)
+        Pr = memo_product(Pf.apex, f.target)
         return Pf.pair(compose_maps(Pf.proj1, Pr.proj1), Pr.proj2)
 
     return FactorizationRule("graph", factor, on_square, comult, mult)
@@ -138,7 +204,7 @@ def cograph_rule() -> FactorizationRule:
     """
 
     def factor(f: PresheafMap) -> FactorTriple:
-        cp = coproduct([f.source, f.target])
+        cp = memo_sum(f.source, f.target)
         return FactorTriple(
             left=cp.legs[0],
             mid=cp.apex,
@@ -146,8 +212,8 @@ def cograph_rule() -> FactorizationRule:
         )
 
     def on_square(sq: Square) -> PresheafMap:
-        cpf = coproduct([sq.source.dom, sq.source.cod])
-        cpg = coproduct([sq.target.dom, sq.target.cod])
+        cpf = memo_sum(sq.source.dom, sq.source.cod)
+        cpg = memo_sum(sq.target.dom, sq.target.cod)
         return induce(
             cpf,
             [compose_maps(cpg.legs[0], sq.top), compose_maps(cpg.legs[1], sq.bottom)],
@@ -155,8 +221,8 @@ def cograph_rule() -> FactorizationRule:
         )
 
     def comult(f: PresheafMap) -> PresheafMap:
-        cpf = coproduct([f.source, f.target])
-        cpm = coproduct([f.source, cpf.apex])
+        cpf = memo_sum(f.source, f.target)
+        cpm = memo_sum(f.source, cpf.apex)
         return induce(
             cpf,
             [cpm.legs[0], compose_maps(cpm.legs[1], cpf.legs[1])],
@@ -164,8 +230,8 @@ def cograph_rule() -> FactorizationRule:
         )
 
     def mult(f: PresheafMap) -> PresheafMap:
-        cpf = coproduct([f.source, f.target])
-        cpr = coproduct([cpf.apex, f.target])
+        cpf = memo_sum(f.source, f.target)
+        cpr = memo_sum(cpf.apex, f.target)
         return induce(cpr, [identity_map(cpf.apex), cpf.legs[1]], cpf.apex)
 
     return FactorizationRule("cograph", factor, on_square, comult, mult)
@@ -449,18 +515,18 @@ def mutant_rule(index: int) -> FactorizationRule:
         rule = graph_rule()
 
         def bad_mult_first(f: PresheafMap) -> PresheafMap:
-            Pf = product_presheaf(f.source, f.target)
-            Pr = product_presheaf(Pf.apex, f.target)
+            Pf = memo_product(f.source, f.target)
+            Pr = memo_product(Pf.apex, f.target)
             return Pr.proj1
 
         def bad_comult_through(f: PresheafMap) -> PresheafMap:
-            Pf = product_presheaf(f.source, f.target)
-            Pm = product_presheaf(f.source, Pf.apex)
+            Pf = memo_product(f.source, f.target)
+            Pm = memo_product(f.source, Pf.apex)
             return Pm.pair(Pf.proj1, Pf.pair(Pf.proj1, compose_maps(f, Pf.proj1)))
 
         def bad_mult_collapse(f: PresheafMap) -> PresheafMap:
-            Pf = product_presheaf(f.source, f.target)
-            Pr = product_presheaf(Pf.apex, f.target)
+            Pf = memo_product(f.source, f.target)
+            Pr = memo_product(Pf.apex, f.target)
             first = compose_maps(Pf.proj1, Pr.proj1)
             return Pf.pair(first, compose_maps(f, first))
 
@@ -473,14 +539,14 @@ def mutant_rule(index: int) -> FactorizationRule:
     rule = cograph_rule()
 
     def bad_mult_misroute(f: PresheafMap) -> PresheafMap:
-        cpf = coproduct([f.source, f.target])
-        cpr = coproduct([cpf.apex, f.target])
+        cpf = memo_sum(f.source, f.target)
+        cpr = memo_sum(cpf.apex, f.target)
         folded = induce(cpf, [compose_maps(cpf.legs[1], f), cpf.legs[1]], cpf.apex)
         return induce(cpr, [folded, cpf.legs[1]], cpf.apex)
 
     def bad_comult_misroute(f: PresheafMap) -> PresheafMap:
-        cpf = coproduct([f.source, f.target])
-        cpm = coproduct([f.source, cpf.apex])
+        cpf = memo_sum(f.source, f.target)
+        cpm = memo_sum(f.source, cpf.apex)
         return induce(
             cpf,
             [
@@ -491,8 +557,8 @@ def mutant_rule(index: int) -> FactorizationRule:
         )
 
     def bad_mult_shift(f: PresheafMap) -> PresheafMap:
-        cpf = coproduct([f.source, f.target])
-        cpr = coproduct([cpf.apex, f.target])
+        cpf = memo_sum(f.source, f.target)
+        cpr = memo_sum(cpf.apex, f.target)
         return induce(
             cpr,
             [identity_map(cpf.apex), compose_maps(cpf.legs[1], _cograph_shift(f.target))],

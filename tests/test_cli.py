@@ -307,3 +307,23 @@ def test_validate_reports_tampered_work_counters(tmp_path, map_file, capsys, com
     capsys.readouterr()
     assert main(["validate", str(out)]) == 3
     assert "/timing/work: recorded counters differ from the run" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tamper", ["counterexample", "passing"])
+def test_validate_compares_law_detail_text(tmp_path, capsys, tamper):
+    # mutant0 first fails at --max-total 3, so the certificate holds both
+    # failing checks (with a counterexample) and passing ones (empty detail)
+    out = tmp_path / "laws.json"
+    assert main(["laws", "--max-total", "3", "--rules", "graph,mutant0", "--out", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 0
+    ok = tamper == "passing"
+    i = next(i for i, c in enumerate(doc["checks"]) if c["ok"] == ok)
+    detail = doc["checks"][i]["detail"]
+    assert (detail == "") == ok
+    doc["checks"][i]["detail"] = "no difference found" if ok else detail.replace("!=", "==")
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert f"/checks/{i}: recorded verdict differs from recomputation" in capsys.readouterr().out

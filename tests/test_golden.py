@@ -1,7 +1,9 @@
-"""Golden digests of three-block runs: both sequence bodies and the comparison maps.
+"""Golden digests of three-block runs and of law batteries.
 
 Each run passes two limit stages and a free step after each, so the digests
 pin the numbering of chain colimits and of the coequalizers after a limit.
+The law digests pin every check's verdict and detail text, counterexample
+descriptions included, and so the numbering of products and sums.
 """
 
 import hashlib
@@ -12,6 +14,8 @@ from conftest import set_map
 from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
 from nwfs.core import PresheafMap
 from nwfs.jsonio import canonical_bytes, components_doc, sequence_body
+from nwfs.laws import check_laws, exhaustive_arrows, sample_arrows
+from nwfs.rules import MUTANT_COUNT, cograph_rule, graph_rule, mutant_rule, trivial_left_rule, trivial_right_rule
 from nwfs.sequence import OrdinalBudget, build_comparison, run_free, run_plain
 
 
@@ -55,3 +59,29 @@ def test_three_block_runs_keep_their_golden_digests(gens_key):
     assert _sha(sequence_body(free)) == free_sha
     assert _sha(sequence_body(plain)) == plain_sha
     assert _sha([components_doc(m) for m in report.maps]) == maps_sha
+
+
+LAW_GOLDEN = {
+    "builtins-and-mutants": (
+        lambda: [graph_rule(), cograph_rule(), trivial_left_rule(), trivial_right_rule()]
+        + [mutant_rule(i) for i in range(MUTANT_COUNT)],
+        lambda: exhaustive_arrows(4),
+        1870,
+        "462ca12a64abc06e846412cdd2b3a194a02e63aa30abd356adf208ee1dc4eb8d",
+    ),
+    "graph-on-reflexive-graphs": (
+        lambda: [graph_rule()],
+        lambda: sample_arrows(get_category("delta<=1"), 2, 0),
+        22,
+        "2bcdd8c965058dad25f9d1ae70304792b8ac59a2a7d8c8236d2b059590f91e34",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAW_GOLDEN))
+def test_law_checks_keep_their_golden_digests(case):
+    make_rules, make_sample, count, sha = LAW_GOLDEN[case]
+    report = check_laws(make_rules(), make_sample())
+    checks = [[c.rule, c.law, c.arrow, c.ok, c.detail] for c in report.checks]
+    assert len(checks) == count
+    assert _sha(checks) == sha

@@ -1,0 +1,157 @@
+"""Binary products against the dict-of-pairs construction, and the product memo.
+
+The reference numbers the pairs of each object by enumerating them
+lexicographically into a dict, as `product_presheaf` once did; the kernel
+must give the same apex, projections, pairings and indices.
+"""
+
+import dataclasses
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from conftest import finset, set_map
+from test_hom_search import reflexive_graphs
+from nwfs import rules
+from nwfs.arrows import ArrowObj
+from nwfs.catalog import get_category
+from nwfs.core import IncompatibleInput, enumerate_maps, presheaf, validate
+from nwfs.laws import check_laws, evaluate_rule, exhaustive_arrows, sample_arrows
+from nwfs.rules import cograph_rule, graph_rule, memo_product, memo_scope, memo_sum, product_presheaf
+
+
+def reference_product(X, Y):
+    """Apex, both projections and the pair index, built from a dict of pairs."""
+    base = X.base
+    index = {
+        a: {xy: n for n, xy in enumerate((x, y) for x in X.carrier[a] for y in Y.carrier[a])}
+        for a in base.objects
+    }
+    back = {a: {n: xy for xy, n in index[a].items()} for a in base.objects}
+    carrier = {a: tuple(range(len(index[a]))) for a in base.objects}
+    action = {
+        m.name: {
+            n: index[m.dom][(X.action[m.name][back[m.cod][n][0]], Y.action[m.name][back[m.cod][n][1]])]
+            for n in carrier[m.cod]
+        }
+        for m in base.morphisms
+    }
+    apex = presheaf(base, carrier, action)
+    proj1 = {a: {n: back[a][n][0] for n in carrier[a]} for a in base.objects}
+    proj2 = {a: {n: back[a][n][1] for n in carrier[a]} for a in base.objects}
+    return apex, proj1, proj2, index
+
+
+@st.composite
+def random_sets(draw):
+    """A set over `terminal` whose element ids are not 0..n-1."""
+    return finset(draw(st.lists(st.integers(0, 40), max_size=6, unique=True)))
+
+
+@st.composite
+def factor_pairs(draw):
+    if draw(st.booleans()):
+        return draw(random_sets()), draw(random_sets()), draw(random_sets())
+    graphs = lambda: reflexive_graphs(min_vertices=0, max_vertices=3, max_edges=3)
+    small = reflexive_graphs(min_vertices=0, max_vertices=2, max_edges=2)
+    return draw(graphs()), draw(graphs()), draw(small)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_matches_the_dict_of_pairs(data):
+    X, Y, Z = data.draw(factor_pairs())
+    prod = product_presheaf(X, Y)
+    apex, proj1, proj2, index = reference_product(X, Y)
+    assert validate(prod.apex) == []
+    assert prod.apex.carrier == apex.carrier
+    assert prod.apex.action == apex.action
+    assert prod.proj1.source is prod.apex and prod.proj1.target is X
+    assert prod.proj2.source is prod.apex and prod.proj2.target is Y
+    assert prod.proj1.components == proj1
+    assert prod.proj2.components == proj2
+    for a in X.base.objects:
+        for (x, y), n in index[a].items():
+            assert prod.index(a, x, y) == n
+    # pairing a random map into each factor
+    into_x, into_y = enumerate_maps(Z, X), enumerate_maps(Z, Y)
+    if into_x and into_y:
+        f = into_x[data.draw(st.integers(0, len(into_x) - 1))]
+        g = into_y[data.draw(st.integers(0, len(into_y) - 1))]
+        paired = prod.pair(f, g)
+        assert paired.source is Z and paired.target is prod.apex
+        assert paired.components == {
+            a: {z: index[a][(f.components[a][z], g.components[a][z])] for z in Z.carrier[a]}
+            for a in Z.base.objects
+        }
+
+
+def test_memo_shares_products_and_sums_inside_a_scope():
+    X, Y = finset([3, 5]), finset([1, 4, 9])
+    with memo_scope():
+        assert memo_product(X, Y) is memo_product(X, Y)
+        assert memo_sum(X, Y) is memo_sum(X, Y)
+        # keyed by the operand objects, not by their value
+        assert memo_product(X, finset([1, 4, 9])) is not memo_product(X, Y)
+        assert memo_product(Y, X) is not memo_product(X, Y)
+
+
+def test_memo_builds_afresh_outside_any_scope():
+    X, Y = finset(2), finset(3)
+    assert memo_product(X, Y) is not memo_product(X, Y)
+    assert memo_sum(X, Y) is not memo_sum(X, Y)
+    assert memo_product(X, Y).apex.carrier == product_presheaf(X, Y).apex.carrier
+
+
+def test_a_repeated_product_inside_an_evaluation_is_the_same_object(monkeypatch):
+    """Repeated products inside one evaluation are the same object.
+
+    The memo calls `rules.product_presheaf` and `rules.coproduct` by name, so
+    a wrapper installed on those names sees every build and nothing else.
+    """
+    seen: dict[tuple, list] = {}
+    builds = {"product": 0, "sum": 0}
+    graph = graph_rule()
+
+    def probe(f):
+        seen.setdefault((id(f.source), id(f.target)), []).append(memo_product(f.source, f.target))
+        return graph.factor(f)
+
+    def counted(kind, build):
+        def wrapper(*args):
+            builds[kind] += 1
+            return build(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(rules, "product_presheaf", counted("product", rules.product_presheaf))
+    monkeypatch.setattr(rules, "coproduct", counted("sum", rules.coproduct))
+    arrow = sample_arrows(get_category("delta<=1"), 1, 0)[0]
+    checks = evaluate_rule(dataclasses.replace(graph, factor=probe), arrow)
+    assert all(c.ok for c in checks)
+    assert max(len(found) for found in seen.values()) > 1
+    assert all(p is found[0] for found in seen.values() for p in found)
+    products = builds["product"]
+    assert products > 0
+    evaluate_rule(cograph_rule(), arrow)
+    assert builds["product"] == products and builds["sum"] > 0
+
+
+def test_the_scope_closes_when_check_laws_returns():
+    X, Y = finset(2), finset(2)
+    assert check_laws([graph_rule(), cograph_rule()], exhaustive_arrows(2)).ok
+    assert memo_product(X, Y) is not memo_product(X, Y)
+    assert memo_sum(X, Y) is not memo_sum(X, Y)
+
+
+def test_the_scope_closes_when_an_evaluation_raises():
+    def broken(f):
+        memo_product(f.source, f.target)
+        raise IncompatibleInput("factor refuses")
+
+    rule = dataclasses.replace(graph_rule(), factor=broken)
+    with pytest.raises(IncompatibleInput, match="factor refuses"):
+        evaluate_rule(rule, ArrowObj(set_map(1, 2, [1])))
+    X, Y = finset(2), finset(2)
+    assert memo_product(X, Y) is not memo_product(X, Y)

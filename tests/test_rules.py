@@ -69,7 +69,7 @@ def test_graph_factor_shape():
     # the left half pairs each element with its image
     prod = product_presheaf(f.source, f.target)
     for c in range(2):
-        assert triple.left.components["0"][c] == prod.index["0"][(c, 1)]
+        assert triple.left.components["0"][c] == prod.index("0", c, 1)
 
 
 def test_cograph_factor_shape():
@@ -142,14 +142,14 @@ def test_canonical_lift_solves_the_square():
     co = RuleCoalgebra(
         arrow=as_arrow(f),
         component=PresheafMap(
-            f.target, prod.apex, {"0": {0: prod.index["0"][(0, 0)], 1: prod.index["0"][(0, 1)]}}
+            f.target, prod.apex, {"0": {0: prod.index("0", 0, 0), 1: prod.index("0", 0, 1)}}
         ),
     )
     gprod = product_presheaf(g.source, g.target)
     al = RuleAlgebra(
         arrow=as_arrow(g),
         component=PresheafMap(
-            gprod.apex, g.source, {"0": {gprod.index["0"][(c, 0)]: c for c in range(2)}}
+            gprod.apex, g.source, {"0": {gprod.index("0", c, 0): c for c in range(2)}}
         ),
     )
     assert validate_rule_coalgebra(GRAPH, co) == []
@@ -171,7 +171,7 @@ def test_canonical_lift_rejects_a_foreign_square():
     co = RuleCoalgebra(
         arrow=as_arrow(f),
         component=PresheafMap(
-            f.target, prod.apex, {"0": {0: prod.index["0"][(0, 0)], 1: prod.index["0"][(0, 1)]}}
+            f.target, prod.apex, {"0": {0: prod.index("0", 0, 0), 1: prod.index("0", 0, 1)}}
         ),
     )
     g = set_map(2, 1, [0, 0])
@@ -179,7 +179,7 @@ def test_canonical_lift_rejects_a_foreign_square():
     al = RuleAlgebra(
         arrow=as_arrow(g),
         component=PresheafMap(
-            gprod.apex, g.source, {"0": {gprod.index["0"][(c, 0)]: c for c in range(2)}}
+            gprod.apex, g.source, {"0": {gprod.index("0", c, 0): c for c in range(2)}}
         ),
     )
     other = as_arrow(set_map(2, 2, [0, 1]))

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 
 from conftest import random_set_map, set_map, set_maps
 from nwfs.arrows import Square, as_arrow
-from nwfs.catalog import get_gens
+from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
 from nwfs.colimits import chain_colimit
-from nwfs.core import IncompatibleInput, compose_maps, identity_map, is_iso, maps_equal
+from nwfs.core import IncompatibleInput, PresheafMap, compose_maps, identity_map, is_iso, maps_equal
 from nwfs.onestep import build_onestep, onestep_on_square
 from nwfs.sequence import (
     FREE,
@@ -27,6 +27,20 @@ def test_budget_rejects_nonsense():
         OrdinalBudget(successors_per_block=0)
     with pytest.raises(IncompatibleInput):
         OrdinalBudget(successors_per_block=3, omega_blocks=0)
+
+
+def test_horns_on_the_interval_follow_the_closed_forms():
+    # horns<=1 on the terminal map out of Δ[1]: the free middles grow as
+    # 12·2ⁿ − 7 and the plain ones as 2·3ⁿ⁺¹ − 1
+    base = get_category("delta<=1")
+    edge, point = representable(base, "1"), terminal_presheaf(base)
+    g = PresheafMap(edge, point, {a: dict.fromkeys(edge.carrier[a], 0) for a in base.objects})
+    gens, budget = get_gens("horns<=1"), OrdinalBudget(4, 1)
+    free = run_free(gens, g, budget=budget)
+    plain = run_plain(gens, g, budget=budget)
+    assert [s.mid.total_size for s in free.stages] == [12 * 2**n - 7 for n in range(5)] == [5, 17, 41, 89, 185]
+    assert [s.mid.total_size for s in plain.stages] == [2 * 3 ** (n + 1) - 1 for n in range(5)] == [5, 17, 53, 161, 485]
+    assert free.exhausted and plain.exhausted
 
 
 def test_plain_point_growth_follows_the_recurrence():

@@ -5,7 +5,9 @@ renumbered (each carrier is range(n)) in a deterministic order, so repeated
 runs on equal inputs produce identical apexes. Quotients are computed by
 union-find congruence closure: merging two elements propagates along every
 base morphism into the element's object until saturation, which is exactly
-what makes the apex a presheaf again.
+what makes the apex a presheaf again. `attach` runs union-find on X alone,
+and only on the pairs a non-injective v forces; the glued cells are
+numbered by offset.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .core import (
     Presheaf,
     PresheafMap,
     _same,
-    compose_maps,
     identity_map,
     presheaf,
 )
@@ -161,25 +162,72 @@ def coequalizer(f: PresheafMap, g: PresheafMap) -> Cocone:
 def attach(X: Presheaf, spans: Sequence[tuple[PresheafMap, PresheafMap]]) -> Cocone:
     """X with a copy of B glued along A for every span (u: A -> X, v: A -> B).
 
-    One coproduct X + B0 + B1 + ... and one quotient that identifies u(a)
-    with v(a) for every span and every element a of its A. Legs come back in
-    the order (from X, from B0, from B1, ...).
+    This is the quotient of the coproduct X + B0 + B1 + ... that identifies
+    u(a) with v(a) for every span and every element a of its A, but neither
+    is built. Colimits of presheaves are computed objectwise, so two
+    elements of X meet only where some v sends two elements of A to one b
+    while u keeps them apart; those pairs are all X is quotiented by, and
+    an injective v gives none. Every element of B in the image of v joins
+    the class of its u-partner; every other element of B is a class of
+    its own.
+
+    The apex is numbered as that quotient of the coproduct would number it,
+    ranking classes by their least member: X comes first in the coproduct,
+    so the classes of X/~ come first, in X's order; then each span's
+    elements of B outside the image of v, span by span and in carrier
+    order. Legs come back in the order (from X, from B0, from B1, ...).
     """
     for n, (u, v) in enumerate(spans):
         if not _same(u.target, X):
             raise IncompatibleInput(f"attach: span {n} does not land in the presheaf it attaches to")
         if not _same(u.source, v.source):
             raise IncompatibleInput(f"attach: the two maps of span {n} do not share a source")
-    cp = coproduct([X] + [v.target for _, v in spans])
-    into_x = cp.legs[0].components
-    pairs = [
-        (a, into_x[a][u.components[a][x]], leg.components[a][v.components[a][x]])
-        for (u, v), leg in zip(spans, cp.legs[1:])
-        for a in X.base.objects
-        for x in u.source.carrier[a]
-    ]
-    proj = quotient(cp.apex, pairs).legs[0]
-    return Cocone(apex=proj.target, legs=tuple(compose_maps(proj, leg) for leg in cp.legs))
+    base = X.base
+    # glued[n][a] sends each element of span n's v-image at a to a u-partner
+    pairs: list[tuple[str, int, int]] = []
+    glued: list[dict[str, dict[int, int]]] = []
+    for u, v in spans:
+        glued.append({})
+        for a in base.objects:
+            uc, vc, seen = u.components[a], v.components[a], {}
+            for x in u.source.carrier[a]:
+                y = uc[x]
+                first = seen.setdefault(vc[x], y)
+                if first != y:
+                    pairs.append((a, first, y))
+            glued[-1][a] = seen
+    proj = quotient(X, pairs).legs[0]
+    Q = proj.target
+
+    size = Q.sizes
+    action = {m.name: dict(Q.action[m.name]) for m in base.morphisms}
+    cell_legs = []
+    for (_, v), hits in zip(spans, glued):
+        B, into = v.target, {}
+        for a in base.objects:
+            on_x, hit, k = proj.components[a], hits[a], size[a]
+            into[a] = {}
+            for b in B.carrier[a]:
+                x = hit.get(b)
+                if x is None:
+                    into[a][b] = k
+                    k += 1
+                else:
+                    into[a][b] = on_x[x]
+            size[a] = k
+        for m in base.morphisms:
+            act, out, hit = B.action[m.name], action[m.name], hits[m.cod]
+            into_cod, into_dom = into[m.cod], into[m.dom]
+            for b in B.carrier[m.cod]:
+                if b not in hit:
+                    out[into_cod[b]] = into_dom[act[b]]
+        cell_legs.append((B, into))
+    # carriers are ranges and every morphism acts, so the normalising
+    # constructor would only copy
+    apex = Presheaf(base=base, carrier={a: tuple(range(size[a])) for a in base.objects}, action=action)
+    legs = [PresheafMap(X, apex, proj.components)]
+    legs.extend(PresheafMap(B, apex, into) for B, into in cell_legs)
+    return Cocone(apex=apex, legs=tuple(legs))
 
 
 def pushout(f: PresheafMap, g: PresheafMap) -> Cocone:

@@ -286,14 +286,14 @@ def _validate_map(f: PresheafMap) -> list[str]:
         if comp is None:
             out.append(f"missing component at object {a!r}")
             continue
-        tgt = set(f.target.carrier[a])
+        src, tgt = set(f.source.carrier[a]), set(f.target.carrier[a])
         for x in f.source.carrier[a]:
             if x not in comp:
                 out.append(f"component at {a!r} undefined on element {x}")
             elif comp[x] not in tgt:
                 out.append(f"component at {a!r} sends {x} to {comp[x]}, not in target carrier")
         for x in comp:
-            if x not in set(f.source.carrier[a]):
+            if x not in src:
                 out.append(f"component at {a!r} defined on stray element {x}")
     if out:
         return out

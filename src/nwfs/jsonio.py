@@ -503,8 +503,9 @@ def _load_inputs(doc, problems) -> tuple | None:
 def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
     """Recheck one serialized sequence run; return rebuilt pieces on success."""
     from .arrows import as_arrow, generating_squares
-    from .colimits import quotient
+    from .colimits import Cocone, quotient
     from .core import compose_maps, identity_map, is_iso, is_surjective, maps_equal
+    from .onestep import OneStepFactorization
     from .sequence import _ordinal_label
 
     if not isinstance(body, dict):
@@ -662,7 +663,15 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
                 f"step middle is not covered by the left half and the cells at object {a!r}",
             )
         _check(problems, tdoc.get("cells") == cells_doc(cell_legs, cat.objects), f"{tp}/cells", "does not list the squares' cell legs")
-        steps.append({"mid": smid, "left": sleft, "right": sright, "cells": cell_legs})
+        steps.append(
+            OneStepFactorization(
+                arrow=ArrowObj(rights[i]),
+                gens=gens,
+                squares=tuple(expected),
+                cocone=Cocone(smid, (sleft, *cell_legs)),
+                right=sright,
+            )
+        )
 
     folds: list = []
     for i, fdoc in enumerate(folds_doc):
@@ -676,12 +685,12 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
         if i + 1 >= n:
             problems.append(f"{fp}: fold recorded for the final stage")
             return None
-        fold = _rebuild_map(fdoc, fp, steps[i]["mid"], mids[i + 1], problems)
+        fold = _rebuild_map(fdoc, fp, steps[i].mid, mids[i + 1], problems)
         if fold is None:
             return None
         _check(problems, is_surjective(fold), fp, "fold is not surjective")
-        _check(problems, maps_equal(links[i], compose_maps(fold, steps[i]["left"])), fp, "fold does not reproduce the link")
-        _check(problems, maps_equal(compose_maps(rights[i + 1], fold), steps[i]["right"]), fp, "fold does not cover the step's right half")
+        _check(problems, maps_equal(links[i], compose_maps(fold, steps[i].left)), fp, "fold does not reproduce the link")
+        _check(problems, maps_equal(compose_maps(rights[i + 1], fold), steps[i].right), fp, "fold does not cover the step's right half")
         folds.append(fold)
 
     for i, pdoc in enumerate(pairs_doc):
@@ -719,7 +728,7 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
         # a surjective fold that coequalizes the pair factors through the
         # pair's coequalizer, so it is that coequalizer when the sizes agree
         pair = [(a, y, u2[a][x]) for a in cat.objects for x, y in u1.get(a, {}).items()]
-        classes = quotient(steps[i]["mid"], pair).apex.sizes
+        classes = quotient(steps[i].mid, pair).apex.sizes
         for a in cat.objects:
             hit = len(set(fold.components[a].values()))
             _check(problems, hit == classes[a], pp, f"fold is not the coequalizer of the recorded pair at object {a!r}")
@@ -764,8 +773,18 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
         del problems[before + 24 :]
         problems.append(f"{path}: further problems suppressed")
     built = [st for st in steps if st is not None]
-    work = {"stages": n, "steps_built": len(built), "squares": sum(len(st["cells"]) for st in built), "elements": sum(m.total_size for m in mids)}
-    return {"mids": mids, "lefts": lefts, "rights": rights, "links": links, "steps": steps, "converged_at": gamma, "work": work}
+    work = {"stages": n, "steps_built": len(built), "squares": sum(len(st.squares) for st in built), "elements": sum(m.total_size for m in mids)}
+    return {
+        "kinds": kinds,
+        "mids": mids,
+        "lefts": lefts,
+        "rights": rights,
+        "links": links,
+        "steps": steps,
+        "folds": folds,
+        "converged_at": gamma,
+        "work": work,
+    }
 
 
 def _check_work(problems, doc, want) -> None:
@@ -793,17 +812,17 @@ def _validate_sequence_cert(doc, problems) -> None:
             problems.append("/algebra: recorded without a converged stage step")
         else:
             step = run["steps"][gamma]
-            p = _rebuild_map(alg.get("structure"), "/algebra/structure", step["mid"], run["mids"][gamma], problems)
+            p = _rebuild_map(alg.get("structure"), "/algebra/structure", step.mid, run["mids"][gamma], problems)
             if p is not None:
                 _check(
                     problems,
-                    maps_equal(compose_maps(p, step["left"]), identity_map(run["mids"][gamma])),
+                    maps_equal(compose_maps(p, step.left), identity_map(run["mids"][gamma])),
                     "/algebra/structure",
                     "structure map does not retract the step's left half",
                 )
                 _check(
                     problems,
-                    maps_equal(compose_maps(run["rights"][gamma], p), step["right"]),
+                    maps_equal(compose_maps(run["rights"][gamma], p), step.right),
                     "/algebra/structure",
                     "structure map does not live over the factored arrow",
                 )
@@ -814,9 +833,7 @@ def _validate_sequence_cert(doc, problems) -> None:
         if gamma is None or run["steps"][gamma] is None:
             problems.append("/lifting_table: recorded without a converged stage step")
             return
-        from .arrows import as_arrow, generating_squares
-
-        squares = generating_squares(gens, as_arrow(run["rights"][gamma]))
+        squares = run["steps"][gamma].squares
         fillers = table.get("fillers")
         if not isinstance(fillers, list) or len(fillers) != len(squares):
             problems.append(
@@ -833,6 +850,53 @@ def _validate_sequence_cert(doc, problems) -> None:
                 continue
             _check(problems, maps_equal(compose_maps(filler, j.f), sq.top), fp, "upper filler triangle fails")
             _check(problems, maps_equal(compose_maps(run["rights"][gamma], filler), sq.bottom), fp, "lower filler triangle fails")
+
+
+def _rebuild_comparison(gens, arrow, free, plain, problems) -> list | None:
+    """The comparison maps as `sequence.build_comparison` builds them, from two validated runs."""
+    from .arrows import ArrowObj, Square
+    from .colimits import Cocone, induce
+    from .core import compose_maps, identity_map
+    from .onestep import onestep_on_square
+
+    def connect(run, i, j):
+        out = identity_map(run["mids"][i])
+        for k in range(i, j):
+            out = compose_maps(run["links"][k], out)
+        return out
+
+    mids = plain["mids"]
+    maps = [PresheafMap(mids[0], free["mids"][0], identity_map(mids[0]).components)]
+    for n in range(1, len(mids)):
+        mp = f"/comparison/maps/{n}"
+        limit = plain["kinds"][n] == "limit"
+        if limit != (free["kinds"][n] == "limit"):
+            problems.append(f"{mp}: stage {n} is a limit stage in only one of the runs")
+            return None
+        if limit:
+            chain = Cocone(mids[n], tuple(connect(plain, i, n) for i in range(n)))
+            maps.append(induce(chain, [compose_maps(connect(free, i, n), maps[i]) for i in range(n)], free["mids"][n]))
+            continue
+        source_step, target_step = plain["steps"][n - 1], free["steps"][n - 1]
+        if source_step is None or target_step is None:
+            problems.append(f"{mp}: no recorded step to carry the comparison into stage {n}")
+            return None
+        square = Square(
+            source=ArrowObj(plain["rights"][n - 1]),
+            target=ArrowObj(free["rights"][n - 1]),
+            top=maps[n - 1],
+            bottom=identity_map(arrow.target),
+        )
+        carried = onestep_on_square(gens, square, source_step=source_step, target_step=target_step)
+        fold = free["folds"][n - 1]
+        q = carried if fold is None else compose_maps(fold, carried)
+        # the step's middle was loaded apart from the stage; the map must
+        # leave the stage itself, or every later check compares the two deeply
+        if q.source.carrier != mids[n].carrier:
+            problems.append(f"{mp}: plain stage {n} is not the middle of the step below it")
+            return None
+        maps.append(PresheafMap(mids[n], q.target, q.components))
+    return maps
 
 
 def _validate_compare_cert(doc, problems) -> None:
@@ -860,12 +924,15 @@ def _validate_compare_cert(doc, problems) -> None:
         return
     from .core import compose_maps, is_surjective, maps_equal
 
+    rebuilt = _rebuild_comparison(gens, arrow, free, plain, problems)
     left_flags, right_flags, surj_flags = [], [], []
     for i, mdoc in enumerate(maps_doc):
         mp = f"/comparison/maps/{i}"
         q = _rebuild_map(mdoc, mp, plain["mids"][i], free["mids"][i], problems)
         if q is None:
             return
+        if rebuilt is not None:
+            _check(problems, maps_equal(q, rebuilt[i]), mp, "differs from the comparison rebuilt from the runs")
         left_flags.append(maps_equal(compose_maps(q, plain["lefts"][i]), free["lefts"][i]))
         right_flags.append(maps_equal(compose_maps(free["rights"][i], q), plain["rights"][i]))
         surj_flags.append(is_surjective(q))

@@ -327,3 +327,41 @@ def test_validate_compares_law_detail_text(tmp_path, capsys, tamper):
     capsys.readouterr()
     assert main(["validate", str(out)]) == 3
     assert f"/checks/{i}: recorded verdict differs from recomputation" in capsys.readouterr().out
+
+
+def test_validate_rebuilds_the_comparison_maps(tmp_path, map_file, capsys):
+    # the tampered map still commutes with both halves and is surjective,
+    # but it is not the map the comparison construction gives
+    out = tmp_path / "cmp.json"
+    assert main([
+        "compare", "--category", "terminal", "--gens", "point",
+        "--map", str(map_file), "--budget-successors", "2", "--out", str(out),
+    ]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["comparison"]["maps"][2]["0"]["3"] == 3
+    doc["comparison"]["maps"][2]["0"]["3"] = 1
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert "/comparison/maps/2: differs from the comparison rebuilt from the runs" in capsys.readouterr().out
+
+
+def test_validate_requires_a_plain_stage_to_be_its_steps_middle(tmp_path, map_file, capsys):
+    # renaming one element of the first plain step leaves the step
+    # consistent on its own, but it no longer builds plain stage 1
+    out = tmp_path / "cmp.json"
+    assert main([
+        "compare", "--category", "terminal", "--gens", "point",
+        "--map", str(map_file), "--budget-successors", "2", "--out", str(out),
+    ]) == 0
+    doc = json.loads(out.read_text())
+    step = doc["plain"]["steps"][0]
+    assert step["mid"]["sets"]["0"] == [0, 1, 2, 3, 4] and step["cells"]["0"]["2"] == 4
+    step["mid"] = {"sets": {"0": [0, 1, 2, 3, 7]}, "actions": {"id0": {"0": 0, "1": 1, "2": 2, "3": 3, "7": 7}}}
+    step["right"]["0"]["7"] = step["right"]["0"].pop("4")
+    step["squares"][2]["cell_leg"] = {"0": {"0": 7}}
+    step["cells"]["0"]["2"] = 7
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert "/comparison/maps/1: plain stage 1 is not the middle of the step below it" in capsys.readouterr().out

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from conftest import finset, parallel_pairs, set_map, set_maps
 from test_hom_search import reflexive_graphs
 from nwfs.catalog import get_category, representable
-from nwfs.colimits import chain_colimit, coequalizer, coproduct, induce, initial, pushout, quotient
+from nwfs.colimits import attach, chain_colimit, coequalizer, coproduct, induce, initial, pushout, quotient
 from nwfs.core import (
     IncompatibleInput,
     PresheafMap,
@@ -205,6 +205,73 @@ def test_chain_colimit_matches_the_quotient_of_the_coproduct(steps):
     for got, want in zip(cone.legs, legs):
         assert got.source is want.source
         assert got.components == want.components
+
+
+def quotient_of_coproduct_attach(X, spans):
+    """`attach` as the quotient of X + B0 + B1 + ... gluing u(a) to v(a)."""
+    cp = coproduct([X] + [v.target for _, v in spans])
+    into_x = cp.legs[0].components
+    pairs = [
+        (a, into_x[a][u.components[a][x]], leg.components[a][v.components[a][x]])
+        for (u, v), leg in zip(spans, cp.legs[1:])
+        for a in X.base.objects
+        for x in u.source.carrier[a]
+    ]
+    q = quotient(cp.apex, pairs)
+    return q.apex, [compose_maps(q.legs[0], leg) for leg in cp.legs]
+
+
+def random_ids(draw, n):
+    return draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+
+
+@st.composite
+def set_spans(draw):
+    """A set X and one to three spans into it; v may be injective or collide."""
+    X = finset(random_ids(draw, draw(st.integers(0, 4))))
+    spans = []
+    for _ in range(draw(st.integers(1, 3))):
+        A = finset(random_ids(draw, draw(st.integers(0, 4)) if X.carrier["0"] else 0))
+        n = len(A.carrier["0"])
+        if draw(st.booleans()):
+            B = finset(random_ids(draw, n + draw(st.integers(0, 2))))
+            values = draw(st.permutations(B.carrier["0"]))[:n]
+        else:
+            B = finset(random_ids(draw, draw(st.integers(1 if n else 0, 2))))
+            values = [draw(st.sampled_from(B.carrier["0"])) for _ in range(n)]
+        u = PresheafMap(A, X, {"0": {x: draw(st.sampled_from(X.carrier["0"])) for x in A.carrier["0"]}})
+        v = PresheafMap(A, B, {"0": dict(zip(A.carrier["0"], values))})
+        spans.append((u, v))
+    return X, spans
+
+
+@st.composite
+def graph_spans(draw):
+    """A reflexive graph X and one to three spans of random graph maps into it."""
+    X = draw(reflexive_graphs(0, 3, 3))
+    spans = []
+    for _ in range(draw(st.integers(1, 3))):
+        A = draw(reflexive_graphs(0, 2 if X.carrier["0"] else 0, 2))
+        B = draw(reflexive_graphs(1 if A.carrier["0"] else 0, 3, 2))
+        us, vs = enumerate_maps(A, X), enumerate_maps(A, B)
+        spans.append((us[draw(st.integers(0, len(us) - 1))], vs[draw(st.integers(0, len(vs) - 1))]))
+    return X, spans
+
+
+@given(st.one_of(set_spans(), graph_spans()))
+@settings(max_examples=150, deadline=None)
+def test_attach_matches_the_quotient_of_the_coproduct(case):
+    X, spans = case
+    cone = attach(X, spans)
+    apex, legs = quotient_of_coproduct_attach(X, spans)
+    assert validate(cone.apex) == []
+    assert dict(cone.apex.carrier) == dict(apex.carrier)
+    assert {m: dict(act) for m, act in cone.apex.action.items()} == {m: dict(act) for m, act in apex.action.items()}
+    assert len(cone.legs) == len(legs)
+    for got, want in zip(cone.legs, legs):
+        assert got.source is want.source and got.target is cone.apex
+        assert got.components == want.components
+        assert validate(got) == []
 
 
 def test_induce_rejects_disagreeing_targets():

@@ -46,6 +46,13 @@ def test_validate_catches_broken_naturality():
     assert any("naturality" in p for p in validate(PresheafMap(X, X, comps)))
 
 
+def test_validate_catches_a_component_defined_off_the_source():
+    X, Y = finset([2, 5]), finset([1])
+    assert validate(PresheafMap(X, Y, {"0": {2: 1, 5: 1, 7: 1}})) == [
+        "component at '0' defined on stray element 7"
+    ]
+
+
 @given(set_maps(), set_maps())
 def test_compose_undefined_on_mismatched_endpoints(f, g):
     if f.target.carrier == g.source.carrier:

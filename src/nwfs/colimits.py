@@ -3,11 +3,12 @@
 All constructions return a `Cocone` whose apex carriers are densely
 renumbered (each carrier is range(n)) in a deterministic order, so repeated
 runs on equal inputs produce identical apexes. Quotients are computed by
-union-find congruence closure: merging two elements propagates along every
-base morphism into the element's object until saturation, which is exactly
-what makes the apex a presheaf again. `attach` runs union-find on X alone,
-and only on the pairs a non-injective v forces; the glued cells are
-numbered by offset.
+union-find congruence closure on the touched elements only: merging two
+elements propagates along every base morphism into the element's object
+until saturation, which is exactly what makes the apex a presheaf again.
+An element no pair reaches never enters the union-find and is numbered by
+its position. `attach` quotients X alone, and only by the pairs a
+non-injective v forces; the glued cells are numbered by offset.
 """
 
 from __future__ import annotations
@@ -34,19 +35,24 @@ class Cocone:
 
 
 class UnionFind:
-    """Disjoint sets over ints with the least member as representative."""
+    """Disjoint sets over ints, union by size.
 
-    def __init__(self, elements: Iterable[int]):
-        self.parent: dict[int, int] = {e: e for e in elements}
-        self.least: dict[int, int] = {e: e for e in self.parent}
+    An element enters on its first `find` or `union`; one never touched is
+    a class of its own and costs nothing.
+    """
+
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+        self.size: dict[int, int] = {}
         self.merges = 0
 
     def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, x: int, y: int) -> bool:
@@ -54,13 +60,13 @@ class UnionFind:
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return False
+        sx, sy = self.size.get(rx, 1), self.size.get(ry, 1)
+        if sx < sy:
+            rx, ry = ry, rx
         self.parent[ry] = rx
-        self.least[rx] = min(self.least[rx], self.least[ry])
+        self.size[rx] = sx + sy
         self.merges += 1
         return True
-
-    def representative(self, x: int) -> int:
-        return self.least[self.find(x)]
 
 
 def initial(base: FinCategory) -> Presheaf:
@@ -71,10 +77,12 @@ def quotient(X: Presheaf, pairs: Iterable[tuple[str, int, int]]) -> Cocone:
     """Quotient X by the presheaf congruence generated by `pairs`.
 
     Each pair (a, u, v) identifies elements u and v at object a. The single
-    leg of the returned cocone is the projection X -> X/~.
+    leg of the returned cocone is the projection X -> X/~. Classes are
+    numbered by their least member, which is their first in X's sorted
+    carrier; only the elements the pairs reach enter a union-find.
     """
     base = X.base
-    uf = {a: UnionFind(X.carrier[a]) for a in base.objects}
+    uf = {a: UnionFind() for a in base.objects}
     into: dict[str, list] = {a: [] for a in base.objects}
     for m in base.nonidentity:
         into[m.cod].append(m)
@@ -87,23 +95,30 @@ def quotient(X: Presheaf, pairs: Iterable[tuple[str, int, int]]) -> Cocone:
                 act = X.action[m.name]
                 work.append((m.dom, act[u], act[v]))
 
-    reps = {a: sorted({uf[a].representative(x) for x in X.carrier[a]}) for a in base.objects}
-    rank = {a: {r: i for i, r in enumerate(reps[a])} for a in base.objects}
-    carrier = {a: tuple(range(len(reps[a]))) for a in base.objects}
-    action = {
-        m.name: {
-            rank[m.cod][r]: rank[m.dom][uf[m.dom].representative(X.action[m.name][r])]
-            for r in reps[m.cod]
-        }
-        for m in base.morphisms
-    }
-    apex = presheaf(base, carrier, action)
-    proj = PresheafMap(
-        X,
-        apex,
-        {a: {x: rank[a][uf[a].representative(x)] for x in X.carrier[a]} for a in base.objects},
-    )
-    return Cocone(apex=apex, legs=(proj,))
+    proj: dict[str, dict[int, int]] = {}
+    carrier: dict[str, tuple[int, ...]] = {}
+    for a in base.objects:
+        touched, find = uf[a].parent, uf[a].find
+        comp, first, k = {}, {}, 0
+        for x in X.carrier[a]:
+            if x in touched:
+                c = first.setdefault(find(x), k)
+                if c == k:
+                    k += 1
+            else:
+                c = k
+                k += 1
+            comp[x] = c
+        proj[a] = comp
+        carrier[a] = tuple(range(k))
+    # carriers are ranges and every morphism acts, so the normalising
+    # constructor would only copy
+    action = {}
+    for m in base.morphisms:
+        on_cod, on_dom, act = proj[m.cod], proj[m.dom], X.action[m.name]
+        action[m.name] = {on_cod[x]: on_dom[act[x]] for x in X.carrier[m.cod]}
+    apex = Presheaf(base=base, carrier=carrier, action=action)
+    return Cocone(apex=apex, legs=(PresheafMap(X, apex, proj),))
 
 
 def coproduct(parts: Sequence[Presheaf], base: FinCategory | None = None) -> Cocone:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring
 from typing import Any, Mapping
 
 from . import catalog
@@ -281,7 +282,42 @@ def canonical_bytes(doc: Any) -> bytes:
 
 
 def pretty_json(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """`json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)` and a newline.
+
+    An indent makes json fall back to its pure-Python encoder, so the layout
+    is written here instead: a container of scalars goes through the C
+    encoder in one call, with the newline and indent in its item separator,
+    and only nested containers are walked in Python.
+    """
+    return _pretty(doc, "\n") + "\n"
+
+
+def _pretty(doc: Any, newline: str) -> str:
+    """`doc` laid out as `pretty_json` does, its closing bracket after `newline`."""
+    inner = newline + "  "
+    if isinstance(doc, dict):
+        if not any(isinstance(v, _NESTED) for v in doc.values()):
+            flat = json.dumps(doc, sort_keys=True, ensure_ascii=False, separators=("," + inner, ": "))
+            return flat if not doc else "{" + inner + flat[1:-1] + newline + "}"
+        # json sorts the items before it turns their keys into strings
+        body = [_json_key(k) + ": " + _pretty(v, inner) for k, v in sorted(doc.items())]
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if isinstance(doc, (list, tuple)):
+        if not any(isinstance(v, _NESTED) for v in doc):
+            flat = json.dumps(doc, ensure_ascii=False, separators=("," + inner, ": "))
+            return flat if not doc else "[" + inner + flat[1:-1] + newline + "]"
+        return "[" + inner + ("," + inner).join([_pretty(v, inner) for v in doc]) + newline + "]"
+    return json.dumps(doc, ensure_ascii=False)
+
+
+_NESTED = (dict, list, tuple)
+
+
+def _json_key(key: Any) -> str:
+    """An object key as json writes it; a one-entry object shows how json converts a non-string key."""
+    if isinstance(key, str):
+        return encode_basestring(key)
+    return json.dumps({key: 0}, ensure_ascii=False)[1:-4]
 
 
 def digest(doc: Any) -> str:
@@ -471,6 +507,10 @@ def _rebuild_map(doc, path, source, target, problems) -> PresheafMap | None:
     return f
 
 
+def _same_presheaf(X: Presheaf, Y: Presheaf) -> bool:
+    return X.carrier == Y.carrier and X.action == Y.action
+
+
 def _check(problems: list[str], cond: bool, path: str, message: str) -> bool:
     if not cond:
         problems.append(f"{path}: {message}")
@@ -503,7 +543,7 @@ def _load_inputs(doc, problems) -> tuple | None:
 def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
     """Recheck one serialized sequence run; return rebuilt pieces on success."""
     from .arrows import as_arrow, generating_squares
-    from .colimits import Cocone, quotient
+    from .colimits import Cocone, attach, quotient
     from .core import compose_maps, identity_map, is_iso, is_surjective, maps_equal
     from .onestep import OneStepFactorization
     from .sequence import _ordinal_label
@@ -663,6 +703,21 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
                 f"step middle is not covered by the left half and the cells at object {a!r}",
             )
         _check(problems, tdoc.get("cells") == cells_doc(cell_legs, cat.objects), f"{tp}/cells", "does not list the squares' cell legs")
+        glued = attach(mids[i], [(sq.top, gens.members[gi].f) for gi, sq in expected])
+        _check(problems, _same_presheaf(glued.apex, smid), f"{tp}/mid", "differs from the colimit of the squares' cells")
+        _check(
+            problems,
+            all(a.components == b.components for a, b in zip(glued.legs, (sleft, *cell_legs))),
+            tp,
+            "left half or cell legs differ from the legs of the colimit of the squares' cells",
+        )
+        if mode == "plain" and i + 1 < n:
+            _check(
+                problems,
+                _same_presheaf(mids[i + 1], smid) and maps_equal(links[i], sleft) and maps_equal(rights[i + 1], sright),
+                f"{path}/stages/{i + 1}",
+                "plain stage is not the middle of the step below it",
+            )
         steps.append(
             OneStepFactorization(
                 arrow=ArrowObj(rights[i]),
@@ -734,6 +789,9 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
             _check(problems, hit == classes[a], pp, f"fold is not the coequalizer of the recorded pair at object {a!r}")
 
     if mode == "plain":
+        for i in range(n - 1):
+            if kinds[i + 1] == "onestep":
+                _check(problems, steps_doc[i] is not None, f"{path}/steps/{i}", "plain mode one-step stage is missing its step")
         _check(problems, all(f is None for f in folds_doc), f"{path}/folds", "plain mode must not record folds")
         _check(problems, all(p is None for p in pairs_doc), f"{path}/pairs", "plain mode must not record pairs")
     else:
@@ -858,12 +916,7 @@ def _rebuild_comparison(gens, arrow, free, plain, problems) -> list | None:
     from .colimits import Cocone, induce
     from .core import compose_maps, identity_map
     from .onestep import onestep_on_square
-
-    def connect(run, i, j):
-        out = identity_map(run["mids"][i])
-        for k in range(i, j):
-            out = compose_maps(run["links"][k], out)
-        return out
+    from .sequence import chain_composites
 
     mids = plain["mids"]
     maps = [PresheafMap(mids[0], free["mids"][0], identity_map(mids[0]).components)]
@@ -874,8 +927,9 @@ def _rebuild_comparison(gens, arrow, free, plain, problems) -> list | None:
             problems.append(f"{mp}: stage {n} is a limit stage in only one of the runs")
             return None
         if limit:
-            chain = Cocone(mids[n], tuple(connect(plain, i, n) for i in range(n)))
-            maps.append(induce(chain, [compose_maps(connect(free, i, n), maps[i]) for i in range(n)], free["mids"][n]))
+            into_free = chain_composites(free["links"][:n], free["mids"][n])
+            chain = Cocone(mids[n], tuple(chain_composites(plain["links"][:n], mids[n])[:n]))
+            maps.append(induce(chain, [compose_maps(into_free[i], maps[i]) for i in range(n)], free["mids"][n]))
             continue
         source_step, target_step = plain["steps"][n - 1], free["steps"][n - 1]
         if source_step is None or target_step is None:

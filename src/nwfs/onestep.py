@@ -9,7 +9,10 @@ bottom halves.
 
 The construction is functorial in g: a commuting square g -> g2 induces a map
 between the two middle objects, computed on colimit representatives and
-re-checked for well-definedness during cocone induction.
+re-checked for well-definedness during cocone induction. Each cell goes to
+the cell of the pasted square, which is looked up by its key; that key is
+the source square's cached key with its values relabelled, so no composite
+map is built per cell.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .core import (
     InternalCheckFailed,
     Presheaf,
     PresheafMap,
+    _same,
     compose_maps,
 )
 
@@ -60,8 +64,13 @@ class OneStepFactorization:
         return self.cocone.legs[0]
 
     @cached_property
+    def square_keys(self) -> tuple[tuple, ...]:
+        """`square_key` of each square, in square order."""
+        return tuple(square_key(i, sq) for i, sq in self.squares)
+
+    @cached_property
     def square_index(self) -> dict[tuple, int]:
-        return {square_key(i, sq): n for n, (i, sq) in enumerate(self.squares)}
+        return {key: n for n, key in enumerate(self.square_keys)}
 
     def cell_leg(self, n: int) -> PresheafMap:
         """The embedding of square n's generator codomain into mid."""
@@ -99,20 +108,32 @@ def onestep_on_square(
         if source_step.gens != gens or target_step.gens != gens:
             raise IncompatibleInput("onestep_on_square: steps built from a different generating set")
 
+    # every square of the source step starts where sq.top and sq.bottom do,
+    # and pasting lands where the target step's squares end
+    if not (_same(source_step.arrow.dom, sq.top.source) and _same(source_step.arrow.cod, sq.bottom.source)):
+        raise IncompatibleInput("onestep_on_square: source_step does not factor the square's source arrow")
+    if not (_same(target_step.arrow.dom, sq.top.target) and _same(target_step.arrow.cod, sq.bottom.target)):
+        raise IncompatibleInput("onestep_on_square: target_step does not factor the square's target arrow")
+
+    # Pasting composes each square's top and bottom with sq.top and
+    # sq.bottom. That only relabels values, so the pasted square's key is
+    # the source key relabelled: its keys and their sorted order stay put.
+    top, bottom = sq.top.components, sq.bottom.components
+    index = target_step.square_index
     cell_targets = []
-    for i, s in source_step.squares:
-        pasted_key = square_key(
-            i,
-            Square(
-                source=s.source,
-                target=sq.target,
-                top=compose_maps(sq.top, s.top),
-                bottom=compose_maps(sq.bottom, s.bottom),
-            ),
-        )
-        n = target_step.square_index.get(pasted_key)
+    for i, top_key, bottom_key in source_step.square_keys:
+        n = index.get((i, _relabel(top_key, top), _relabel(bottom_key, bottom)))
         if n is None:
             raise InternalCheckFailed("onestep_on_square: pasted square missing from the target step")
         cell_targets.append(target_step.cell_leg(n))
 
     return induce(source_step.cocone, [compose_maps(target_step.left, sq.top)] + cell_targets, target_step.mid)
+
+
+def _relabel(key: tuple, after: dict) -> tuple:
+    """The `components_key` of `after` composed with the map whose key is `key`."""
+    out = []
+    for a, items in key:
+        at = after[a]
+        out.append((a, tuple([(x, at[y]) for x, y in items])))
+    return tuple(out)

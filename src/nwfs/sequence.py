@@ -100,10 +100,13 @@ class SequenceState:
         """The composite connecting map from stage i to stage j."""
         if not 0 <= i <= j < len(self.stages):
             raise IncompatibleInput(f"connect({i}, {j}) out of range for {len(self.stages)} stages")
-        out = identity_map(self.stages[i].mid)
-        for k in range(i, j):
-            out = compose_maps(self.links[k], out)
-        return out
+        return chain_composites(self.links[i:j], self.stages[j].mid)[0]
+
+    def connect_all(self, j: int) -> list[PresheafMap]:
+        """`connect(i, j)` for every i <= j, entry i, one composite each."""
+        if not 0 <= j < len(self.stages):
+            raise IncompatibleInput(f"connect_all({j}) out of range for {len(self.stages)} stages")
+        return chain_composites(self.links[:j], self.stages[j].mid)
 
     @property
     def cardinalities(self) -> list[dict[str, int]]:
@@ -118,6 +121,20 @@ class SequenceState:
             "squares": sum(len(s.squares) for s in self.steps if s is not None),
             "elements": sum(stage.mid.total_size for stage in self.stages),
         }
+
+
+def chain_composites(links, last: Presheaf) -> list[PresheafMap]:
+    """Composites of the chain `links`, which ends at `last`, into its end.
+
+    Entry i runs from stage i to the end; the list has one more entry than
+    `links`, the identity on `last`. One backward sweep composes each link
+    once.
+    """
+    out = [identity_map(last)]
+    for link in reversed(links):
+        out.append(compose_maps(out[-1], link))
+    out.reverse()
+    return out
 
 
 class _Run:
@@ -238,31 +255,34 @@ def _free_step(run: _Run, ordinal: str) -> None:
         raise IncompatibleInput("free step without a fold to coequalize against")
     step = build_onestep(run.gens, run.right_arrow(top))
 
-    def carried(i: int, j: int, target_step: OneStepFactorization) -> PresheafMap:
+    def carried(i: int, j: int, along: PresheafMap, target_step: OneStepFactorization) -> PresheafMap:
         return onestep_on_square(
             run.gens,
             Square(
                 source=run.right_arrow(i),
                 target=run.right_arrow(j),
-                top=run.connect(i, j),
+                top=along,
                 bottom=identity_map(run.arrow.f.target),
             ),
             source_step=run.step_of(i),
             target_step=target_step,
         )
 
+    # to_top[i - low] is connect(i, top), from one backward sweep
+    low = below[0]
+    to_top = chain_composites(run.links[low:top], run.last.mid)
     # stages right under an earlier limit have no fold, so consecutive
     # members of `below` are not always adjacent
     web = chain_colimit(
-        [carried(i, j, run.step_of(j)) for i, j in zip(below, below[1:])],
-        start=run.step_of(below[0]).mid,
+        [carried(i, j, run.connect(i, j), run.step_of(j)) for i, j in zip(below, below[1:])],
+        start=run.step_of(low).mid,
     )
     first = induce(
         web,
-        [compose_maps(step.left, compose_maps(run.connect(i + 1, top), run.folds[i])) for i in below],
+        [compose_maps(step.left, compose_maps(to_top[i + 1 - low], run.folds[i])) for i in below],
         step.mid,
     )
-    second = induce(web, [carried(i, top, step) for i in below], step.mid)
+    second = induce(web, [carried(i, top, to_top[i - low], step) for i in below], step.mid)
     coeq = coequalizer(first, second)
     fold = coeq.legs[0]
     link = compose_maps(fold, step.left)
@@ -371,8 +391,9 @@ def build_comparison(free: SequenceState, plain: SequenceState) -> ComparisonRep
         if ps.kind == "limit":
             # inducing out of the plain chain checks that the maps below
             # commute with the links into the limit
-            chain = Cocone(ps.mid, tuple(plain.connect(i, n) for i in range(n)))
-            maps.append(induce(chain, [compose_maps(free.connect(i, n), maps[i]) for i in range(n)], fs.mid))
+            into_free = free.connect_all(n)
+            chain = Cocone(ps.mid, tuple(plain.connect_all(n)[:n]))
+            maps.append(induce(chain, [compose_maps(into_free[i], maps[i]) for i in range(n)], fs.mid))
             continue
         carried = onestep_on_square(
             free.gens,

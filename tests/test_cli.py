@@ -365,3 +365,47 @@ def test_validate_requires_a_plain_stage_to_be_its_steps_middle(tmp_path, map_fi
     capsys.readouterr()
     assert main(["validate", str(out)]) == 3
     assert "/comparison/maps/1: plain stage 1 is not the middle of the step below it" in capsys.readouterr().out
+
+
+def _glue_the_cell_over_one_to_zero(holder):
+    """Replace a 5-element point middle of 2 -> 3 [1, 1] by a 4-element one.
+
+    The cell over 1 becomes domain element 0; the cells over 0 and 2 become
+    2 and 3. The right half is edited to match, so the stage still factors
+    the arrow.
+    """
+    holder["mid"] = {"sets": {"0": [0, 1, 2, 3]}, "actions": {"id0": {"0": 0, "1": 1, "2": 2, "3": 3}}}
+    holder["right"] = {"0": {"0": 1, "1": 1, "2": 0, "3": 2}}
+
+
+@pytest.mark.parametrize(
+    "forge_step, problem",
+    [
+        (True, "/run/steps/0/mid: differs from the colimit of the squares' cells"),
+        (False, "/run/stages/1: plain stage is not the middle of the step below it"),
+    ],
+)
+def test_validate_checks_step_middles_against_attach(tmp_path, map_file, capsys, forge_step, problem):
+    out = tmp_path / "plain.json"
+    assert main([
+        "plain", "--category", "terminal", "--gens", "point",
+        "--map", str(map_file), "--budget-successors", "1", "--out", str(out),
+    ]) == 2
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    run = doc["run"]
+    assert run["steps"][0]["mid"]["sets"]["0"] == [0, 1, 2, 3, 4]
+    _glue_the_cell_over_one_to_zero(run["stages"][1])
+    if forge_step:
+        step = run["steps"][0]
+        _glue_the_cell_over_one_to_zero(step)
+        for n, cell in enumerate([2, 0, 3]):
+            step["squares"][n]["cell_leg"] = {"0": {"0": cell}}
+        step["cells"] = {"0": {"0": 2, "1": 0, "2": 3}}
+    run["cardinalities"][1] = {"0": 4}
+    doc["timing"]["work"]["elements"] = 6
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert problem in capsys.readouterr().out

@@ -15,6 +15,7 @@ from nwfs.core import (
     is_iso,
     is_surjective,
     maps_equal,
+    presheaf,
     validate,
 )
 
@@ -307,3 +308,68 @@ def test_induce_rejects_a_target_outside_the_codomain():
     h1 = set_map(3, 3, [0, 1, 2])
     with pytest.raises(IncompatibleInput):
         induce(cone, [h0, h1], finset(4))
+
+
+def eager_quotient(X, pairs):
+    """The quotient with a union-find over every element of X, kept as the reference.
+
+    Classes are ranked by their least member and the apex goes through the
+    normalising constructor.
+    """
+    base = X.base
+    parent = {a: {x: x for x in X.carrier[a]} for a in base.objects}
+
+    def find(a, x):
+        while parent[a][x] != x:
+            x = parent[a][x]
+        return x
+
+    work = list(pairs)
+    while work:
+        a, u, v = work.pop()
+        ru, rv = find(a, u), find(a, v)
+        if ru != rv:
+            parent[a][max(ru, rv)] = min(ru, rv)
+            for m in base.nonidentity:
+                if m.cod == a:
+                    work.append((m.dom, X.action[m.name][u], X.action[m.name][v]))
+    # each root is its class's least member
+    reps = {a: sorted({find(a, x) for x in X.carrier[a]}) for a in base.objects}
+    rank = {a: {r: i for i, r in enumerate(reps[a])} for a in base.objects}
+    action = {
+        m.name: {rank[m.cod][r]: rank[m.dom][find(m.dom, X.action[m.name][r])] for r in reps[m.cod]}
+        for m in base.morphisms
+    }
+    apex = presheaf(base, {a: range(len(reps[a])) for a in base.objects}, action)
+    proj = {a: {x: rank[a][find(a, x)] for x in X.carrier[a]} for a in base.objects}
+    return apex, proj
+
+
+@st.composite
+def quotient_cases(draw):
+    """A random set (random ids) or reflexive graph, and random pairs, maybe none."""
+    if draw(st.booleans()):
+        X = finset(random_ids(draw, draw(st.integers(0, 6))))
+    else:
+        X = draw(reflexive_graphs(0, 4, 4))
+    objects = [a for a in X.base.objects if X.carrier[a]]
+    pairs = []
+    for _ in range(draw(st.integers(0, 4)) if objects else 0):
+        a = draw(st.sampled_from(objects))
+        pairs.append((a, draw(st.sampled_from(X.carrier[a])), draw(st.sampled_from(X.carrier[a]))))
+    return X, pairs
+
+
+@given(quotient_cases())
+@settings(max_examples=200, deadline=None)
+def test_quotient_matches_the_eager_union_find(case):
+    X, pairs = case
+    cone = quotient(X, pairs)
+    apex, proj = eager_quotient(X, pairs)
+    assert validate(cone.apex) == []
+    assert dict(cone.apex.carrier) == dict(apex.carrier)
+    assert {m: dict(act) for m, act in cone.apex.action.items()} == {m: dict(act) for m, act in apex.action.items()}
+    (leg,) = cone.legs
+    assert leg.source is X and leg.target is cone.apex
+    assert leg.components == proj
+    assert validate(leg) == []

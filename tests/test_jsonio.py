@@ -1,7 +1,9 @@
 import copy
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import set_map
 from nwfs.algebras import check_bijection, enumerate_lifting_tables
@@ -24,6 +26,7 @@ from nwfs.jsonio import (
     load_presheaf,
     map_doc,
     presheaf_doc,
+    pretty_json,
     sequence_certificate,
     validate_certificate,
 )
@@ -249,3 +252,30 @@ def test_filler_certificate_round_trip():
 def test_validator_rejects_unknown_schema():
     assert validate_certificate({"schema": "nwfs.mystery/1"}) != []
     assert validate_certificate(["not", "an", "object"]) != []
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=False),
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=6),
+)
+_json_docs = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        # all keys of one object share a type, or json cannot sort them;
+        # int keys sort as ints but are written as strings ("10" before "9")
+        st.dictionaries(st.text(alphabet=st.characters(codec="utf-8"), max_size=4), children, max_size=4),
+        st.dictionaries(st.integers(-20, 20), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_json_docs)
+@settings(max_examples=300, deadline=None)
+def test_pretty_json_is_the_indented_json_dump(doc):
+    assert pretty_json(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+

@@ -1,10 +1,10 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from conftest import finset, set_map, set_maps
 from test_hom_search import reflexive_graphs
-from nwfs.arrows import Square, as_arrow, generating_squares, identity_square
+from nwfs.arrows import Square, as_arrow, enumerate_squares, generating_squares, identity_square, square_key
 from nwfs.catalog import get_gens
 from nwfs.colimits import Cocone, coequalizer, coproduct, induce
 from nwfs.core import (
@@ -217,3 +217,57 @@ def test_onestep_matches_the_staged_construction(case):
     for n, leg in enumerate(cell_legs):
         assert step.cell_leg(n).components == leg.components
     assert cells_doc(step.cocone.legs[1:], mid.base.objects) == components_doc(cells)
+
+
+def pasted_onestep(sq, source_step, target_step):
+    """The step on a square by composing every source square with it, kept as the reference."""
+    cell_targets = []
+    for i, s in source_step.squares:
+        pasted = Square(
+            source=s.source,
+            target=sq.target,
+            top=compose_maps(sq.top, s.top),
+            bottom=compose_maps(sq.bottom, s.bottom),
+        )
+        cell_targets.append(target_step.cell_leg(target_step.square_index[square_key(i, pasted)]))
+    return induce(source_step.cocone, [compose_maps(target_step.left, sq.top)] + cell_targets, target_step.mid)
+
+
+@st.composite
+def squares_between(draw, arrows):
+    """A commuting square between two arrows drawn from `arrows`, if there is one."""
+    f, g = as_arrow(draw(arrows)), as_arrow(draw(arrows))
+    squares = enumerate_squares(f, g)
+    assume(squares)
+    return squares[draw(st.integers(0, len(squares) - 1))]
+
+
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from([POINT, CODIAG]), squares_between(set_maps_with_ids(max_size=3))),
+        st.tuples(st.just(HORNS), squares_between(graph_maps())),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_on_square_matches_the_composed_pasting(case):
+    gens, sq = case
+    source_step, target_step = build_onestep(gens, sq.source), build_onestep(gens, sq.target)
+    got = onestep_on_square(gens, sq, source_step=source_step, target_step=target_step)
+    want = pasted_onestep(sq, source_step, target_step)
+    assert got.source is source_step.mid and got.target is target_step.mid
+    assert got.components == want.components
+
+
+def test_on_square_rejects_a_step_of_another_arrow():
+    f = as_arrow(set_map(2, 2, [0, 0]))
+    g = as_arrow(set_map(3, 2, [0, 0, 1]))
+    sq = Square(source=f, target=g, top=set_map(2, 3, [0, 0]), bottom=set_map(2, 2, [0, 1]))
+    sf, sg = build_onestep(POINT, f), build_onestep(POINT, g)
+    # the same domain as g but another codomain
+    sh = build_onestep(POINT, as_arrow(set_map(3, 3, [0, 0, 1])))
+    with pytest.raises(IncompatibleInput, match="source_step"):
+        onestep_on_square(POINT, sq, source_step=sg, target_step=sg)
+    with pytest.raises(IncompatibleInput, match="target_step"):
+        onestep_on_square(POINT, sq, source_step=sf, target_step=sf)
+    with pytest.raises(IncompatibleInput, match="target_step"):
+        onestep_on_square(POINT, sq, source_step=sf, target_step=sh)

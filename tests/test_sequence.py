@@ -145,6 +145,37 @@ def test_connect_composes_links():
         state.connect(2, 99)
 
 
+def interval_to_point():
+    base = get_category("delta<=1")
+    edge, point = representable(base, "1"), terminal_presheaf(base)
+    return PresheafMap(edge, point, {a: dict.fromkeys(edge.carrier[a], 0) for a in base.objects})
+
+
+@pytest.mark.parametrize(
+    "gens, g, budget",
+    [
+        (POINT, set_map(2, 2, [0, 0]), OrdinalBudget(2, 3)),
+        (CODIAG, set_map(3, 2, [0, 1, 1]), OrdinalBudget(1, 3)),
+        (get_gens("horns<=1"), interval_to_point(), OrdinalBudget(1, 3)),
+    ],
+)
+def test_connect_all_gives_every_connect_into_a_stage(gens, g, budget):
+    for state in (
+        run_free(gens, g, budget=budget, stop_at_convergence=False),
+        run_plain(gens, g, budget=budget, stop_at_convergence=False),
+    ):
+        assert [s.kind for s in state.stages].count("limit") == budget.omega_blocks - 1
+        for j in range(len(state.stages)):
+            into = state.connect_all(j)
+            assert len(into) == j + 1
+            for i, got in enumerate(into):
+                want = state.connect(i, j)
+                assert got.source is want.source and got.target is want.target
+                assert got.components == want.components
+        with pytest.raises(IncompatibleInput):
+            state.connect_all(len(state.stages))
+
+
 def test_convergence_detection_is_sound():
     g = set_map(3, 2, [0, 1, 1])
     state = run_free(CODIAG, g)

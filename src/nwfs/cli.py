@@ -8,7 +8,8 @@ rerunning a command with the same inputs reproduces the same bytes.
 Exit codes: 0 on success (converged run, verified comparison, all laws
 passing, clean validation), 2 when a sequence ran out of budget before
 converging, 3 when a check found a genuine failure (law counterexample,
-bijection mismatch, certificate problem), 4 for unusable input.
+bijection mismatch, certificate problem), 4 for unusable input, including
+a command line argparse cannot parse. `--help` exits 0.
 """
 
 from __future__ import annotations
@@ -321,7 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 2 on a usage error, which here means an exhausted budget
+        if stop.code != 2:
+            raise
+        return EXIT_INPUT
     try:
         return args.func(args)
     except InputError as err:

@@ -7,10 +7,13 @@ morphism; maps carry their endpoint presheaves plus components. A generating
 set is a list of arrows, each either a map document or a catalog key.
 
 Certificates are self-contained: they embed the normalised inputs, their
-digests, and the full run, so `validate_certificate` can recheck every
-composition, quotient and triangle without recomputing any colimit. All
-serialization is deterministic (sorted keys, fixed list orders, no clocks),
-which is what makes byte-identical reruns possible.
+digests, and the full run. `validate_certificate` rebuilds each recorded
+one-step factorisation with `build_onestep` and the comparison with
+`build_comparison`, and requires the record to equal them; links, folds,
+pairs and filler triangles are rechecked against the recorded stages.
+Recorded values are compared by their canonical JSON, so `1`, `1.0` and
+`true` differ. All serialization is deterministic (sorted keys, fixed list
+orders, no clocks), which is what makes byte-identical reruns possible.
 """
 
 from __future__ import annotations
@@ -22,15 +25,23 @@ from typing import Any, Mapping
 
 from . import catalog
 from .arrows import ArrowObj, GeneratingSet
+from .colimits import quotient
 from .core import (
     EngineError,
     FinCategory,
     Morphism,
     Presheaf,
     PresheafMap,
+    compose_maps,
+    identity_map,
+    is_iso,
+    is_surjective,
+    maps_equal,
     presheaf,
     validate,
 )
+from .onestep import OneStepFactorization, build_onestep
+from .sequence import OrdinalBudget, SequenceState, Stage, _ordinal_label, build_comparison
 
 SCHEMA_SEQUENCE = "nwfs.sequence/1"
 SCHEMA_COMPARE = "nwfs.compare/1"
@@ -507,14 +518,25 @@ def _rebuild_map(doc, path, source, target, problems) -> PresheafMap | None:
     return f
 
 
-def _same_presheaf(X: Presheaf, Y: Presheaf) -> bool:
-    return X.carrier == Y.carrier and X.action == Y.action
+def _equal(recorded: Any, expected: Any) -> bool:
+    """JSON equality; unlike Python's `==` it tells `1` from `1.0` and `true`."""
+    return canonical_bytes(recorded) == canonical_bytes(expected)
 
 
 def _check(problems: list[str], cond: bool, path: str, message: str) -> bool:
     if not cond:
         problems.append(f"{path}: {message}")
     return cond
+
+
+def _matches(doc, f: PresheafMap, path: str, message: str, problems: list[str]) -> bool:
+    """Check that a components document lists exactly the components of `f`."""
+    try:
+        comps = parse_components(doc, path)
+    except InputError as err:
+        problems.append(str(err))
+        return False
+    return _check(problems, comps == f.components, path, message)
 
 
 def _load_inputs(doc, problems) -> tuple | None:
@@ -540,14 +562,50 @@ def _load_inputs(doc, problems) -> tuple | None:
     return cat, gens, arrow
 
 
-def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
-    """Recheck one serialized sequence run; return rebuilt pieces on success."""
-    from .arrows import as_arrow, generating_squares
-    from .colimits import Cocone, attach, quotient
-    from .core import compose_maps, identity_map, is_iso, is_surjective, maps_equal
-    from .onestep import OneStepFactorization
-    from .sequence import _ordinal_label
+def _rebuilt_step(tdoc, tp, gens, right, problems) -> OneStepFactorization | None:
+    """`build_onestep` on a stage's right half; the recorded step must equal it."""
+    step = build_onestep(gens, ArrowObj(right))
+    sq_docs = tdoc.get("squares")
+    if not isinstance(sq_docs, list) or len(sq_docs) != len(step.squares):
+        problems.append(
+            f"{tp}/squares: recorded {len(sq_docs) if isinstance(sq_docs, list) else '?'} squares, "
+            f"recomputation finds {len(step.squares)}"
+        )
+        return None
+    _check(problems, _equal(tdoc.get("mid"), presheaf_doc(step.mid)), f"{tp}/mid", "differs from the colimit of the squares' cells")
+    _matches(tdoc.get("left"), step.left, f"{tp}/left", "differs from the rebuilt step", problems)
+    _matches(tdoc.get("right"), step.right, f"{tp}/right", "differs from the rebuilt step", problems)
+    cells = cells_doc(step.cocone.legs[1:], step.mid.base.objects)
+    _check(problems, _equal(tdoc.get("cells"), cells), f"{tp}/cells", "does not list the squares' cell legs")
+    for n, (sqdoc, (gi, sq)) in enumerate(zip(sq_docs, step.squares)):
+        qp = f"{tp}/squares/{n}"
+        if not isinstance(sqdoc, dict):
+            problems.append(f"{qp}: expected an object, got {type(sqdoc).__name__}")
+            return None
+        recorded = sqdoc.get("gen")
+        _check(problems, _equal(recorded, gi), f"{qp}/gen", f"recorded generator {recorded!r}, recomputation gives {gi}")
+        _matches(sqdoc.get("top"), sq.top, f"{qp}/top", "differs from the canonical enumeration", problems)
+        _matches(sqdoc.get("bottom"), sq.bottom, f"{qp}/bottom", "differs from the canonical enumeration", problems)
+        _matches(sqdoc.get("cell_leg"), step.cell_leg(n), f"{qp}/cell_leg", "differs from the rebuilt step", problems)
+    return step
 
+
+def _is_middle(sdoc, link_doc, step: OneStepFactorization) -> bool:
+    """Whether a recorded stage is `step`'s middle, reached by its left half, over its right half."""
+    return (
+        _equal(sdoc.get("mid"), presheaf_doc(step.mid))
+        and _equal(link_doc, components_doc(step.left))
+        and _equal(sdoc.get("right"), components_doc(step.right))
+    )
+
+
+def _validate_run(body, path, cat, gens, arrow, problems) -> SequenceState | None:
+    """Recheck one serialized sequence run; return it as a run state if it holds.
+
+    The state holds the recorded stages (with recomputed ordinals), links and
+    folds, and each step as `build_onestep` rebuilds it. It holds no pairs:
+    their common source, the colimit of the step middles, is not recorded.
+    """
     if not isinstance(body, dict):
         problems.append(f"{path}: missing or not an object")
         return None
@@ -584,151 +642,67 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
         return None
 
     C, D = arrow.source, arrow.target
-    mids: list = []
-    lefts: list = []
-    rights: list = []
     before = len(problems)
-    for i, sdoc in enumerate(raw_stages):
-        sp = f"{path}/stages/{i}"
-        try:
-            mid = load_presheaf(sdoc.get("mid"), f"{sp}/mid", cat)
-        except InputError as err:
-            problems.append(str(err))
-            return None
-        left = _rebuild_map(sdoc.get("left"), f"{sp}/left", C, mid, problems)
-        right = _rebuild_map(sdoc.get("right"), f"{sp}/right", mid, D, problems)
-        if left is None or right is None:
-            return None
-        _check(
-            problems,
-            maps_equal(compose_maps(right, left), arrow),
-            sp,
-            "right half composed with left half differs from the input arrow",
-        )
-        mids.append(mid)
-        lefts.append(left)
-        rights.append(right)
-
-    kinds = [s.get("kind") for s in raw_stages]
-    _check(problems, kinds[0] == "zero", f"{path}/stages/0/kind", f"expected 'zero', got {kinds[0]!r}")
-    if kinds[0] == "zero":
-        _check(problems, maps_equal(lefts[0], identity_map(C)), f"{path}/stages/0", "left half is not the identity")
-        _check(problems, maps_equal(rights[0], arrow), f"{path}/stages/0", "right half is not the input arrow")
+    stages: list[Stage] = []
+    links: list[PresheafMap] = []
+    steps: list[OneStepFactorization | None] = []
     block = offset = longest = 0  # a stage's ω-block, its successors in it, the most in any block
-    for i, (sdoc, kind) in enumerate(zip(raw_stages, kinds)):
+    for i, sdoc in enumerate(raw_stages):
+        sp, kind = f"{path}/stages/{i}", sdoc.get("kind")
         if i:
             if mode == "plain":
                 ok = kind in ("onestep", "limit")
             else:
                 ok = kind == "onestep" if i == 1 else kind in ("successor", "limit")
-            _check(problems, ok, f"{path}/stages/{i}/kind", f"kind {kind!r} is not allowed here in {mode} mode")
+            _check(problems, ok, f"{sp}/kind", f"kind {kind!r} is not allowed here in {mode} mode")
             block, offset = (block + 1, 0) if kind == "limit" else (block, offset + 1)
             longest = max(longest, offset)
+        else:
+            _check(problems, kind == "zero", f"{sp}/kind", f"expected 'zero', got {kind!r}")
         index, ordinal, want = sdoc.get("index"), sdoc.get("ordinal"), _ordinal_label(block, offset)
-        _check(problems, _is_int(index) and index == i, f"{path}/stages/{i}/index", f"recorded {index!r}, expected {i}")
-        _check(problems, ordinal == want, f"{path}/stages/{i}/ordinal", f"recorded {ordinal!r}, expected {want!r}")
+        _check(problems, _is_int(index) and index == i, f"{sp}/index", f"recorded {index!r}, expected {i}")
+        _check(problems, ordinal == want, f"{sp}/ordinal", f"recorded {ordinal!r}, expected {want!r}")
 
-    links: list = []
-    for i, ldoc in enumerate(links_doc):
-        lp = f"{path}/links/{i}"
-        link = _rebuild_map(ldoc, lp, mids[i], mids[i + 1], problems)
-        if link is None:
-            return None
-        _check(problems, maps_equal(lefts[i + 1], compose_maps(link, lefts[i])), lp, "link does not extend the left half")
-        _check(problems, maps_equal(compose_maps(rights[i + 1], link), rights[i]), lp, "link does not cover the right half")
-        if kinds[i + 1] == "limit":
-            # a finite chain's colimit is its last stage
-            _check(problems, is_iso(link), lp, "link into a limit stage is not an isomorphism")
-        links.append(link)
-
-    steps: list = []
-    for i, tdoc in enumerate(steps_doc):
-        if tdoc is None:
+        if i == 0:
+            # stage 0 is the arrow's domain, the identity and the arrow itself
+            _check(problems, _equal(sdoc.get("mid"), presheaf_doc(C)), f"{sp}/mid", "differs from the input arrow's domain")
+            _matches(sdoc.get("left"), identity_map(C), f"{sp}/left", "left half is not the identity", problems)
+            _matches(sdoc.get("right"), arrow, f"{sp}/right", "right half is not the input arrow", problems)
+            stages.append(Stage(0, want, kind, C, identity_map(C), arrow))
+        else:
+            below, lp = steps[i - 1], f"{path}/links/{i - 1}"
+            # a plain stage after a step is that step's middle; sharing the one
+            # object keeps the comparison's maps off deep presheaf equality
+            if mode == "plain" and below is not None and _check(
+                problems, _is_middle(sdoc, links_doc[i - 1], below), sp, "plain stage is not the middle of the step below it"
+            ):
+                mid, link, right = below.mid, below.left, below.right
+            else:
+                try:
+                    mid = load_presheaf(sdoc.get("mid"), f"{sp}/mid", cat)
+                except InputError as err:
+                    problems.append(str(err))
+                    return None
+                link = _rebuild_map(links_doc[i - 1], lp, stages[-1].mid, mid, problems)
+                right = _rebuild_map(sdoc.get("right"), f"{sp}/right", mid, D, problems)
+            left = _rebuild_map(sdoc.get("left"), f"{sp}/left", C, mid, problems)
+            if link is None or left is None or right is None:
+                return None
+            _check(problems, maps_equal(left, compose_maps(link, stages[-1].left)), lp, "link does not extend the left half")
+            _check(problems, maps_equal(compose_maps(right, link), stages[-1].right), lp, "link does not cover the right half")
+            if kind == "limit":
+                # a finite chain's colimit is its last stage
+                _check(problems, is_iso(link), lp, "link into a limit stage is not an isomorphism")
+            links.append(link)
+            stages.append(Stage(i, want, kind, mid, left, right))
+        if steps_doc[i] is None:
             steps.append(None)
             continue
-        tp = f"{path}/steps/{i}"
-        try:
-            smid = load_presheaf(tdoc.get("mid"), f"{tp}/mid", cat)
-        except InputError as err:
-            problems.append(str(err))
+        steps.append(_rebuilt_step(steps_doc[i], f"{path}/steps/{i}", gens, stages[i].right, problems))
+        if steps[i] is None:
             return None
-        sleft = _rebuild_map(tdoc.get("left"), f"{tp}/left", mids[i], smid, problems)
-        sright = _rebuild_map(tdoc.get("right"), f"{tp}/right", smid, D, problems)
-        if sleft is None or sright is None:
-            return None
-        _check(problems, maps_equal(compose_maps(sright, sleft), rights[i]), tp, "step does not factor the stage's right half")
 
-        expected = generating_squares(gens, as_arrow(rights[i]))
-        sq_docs = tdoc.get("squares")
-        if not isinstance(sq_docs, list) or len(sq_docs) != len(expected):
-            problems.append(
-                f"{tp}/squares: recorded {len(sq_docs) if isinstance(sq_docs, list) else '?'} squares, "
-                f"recomputation finds {len(expected)}"
-            )
-            return None
-        cell_legs = []
-        covered = {a: set(sleft.components[a].values()) for a in cat.objects}
-        for sn, sqdoc in enumerate(sq_docs):
-            qp = f"{tp}/squares/{sn}"
-            if not isinstance(sqdoc, dict):
-                problems.append(f"{qp}: expected an object, got {type(sqdoc).__name__}")
-                return None
-            gi = sqdoc.get("gen")
-            want_gi, want_sq = expected[sn]
-            if not _check(problems, _is_int(gi) and gi == want_gi, f"{qp}/gen", f"recorded generator {gi!r}, recomputation gives {want_gi}"):
-                return None
-            j = gens.members[gi]
-            top = _rebuild_map(sqdoc.get("top"), f"{qp}/top", j.f.source, mids[i], problems)
-            bottom = _rebuild_map(sqdoc.get("bottom"), f"{qp}/bottom", j.f.target, D, problems)
-            leg = _rebuild_map(sqdoc.get("cell_leg"), f"{qp}/cell_leg", j.f.target, smid, problems)
-            if top is None or bottom is None or leg is None:
-                return None
-            _check(problems, maps_equal(top, want_sq.top) and maps_equal(bottom, want_sq.bottom), qp, "square differs from the canonical enumeration")
-            _check(problems, maps_equal(compose_maps(rights[i], top), compose_maps(bottom, j.f)), qp, "square does not commute")
-            _check(problems, maps_equal(compose_maps(sright, leg), bottom), qp, "cell does not project to the square's bottom")
-            _check(
-                problems,
-                maps_equal(compose_maps(leg, j.f), compose_maps(sleft, top)),
-                qp,
-                "cell does not agree with the attached top on the generator's domain",
-            )
-            for a in cat.objects:
-                covered[a].update(leg.components[a].values())
-            cell_legs.append(leg)
-        for a in cat.objects:
-            _check(
-                problems,
-                covered[a] == set(smid.carrier[a]),
-                tp,
-                f"step middle is not covered by the left half and the cells at object {a!r}",
-            )
-        _check(problems, tdoc.get("cells") == cells_doc(cell_legs, cat.objects), f"{tp}/cells", "does not list the squares' cell legs")
-        glued = attach(mids[i], [(sq.top, gens.members[gi].f) for gi, sq in expected])
-        _check(problems, _same_presheaf(glued.apex, smid), f"{tp}/mid", "differs from the colimit of the squares' cells")
-        _check(
-            problems,
-            all(a.components == b.components for a, b in zip(glued.legs, (sleft, *cell_legs))),
-            tp,
-            "left half or cell legs differ from the legs of the colimit of the squares' cells",
-        )
-        if mode == "plain" and i + 1 < n:
-            _check(
-                problems,
-                _same_presheaf(mids[i + 1], smid) and maps_equal(links[i], sleft) and maps_equal(rights[i + 1], sright),
-                f"{path}/stages/{i + 1}",
-                "plain stage is not the middle of the step below it",
-            )
-        steps.append(
-            OneStepFactorization(
-                arrow=ArrowObj(rights[i]),
-                gens=gens,
-                squares=tuple(expected),
-                cocone=Cocone(smid, (sleft, *cell_legs)),
-                right=sright,
-            )
-        )
-
-    folds: list = []
+    folds: list[PresheafMap | None] = []
     for i, fdoc in enumerate(folds_doc):
         if fdoc is None:
             folds.append(None)
@@ -740,12 +714,12 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
         if i + 1 >= n:
             problems.append(f"{fp}: fold recorded for the final stage")
             return None
-        fold = _rebuild_map(fdoc, fp, steps[i].mid, mids[i + 1], problems)
+        fold = _rebuild_map(fdoc, fp, steps[i].mid, stages[i + 1].mid, problems)
         if fold is None:
             return None
         _check(problems, is_surjective(fold), fp, "fold is not surjective")
         _check(problems, maps_equal(links[i], compose_maps(fold, steps[i].left)), fp, "fold does not reproduce the link")
-        _check(problems, maps_equal(compose_maps(rights[i + 1], fold), steps[i].right), fp, "fold does not cover the step's right half")
+        _check(problems, maps_equal(compose_maps(stages[i + 1].right, fold), steps[i].right), fp, "fold does not cover the step's right half")
         folds.append(fold)
 
     for i, pdoc in enumerate(pairs_doc):
@@ -788,6 +762,7 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
             hit = len(set(fold.components[a].values()))
             _check(problems, hit == classes[a], pp, f"fold is not the coequalizer of the recorded pair at object {a!r}")
 
+    kinds = [s.kind for s in stages]
     if mode == "plain":
         for i in range(n - 1):
             if kinds[i + 1] == "onestep":
@@ -806,7 +781,6 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
     first = next((i for i, link in enumerate(links) if kinds[i + 1] != "limit" and is_iso(link)), None)
     if gamma is not None and not (_is_int(gamma) and 0 <= gamma < n - 1):
         problems.append(f"{path}/converged_at: index {gamma!r} out of range")
-        gamma = None
     else:
         _check(problems, gamma == first, f"{path}/converged_at", f"recorded {gamma!r}, recomputed {first!r}")
         _check(problems, exhausted is (gamma is None), f"{path}/exhausted", f"recorded {exhausted!r}, expected {gamma is None}")
@@ -816,38 +790,39 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> dict | None:
     per_block, blocks = budget.get("successors_per_block"), budget.get("omega_blocks")
     if not (_is_int(per_block) and _is_int(blocks) and per_block >= 1 and blocks >= 1):
         problems.append(f"{path}/budget: expected positive integers successors_per_block and omega_blocks")
-    else:
-        fits = longest <= per_block and block < blocks and (exhausted is not True or n == blocks * (per_block + 1))
-        _check(problems, fits, f"{path}/budget", "the stages do not match the budget")
+        return None
+    fits = longest <= per_block and block < blocks and (exhausted is not True or n == blocks * (per_block + 1))
+    _check(problems, fits, f"{path}/budget", "the stages do not match the budget")
 
+    state = SequenceState(
+        mode=mode,
+        gens=gens,
+        arrow=ArrowObj(arrow),
+        budget=OrdinalBudget(per_block, blocks),
+        stages=tuple(stages),
+        links=tuple(links),
+        steps=tuple(steps),
+        folds=tuple(folds),
+        pairs=(None,) * n,
+        converged_at=gamma,
+        exhausted=gamma is None,
+    )
     cards = body.get("cardinalities")
     if isinstance(cards, list) and len(cards) == n:
-        for i, card in enumerate(cards):
-            _check(problems, card == mids[i].sizes, f"{path}/cardinalities/{i}", "recorded sizes differ from the stage middle")
+        for i, (card, sizes) in enumerate(zip(cards, state.cardinalities)):
+            _check(problems, _equal(card, sizes), f"{path}/cardinalities/{i}", "recorded sizes differ from the stage middle")
     else:
         problems.append(f"{path}/cardinalities: missing or wrong length")
 
     if len(problems) > before + 24:
         del problems[before + 24 :]
         problems.append(f"{path}: further problems suppressed")
-    built = [st for st in steps if st is not None]
-    work = {"stages": n, "steps_built": len(built), "squares": sum(len(st.squares) for st in built), "elements": sum(m.total_size for m in mids)}
-    return {
-        "kinds": kinds,
-        "mids": mids,
-        "lefts": lefts,
-        "rights": rights,
-        "links": links,
-        "steps": steps,
-        "folds": folds,
-        "converged_at": gamma,
-        "work": work,
-    }
+    return state if len(problems) == before else None
 
 
 def _check_work(problems, doc, want) -> None:
     timing = doc.get("timing")
-    _check(problems, isinstance(timing, dict) and timing.get("work") == want, "/timing/work", "recorded counters differ from the run")
+    _check(problems, isinstance(timing, dict) and _equal(timing.get("work"), want), "/timing/work", "recorded counters differ from the run")
 
 
 def _validate_sequence_cert(doc, problems) -> None:
@@ -858,29 +833,28 @@ def _validate_sequence_cert(doc, problems) -> None:
     run = _validate_run(doc.get("run"), "/run", cat, gens, arrow, problems)
     if run is None:
         return
-    _check_work(problems, doc, run["work"])
-    from .core import compose_maps, identity_map, maps_equal
-
-    gamma = run["converged_at"]
+    _check_work(problems, doc, run.work)
+    gamma = run.converged_at
+    step = None if gamma is None else run.steps[gamma]
     alg = doc.get("algebra")
     if alg is not None and not isinstance(alg, dict):
         problems.append(f"/algebra: expected an object, got {type(alg).__name__}")
     elif alg is not None:
-        if gamma is None or run["steps"][gamma] is None:
+        if step is None:
             problems.append("/algebra: recorded without a converged stage step")
         else:
-            step = run["steps"][gamma]
-            p = _rebuild_map(alg.get("structure"), "/algebra/structure", step.mid, run["mids"][gamma], problems)
+            stage = run.stages[gamma]
+            p = _rebuild_map(alg.get("structure"), "/algebra/structure", step.mid, stage.mid, problems)
             if p is not None:
                 _check(
                     problems,
-                    maps_equal(compose_maps(p, step.left), identity_map(run["mids"][gamma])),
+                    maps_equal(compose_maps(p, step.left), identity_map(stage.mid)),
                     "/algebra/structure",
                     "structure map does not retract the step's left half",
                 )
                 _check(
                     problems,
-                    maps_equal(compose_maps(run["rights"][gamma], p), step.right),
+                    maps_equal(compose_maps(stage.right, p), step.right),
                     "/algebra/structure",
                     "structure map does not live over the factored arrow",
                 )
@@ -888,69 +862,26 @@ def _validate_sequence_cert(doc, problems) -> None:
     if table is not None and not isinstance(table, dict):
         problems.append(f"/lifting_table: expected an object, got {type(table).__name__}")
     elif table is not None:
-        if gamma is None or run["steps"][gamma] is None:
+        if step is None:
             problems.append("/lifting_table: recorded without a converged stage step")
             return
-        squares = run["steps"][gamma].squares
         fillers = table.get("fillers")
-        if not isinstance(fillers, list) or len(fillers) != len(squares):
+        if not isinstance(fillers, list) or len(fillers) != len(step.squares):
             problems.append(
-                f"/lifting_table/fillers: expected {len(squares)} fillers, got "
+                f"/lifting_table/fillers: expected {len(step.squares)} fillers, got "
                 f"{len(fillers) if isinstance(fillers, list) else '?'}"
             )
             return
+        stage = run.stages[gamma]
         for sn, fdoc in enumerate(fillers):
             fp = f"/lifting_table/fillers/{sn}"
-            gi, sq = squares[sn]
+            gi, sq = step.squares[sn]
             j = gens.members[gi]
-            filler = _rebuild_map(fdoc, fp, j.f.target, run["mids"][gamma], problems)
+            filler = _rebuild_map(fdoc, fp, j.f.target, stage.mid, problems)
             if filler is None:
                 continue
             _check(problems, maps_equal(compose_maps(filler, j.f), sq.top), fp, "upper filler triangle fails")
-            _check(problems, maps_equal(compose_maps(run["rights"][gamma], filler), sq.bottom), fp, "lower filler triangle fails")
-
-
-def _rebuild_comparison(gens, arrow, free, plain, problems) -> list | None:
-    """The comparison maps as `sequence.build_comparison` builds them, from two validated runs."""
-    from .arrows import ArrowObj, Square
-    from .colimits import Cocone, induce
-    from .core import compose_maps, identity_map
-    from .onestep import onestep_on_square
-    from .sequence import chain_composites
-
-    mids = plain["mids"]
-    maps = [PresheafMap(mids[0], free["mids"][0], identity_map(mids[0]).components)]
-    for n in range(1, len(mids)):
-        mp = f"/comparison/maps/{n}"
-        limit = plain["kinds"][n] == "limit"
-        if limit != (free["kinds"][n] == "limit"):
-            problems.append(f"{mp}: stage {n} is a limit stage in only one of the runs")
-            return None
-        if limit:
-            into_free = chain_composites(free["links"][:n], free["mids"][n])
-            chain = Cocone(mids[n], tuple(chain_composites(plain["links"][:n], mids[n])[:n]))
-            maps.append(induce(chain, [compose_maps(into_free[i], maps[i]) for i in range(n)], free["mids"][n]))
-            continue
-        source_step, target_step = plain["steps"][n - 1], free["steps"][n - 1]
-        if source_step is None or target_step is None:
-            problems.append(f"{mp}: no recorded step to carry the comparison into stage {n}")
-            return None
-        square = Square(
-            source=ArrowObj(plain["rights"][n - 1]),
-            target=ArrowObj(free["rights"][n - 1]),
-            top=maps[n - 1],
-            bottom=identity_map(arrow.target),
-        )
-        carried = onestep_on_square(gens, square, source_step=source_step, target_step=target_step)
-        fold = free["folds"][n - 1]
-        q = carried if fold is None else compose_maps(fold, carried)
-        # the step's middle was loaded apart from the stage; the map must
-        # leave the stage itself, or every later check compares the two deeply
-        if q.source.carrier != mids[n].carrier:
-            problems.append(f"{mp}: plain stage {n} is not the middle of the step below it")
-            return None
-        maps.append(PresheafMap(mids[n], q.target, q.components))
-    return maps
+            _check(problems, maps_equal(compose_maps(stage.right, filler), sq.bottom), fp, "lower filler triangle fails")
 
 
 def _validate_compare_cert(doc, problems) -> None:
@@ -962,40 +893,32 @@ def _validate_compare_cert(doc, problems) -> None:
     plain = _validate_run(doc.get("plain"), "/plain", cat, gens, arrow, problems)
     if free is None or plain is None:
         return
-    _check_work(problems, doc, {"free": free["work"], "plain": plain["work"]})
-    if isinstance(doc.get("free"), dict):
-        _check(problems, doc["free"].get("mode") == "free", "/free/mode", "expected the free sequence")
-    if isinstance(doc.get("plain"), dict):
-        _check(problems, doc["plain"].get("mode") == "plain", "/plain/mode", "expected the plain sequence")
+    _check_work(problems, doc, {"free": free.work, "plain": plain.work})
+    modes = [
+        _check(problems, free.mode == "free", "/free/mode", "expected the free sequence"),
+        _check(problems, plain.mode == "plain", "/plain/mode", "expected the plain sequence"),
+    ]
+    if not all(modes):
+        return
     comp = doc.get("comparison")
     if not isinstance(comp, dict):
         problems.append("/comparison: missing or not an object")
         return
     maps_doc = comp.get("maps")
-    n = min(len(plain["mids"]), len(free["mids"]))
-    if not isinstance(maps_doc, list) or len(maps_doc) != n or len(plain["mids"]) != len(free["mids"]):
+    n = min(len(plain.stages), len(free.stages))
+    if not isinstance(maps_doc, list) or len(maps_doc) != n or len(plain.stages) != len(free.stages):
         problems.append(f"/comparison/maps: expected one map per stage ({n} stages)")
         return
-    from .core import compose_maps, is_surjective, maps_equal
-
-    rebuilt = _rebuild_comparison(gens, arrow, free, plain, problems)
-    left_flags, right_flags, surj_flags = [], [], []
+    report = build_comparison(free, plain)
     for i, mdoc in enumerate(maps_doc):
         mp = f"/comparison/maps/{i}"
-        q = _rebuild_map(mdoc, mp, plain["mids"][i], free["mids"][i], problems)
-        if q is None:
-            return
-        if rebuilt is not None:
-            _check(problems, maps_equal(q, rebuilt[i]), mp, "differs from the comparison rebuilt from the runs")
-        left_flags.append(maps_equal(compose_maps(q, plain["lefts"][i]), free["lefts"][i]))
-        right_flags.append(maps_equal(compose_maps(free["rights"][i], q), plain["rights"][i]))
-        surj_flags.append(is_surjective(q))
-        _check(problems, left_flags[-1], mp, "does not commute with the left halves")
-        _check(problems, right_flags[-1], mp, "does not commute with the right halves")
-        _check(problems, surj_flags[-1], mp, "is not componentwise surjective")
-    for key, got in (("left_commutes", left_flags), ("right_commutes", right_flags), ("surjective", surj_flags)):
-        _check(problems, comp.get(key) == got, f"/comparison/{key}", "recorded flags differ from recomputation")
-    _check(problems, comp.get("ok") == all(left_flags + right_flags + surj_flags), "/comparison/ok", "summary flag is wrong")
+        _matches(mdoc, report.maps[i], mp, "differs from the comparison rebuilt from the runs", problems)
+        _check(problems, report.left_commutes[i], mp, "does not commute with the left halves")
+        _check(problems, report.right_commutes[i], mp, "does not commute with the right halves")
+        _check(problems, report.surjective[i], mp, "is not componentwise surjective")
+    for key in ("left_commutes", "right_commutes", "surjective"):
+        _check(problems, _equal(comp.get(key), getattr(report, key)), f"/comparison/{key}", "recorded flags differ from recomputation")
+    _check(problems, _equal(comp.get("ok"), report.ok), "/comparison/ok", "summary flag is wrong")
 
 
 def rule_from_token(token: str):
@@ -1073,8 +996,8 @@ def _validate_laws_cert(doc, problems) -> None:
         return
     for i, (rec, new) in enumerate(zip(recorded, recomputed)):
         slim = {k: rec.get(k) for k in fields} if isinstance(rec, dict) else None
-        _check(problems, slim == new, f"/checks/{i}", f"recorded verdict differs from recomputation ({slim} vs {new})")
-    _check(problems, doc.get("ok") == report.ok, "/ok", "summary flag differs from recomputation")
+        _check(problems, _equal(slim, new), f"/checks/{i}", f"recorded verdict differs from recomputation ({slim} vs {new})")
+    _check(problems, _equal(doc.get("ok"), report.ok), "/ok", "summary flag differs from recomputation")
     _check_work(problems, doc, {"checks": len(report.checks)})
 
 
@@ -1089,23 +1012,23 @@ def _validate_enumeration_cert(doc, problems) -> None:
     for key in ("algebra_count", "table_count", "product_count"):
         _check(
             problems,
-            doc.get(key) == getattr(report, key),
+            _equal(doc.get(key), getattr(report, key)),
             f"/{key}",
             f"recorded {doc.get(key)}, recomputed {getattr(report, key)}",
         )
     recorded = doc.get("problems", [])
     if isinstance(recorded, list):
-        _check(problems, recorded == list(report.problems), "/problems", "recorded problems differ")
+        _check(problems, _equal(recorded, report.problems), "/problems", "recorded problems differ")
     else:
         problems.append(f"/problems: expected a list, got {type(recorded).__name__}")
-    _check(problems, doc.get("ok") == report.ok, "/ok", "summary flag differs from recomputation")
+    _check(problems, _equal(doc.get("ok"), report.ok), "/ok", "summary flag differs from recomputation")
     _check_work(problems, doc, {"algebras": report.algebra_count})
     if doc.get("algebras") is not None:
         listed = [components_doc(a.structure) for a in report.algebras]
-        _check(problems, doc["algebras"] == listed, "/algebras", "recorded listing differs from recomputation")
+        _check(problems, _equal(doc["algebras"], listed), "/algebras", "recorded listing differs from recomputation")
     if doc.get("tables") is not None:
         listed = [[components_doc(f) for f in t.fillers] for t in report.tables]
-        _check(problems, doc["tables"] == listed, "/tables", "recorded listing differs from recomputation")
+        _check(problems, _equal(doc["tables"], listed), "/tables", "recorded listing differs from recomputation")
 
 
 def _validate_filler_cert(doc, problems) -> None:
@@ -1116,8 +1039,6 @@ def _validate_filler_cert(doc, problems) -> None:
     except InputError as err:
         problems.append(str(err))
         return
-    from .core import compose_maps, maps_equal
-
     top = _rebuild_map(doc.get("top"), "/top", gen.source, target.source, problems)
     bottom = _rebuild_map(doc.get("bottom"), "/bottom", gen.target, target.target, problems)
     filler = _rebuild_map(doc.get("filler"), "/filler", gen.target, target.source, problems)

@@ -4,7 +4,11 @@ import sys
 
 import pytest
 
+from conftest import set_map
+from nwfs.catalog import get_gens
 from nwfs.cli import main
+from nwfs.jsonio import compare_certificate, sequence_body
+from nwfs.sequence import OrdinalBudget, build_comparison, run_free, run_plain
 
 MAP_DOC = {
     "source": {"sets": {"0": [0, 1]}, "actions": {"id0": {"0": 0, "1": 1}}},
@@ -273,6 +277,14 @@ def test_validate_rejects_booleans_in_the_laws_sample(tmp_path, capsys, sample):
         ([("run/budget/omega_blocks", 0)], "/run/budget: expected positive integers"),
         ([("timing/work/elements", 13)], "/timing/work: recorded counters differ from the run"),
         ([("run/pairs/1", None)], "/run/pairs/1: free mode successor stage is missing its pair"),
+        # JSON tells 5.0 and true from 5, so the validator must too
+        ([("run/cardinalities/1/0", 5.0)], "/run/cardinalities/1: recorded sizes differ from the stage middle"),
+        ([("timing/work/stages", 3.0)], "/timing/work: recorded counters differ from the run"),
+        ([("run/steps/0/cells/0/0", 2.0)], "/run/steps/0/cells: does not list the squares' cell legs"),
+        # each piece of a step is compared with the rebuilt step at its own path
+        ([("run/steps/0/right/0/0", 2)], "/run/steps/0/right: differs from the rebuilt step"),
+        ([("run/steps/0/squares/0/top/0/0", 0)], "/run/steps/0/squares/0/top: differs from the canonical enumeration"),
+        ([("run/steps/0/squares/0/cell_leg/0/0", 3)], "/run/steps/0/squares/0/cell_leg: differs from the rebuilt step"),
     ],
 )
 def test_validate_reports_a_tampered_claim(tmp_path, map_file, capsys, edits, problem):
@@ -329,6 +341,69 @@ def test_validate_compares_law_detail_text(tmp_path, capsys, tamper):
     assert f"/checks/{i}: recorded verdict differs from recomputation" in capsys.readouterr().out
 
 
+def _edit(doc, path, value):
+    *parents, last = path.split("/")
+    holder = doc
+    for key in parents:
+        holder = holder[int(key)] if isinstance(holder, list) else holder[key]
+    holder[int(last) if isinstance(holder, list) else last] = value
+
+
+@pytest.mark.parametrize(
+    "command, path, value, problem",
+    [
+        (["compare", "--budget-successors", "2"], "comparison/ok", 1, "/comparison/ok: summary flag is wrong"),
+        (["compare", "--budget-successors", "2"], "comparison/surjective/0", 1, "/comparison/surjective: recorded flags differ"),
+        (["compare", "--budget-successors", "2"], "timing/work/free/stages", 3.0, "/timing/work: recorded counters differ"),
+        (["laws", "--max-total", "2"], "checks/0/ok", 1, "/checks/0: recorded verdict differs from recomputation"),
+        (["laws", "--max-total", "2"], "ok", 1, "/ok: summary flag differs from recomputation"),
+        (["enumerate"], "algebra_count", 0.0, "/algebra_count: recorded 0.0, recomputed 0"),
+        (["enumerate"], "ok", 1, "/ok: summary flag differs from recomputation"),
+    ],
+)
+def test_validate_tells_numbers_and_booleans_apart(tmp_path, map_file, capsys, command, path, value, problem):
+    out = tmp_path / "cert.json"
+    if command[0] != "laws":
+        command = command + ["--category", "terminal", "--gens", "point", "--map", str(map_file)]
+    assert main(command + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 0
+    _edit(doc, path, value)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert problem in capsys.readouterr().out
+
+
+def test_validate_rejects_runs_whose_limit_stages_differ(tmp_path, capsys):
+    # both runs validate on their own, but the plain one passes to a limit
+    # at stage 2, where the free one takes a successor
+    gens, g = get_gens("point"), set_map(2, 3, [1, 1])
+    free = run_free(gens, g, budget=OrdinalBudget(3, 1), stop_at_convergence=False)
+    aligned = run_plain(gens, g, budget=OrdinalBudget(3, 1), stop_at_convergence=False)
+    plain = run_plain(gens, g, budget=OrdinalBudget(1, 2), stop_at_convergence=False)
+    assert [s.kind for s in plain.stages] == ["zero", "onestep", "limit", "onestep"]
+    doc = compare_certificate(free, aligned, build_comparison(free, aligned))
+    doc["plain"] = sequence_body(plain)
+    doc["timing"]["work"]["plain"] = plain.work
+    out = tmp_path / "cmp.json"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert "/: recomputation failed: stage 2 kinds differ between the runs" in capsys.readouterr().out
+
+
+def test_usage_errors_exit_four(tmp_path, map_file):
+    out = tmp_path / "cert.json"
+    assert main(["factorize", "--category", "terminal", "--gens", "point", "--map", str(map_file), "--out", str(out)]) == 0
+    assert cli("validate", str(out), "--format", "json").returncode == 4
+    res = cli("factorize", "--category", "terminal", "--gens", "point", "--map", str(map_file), "--bogus")
+    assert res.returncode == 4
+    assert "unrecognized arguments: --bogus" in res.stderr
+    assert cli("validate", "--help").returncode == 0
+
+
 def test_validate_rebuilds_the_comparison_maps(tmp_path, map_file, capsys):
     # the tampered map still commutes with both halves and is surjective,
     # but it is not the map the comparison construction gives
@@ -348,7 +423,7 @@ def test_validate_rebuilds_the_comparison_maps(tmp_path, map_file, capsys):
 
 def test_validate_requires_a_plain_stage_to_be_its_steps_middle(tmp_path, map_file, capsys):
     # renaming one element of the first plain step leaves the step
-    # consistent on its own, but it no longer builds plain stage 1
+    # consistent on its own, but it is not the step the validator rebuilds
     out = tmp_path / "cmp.json"
     assert main([
         "compare", "--category", "terminal", "--gens", "point",
@@ -364,7 +439,7 @@ def test_validate_requires_a_plain_stage_to_be_its_steps_middle(tmp_path, map_fi
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["validate", str(out)]) == 3
-    assert "/comparison/maps/1: plain stage 1 is not the middle of the step below it" in capsys.readouterr().out
+    assert "/plain/steps/0/mid: differs from the colimit of the squares' cells" in capsys.readouterr().out
 
 
 def _glue_the_cell_over_one_to_zero(holder):

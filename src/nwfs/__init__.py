@@ -53,6 +53,7 @@ from .core import (
     Presheaf,
     PresheafMap,
     compose_maps,
+    composite_equals,
     enumerate_maps,
     identity_map,
     inverse_map,

@@ -32,6 +32,7 @@ from .core import (
     InternalCheckFailed,
     PresheafMap,
     compose_maps,
+    composite_equals,
     enumerate_maps,
     identity_map,
     inverse_map,
@@ -58,9 +59,9 @@ class AlgebraStructure:
 def validate_algebra(alg: AlgebraStructure) -> list[str]:
     out = []
     p, step = alg.structure, alg.step
-    if compose_maps(p, step.left).components != identity_map(alg.target.dom).components:
+    if not composite_equals(p, step.left, identity_of=alg.target.dom):
         out.append("structure map does not retract the left half")
-    if compose_maps(alg.target.f, p).components != step.right.components:
+    if not composite_equals(alg.target.f, p, step.right):
         out.append("structure map does not cover the right half")
     return out
 
@@ -94,9 +95,9 @@ def validate_table(table: LiftingTable) -> list[str]:
     out = []
     for n, ((i, sq), filler) in enumerate(zip(table.squares, table.fillers)):
         j = table.gens.members[i]
-        if compose_maps(filler, j.f).components != sq.top.components:
+        if not composite_equals(filler, j.f, sq.top):
             out.append(f"filler {n} breaks the top triangle")
-        if compose_maps(table.target.f, filler).components != sq.bottom.components:
+        if not composite_equals(table.target.f, filler, sq.bottom):
             out.append(f"filler {n} breaks the bottom triangle")
     return out
 

@@ -10,6 +10,7 @@ from .core import (
     PresheafMap,
     _same,
     compose_maps,
+    composite_equals,
     enumerate_maps,
     identity_map,
 )
@@ -53,9 +54,7 @@ class Square:
 
 
 def square_commutes(sq: Square) -> bool:
-    lhs = compose_maps(sq.target.f, sq.top)
-    rhs = compose_maps(sq.bottom, sq.source.f)
-    return lhs.components == rhs.components
+    return composite_equals(sq.target.f, sq.top, compose_maps(sq.bottom, sq.source.f))
 
 
 def validate_square(sq: Square) -> list[str]:
@@ -99,15 +98,29 @@ def enumerate_squares(j: ArrowObj, g: ArrowObj) -> list[Square]:
     """All commuting squares from j to g.
 
     Ordering is fixed: top maps in enumerate_maps order form the outer loop,
-    bottom maps the inner one, and non-commuting pairs are skipped.
+    bottom maps the inner one. A top and a bottom make a square exactly when
+    the bottom restricted along j equals g after the top, so the pairs are
+    found by a join on that restriction: each bottom goes into a bucket
+    keyed by its values on the images of j's domain elements, in one pass,
+    and each top reads off the bucket of its values under g. No composite
+    is built and no pair outside the output is tried.
     """
+    objects = j.dom.base.objects
+    images = [(a, [j.f.components[a][x] for x in j.dom.carrier[a]]) for a in objects]
+    buckets: dict[tuple, list[PresheafMap]] = {}
+    for bottom in enumerate_maps(j.cod, g.cod):
+        key: list[int] = []
+        for a, ys in images:
+            key.extend(map(bottom.components[a].__getitem__, ys))
+        buckets.setdefault(tuple(key), []).append(bottom)
+    reach = [(a, j.dom.carrier[a], g.f.components[a]) for a in objects]
     out = []
-    bottoms = enumerate_maps(j.cod, g.cod)
     for top in enumerate_maps(j.dom, g.dom):
-        reach = compose_maps(g.f, top)
-        for bottom in bottoms:
-            if compose_maps(bottom, j.f).components == reach.components:
-                out.append(Square(source=j, target=g, top=top, bottom=bottom))
+        key = []
+        for a, xs, ga in reach:
+            key.extend(map(ga.__getitem__, map(top.components[a].__getitem__, xs)))
+        for bottom in buckets.get(tuple(key), ()):
+            out.append(Square(source=j, target=g, top=top, bottom=bottom))
     return out
 
 

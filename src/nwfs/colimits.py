@@ -301,6 +301,12 @@ def induce(cocone: Cocone, targets: Sequence[PresheafMap], cod: Presheaf) -> Pre
     Targets must agree wherever legs identify elements and must land in
     `cod`; both are checked. The legs of every cocone built in this module
     are jointly surjective, which is what makes the induced map total.
+
+    The map is filled in one row per object, keyed by the apex carrier and
+    empty at first. Each leg writes its targets' values into the rows, and
+    a value that meets a different one already written is a disagreement;
+    a row with a hole afterwards is an element no leg reaches. Legs land
+    in the apex, so every element they reach has its slot.
     """
     if len(targets) != len(cocone.legs):
         raise IncompatibleInput(
@@ -313,23 +319,25 @@ def induce(cocone: Cocone, targets: Sequence[PresheafMap], cod: Presheaf) -> Pre
             raise IncompatibleInput(f"induce: target map {i} does not start at leg {i}'s source")
 
     apex = cocone.apex
-    comps: dict[str, dict[int, int]] = {a: {} for a in apex.base.objects}
+    objects = apex.base.objects
+    comps = {a: dict.fromkeys(apex.carrier[a]) for a in objects}
     for leg, t in zip(cocone.legs, targets):
-        for a in apex.base.objects:
-            lc, tc = leg.components[a], t.components[a]
-            for x in leg.source.carrier[a]:
-                y, z = lc[x], tc[x]
-                seen = comps[a].get(y)
+        lcs, tcs, carrier = leg.components, t.components, leg.source.carrier
+        for a in objects:
+            row, lc, tc = comps[a], lcs[a], tcs[a]
+            for x in carrier[a]:
+                y = lc[x]
+                seen = row[y]
                 if seen is None:
-                    comps[a][y] = z
-                elif seen != z:
+                    row[y] = tc[x]
+                elif seen != tc[x]:
                     raise IncompatibleInput(
                         f"induce: targets disagree at object {a!r}, apex element {y} "
-                        f"receives both {seen} and {z}"
+                        f"receives both {seen} and {tc[x]}"
                     )
-    for a in apex.base.objects:
-        missing = [y for y in apex.carrier[a] if y not in comps[a]]
-        if missing:
+    for a, row in comps.items():
+        if None in row.values():
+            missing = [y for y, z in row.items() if z is None]
             raise InternalCheckFailed(
                 f"induce: apex elements {missing} at object {a!r} not reached by any leg"
             )

@@ -328,11 +328,56 @@ def compose_maps(g: PresheafMap, f: PresheafMap) -> PresheafMap:
     """The composite g after f."""
     if not _same(f.target, g.source):
         raise IncompatibleInput("compose_maps: target of the first map is not the source of the second")
-    comps = {
-        a: {x: g.components[a][f.components[a][x]] for x in f.source.carrier[a]}
-        for a in f.source.base.objects
-    }
+    gc, fc, carrier = g.components, f.components, f.source.carrier
+    comps = {}
+    for a in f.source.base.objects:
+        ga, fa = gc[a], fc[a]
+        comps[a] = {x: ga[fa[x]] for x in carrier[a]}
     return PresheafMap(f.source, g.target, comps)
+
+
+def composite_equals(
+    g: PresheafMap, f: PresheafMap, h: PresheafMap | None = None, *, identity_of: Presheaf | None = None
+) -> bool:
+    """Whether g after f has the components of h, without building g after f.
+
+    With `h` None the comparison is with `identity_map(identity_of)`, or
+    with the identity of f's source when `identity_of` is None too; the
+    identity of a presheaf other than f's source matches only when the
+    carriers agree. Each element of f's source is checked in place, and
+    the first mismatch ends the check. The answer is that of comparing
+    `compose_maps(g, f).components` with `h.components`, so an h with a
+    component too many or too few, or one defined on an element too many
+    or too few, is unequal; like `compose_maps`, this raises when g does
+    not start where f ends. Object lists and carriers have no repeats, as
+    `validate` requires.
+    """
+    if not _same(f.target, g.source):
+        raise IncompatibleInput("composite_equals: target of the first map is not the source of the second")
+    gc, fc, carrier = g.components, f.components, f.source.carrier
+    objects = f.source.base.objects
+    if h is None:
+        if identity_of is not None and identity_of is not f.source and identity_of.carrier != carrier:
+            return False
+        for a in objects:
+            ga, fa = gc[a], fc[a]
+            for x in carrier[a]:
+                if ga[fa[x]] != x:
+                    return False
+        return True
+    hc = h.components
+    if len(hc) != len(objects):
+        return False
+    for a in objects:
+        ha = hc.get(a)
+        elts = carrier[a]
+        if ha is None or len(ha) != len(elts):
+            return False
+        ga, fa = gc[a], fc[a]
+        for x in elts:
+            if x not in ha or ga[fa[x]] != ha[x]:
+                return False
+    return True
 
 
 def is_injective(f: PresheafMap) -> bool:

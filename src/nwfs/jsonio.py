@@ -24,7 +24,7 @@ from json.encoder import encode_basestring
 from typing import Any, Mapping
 
 from . import catalog
-from .arrows import ArrowObj, GeneratingSet
+from .arrows import ArrowObj, GeneratingSet, Square, square_commutes
 from .colimits import quotient
 from .core import (
     EngineError,
@@ -32,11 +32,10 @@ from .core import (
     Morphism,
     Presheaf,
     PresheafMap,
-    compose_maps,
+    composite_equals,
     identity_map,
     is_iso,
     is_surjective,
-    maps_equal,
     presheaf,
     validate,
 )
@@ -529,6 +528,15 @@ def _check(problems: list[str], cond: bool, path: str, message: str) -> bool:
     return cond
 
 
+def _composite_is(g: PresheafMap, f: PresheafMap, h: PresheafMap) -> bool:
+    """`maps_equal(compose_maps(g, f), h)`, checked without building g after f."""
+    return (
+        composite_equals(g, f, h)
+        and f.source.carrier == h.source.carrier
+        and g.target.carrier == h.target.carrier
+    )
+
+
 def _matches(doc, f: PresheafMap, path: str, message: str, problems: list[str]) -> bool:
     """Check that a components document lists exactly the components of `f`."""
     try:
@@ -688,8 +696,8 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> SequenceState | Non
             left = _rebuild_map(sdoc.get("left"), f"{sp}/left", C, mid, problems)
             if link is None or left is None or right is None:
                 return None
-            _check(problems, maps_equal(left, compose_maps(link, stages[-1].left)), lp, "link does not extend the left half")
-            _check(problems, maps_equal(compose_maps(right, link), stages[-1].right), lp, "link does not cover the right half")
+            _check(problems, _composite_is(link, stages[-1].left, left), lp, "link does not extend the left half")
+            _check(problems, _composite_is(right, link, stages[-1].right), lp, "link does not cover the right half")
             if kind == "limit":
                 # a finite chain's colimit is its last stage
                 _check(problems, is_iso(link), lp, "link into a limit stage is not an isomorphism")
@@ -718,8 +726,8 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> SequenceState | Non
         if fold is None:
             return None
         _check(problems, is_surjective(fold), fp, "fold is not surjective")
-        _check(problems, maps_equal(links[i], compose_maps(fold, steps[i].left)), fp, "fold does not reproduce the link")
-        _check(problems, maps_equal(compose_maps(stages[i + 1].right, fold), steps[i].right), fp, "fold does not cover the step's right half")
+        _check(problems, _composite_is(fold, steps[i].left, links[i]), fp, "fold does not reproduce the link")
+        _check(problems, _composite_is(stages[i + 1].right, fold, steps[i].right), fp, "fold does not cover the step's right half")
         folds.append(fold)
 
     for i, pdoc in enumerate(pairs_doc):
@@ -848,13 +856,13 @@ def _validate_sequence_cert(doc, problems) -> None:
             if p is not None:
                 _check(
                     problems,
-                    maps_equal(compose_maps(p, step.left), identity_map(stage.mid)),
+                    composite_equals(p, step.left, identity_of=stage.mid),
                     "/algebra/structure",
                     "structure map does not retract the step's left half",
                 )
                 _check(
                     problems,
-                    maps_equal(compose_maps(stage.right, p), step.right),
+                    _composite_is(stage.right, p, step.right),
                     "/algebra/structure",
                     "structure map does not live over the factored arrow",
                 )
@@ -880,8 +888,8 @@ def _validate_sequence_cert(doc, problems) -> None:
             filler = _rebuild_map(fdoc, fp, j.f.target, stage.mid, problems)
             if filler is None:
                 continue
-            _check(problems, maps_equal(compose_maps(filler, j.f), sq.top), fp, "upper filler triangle fails")
-            _check(problems, maps_equal(compose_maps(stage.right, filler), sq.bottom), fp, "lower filler triangle fails")
+            _check(problems, _composite_is(filler, j.f, sq.top), fp, "upper filler triangle fails")
+            _check(problems, _composite_is(stage.right, filler, sq.bottom), fp, "lower filler triangle fails")
 
 
 def _validate_compare_cert(doc, problems) -> None:
@@ -1044,9 +1052,9 @@ def _validate_filler_cert(doc, problems) -> None:
     filler = _rebuild_map(doc.get("filler"), "/filler", gen.target, target.source, problems)
     if top is None or bottom is None or filler is None:
         return
-    _check(problems, maps_equal(compose_maps(target, top), compose_maps(bottom, gen)), "/top", "the problem square does not commute")
-    _check(problems, maps_equal(compose_maps(filler, gen), top), "/filler", "upper triangle fails")
-    _check(problems, maps_equal(compose_maps(target, filler), bottom), "/filler", "lower triangle fails")
+    _check(problems, square_commutes(Square(ArrowObj(gen), ArrowObj(target), top, bottom)), "/top", "the problem square does not commute")
+    _check(problems, _composite_is(filler, gen, top), "/filler", "upper triangle fails")
+    _check(problems, _composite_is(target, filler, bottom), "/filler", "lower triangle fails")
 
 
 _VALIDATORS = {

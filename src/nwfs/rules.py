@@ -36,6 +36,7 @@ from .core import (
     Presheaf,
     PresheafMap,
     compose_maps,
+    composite_equals,
     identity_map,
 )
 
@@ -383,9 +384,9 @@ class RuleAlgebra:
 def validate_rule_coalgebra(rule: FactorizationRule, co: RuleCoalgebra) -> list[str]:
     out = []
     triple = rule.factor(co.arrow.f)
-    if compose_maps(co.component, co.arrow.f).components != triple.left.components:
+    if not composite_equals(co.component, co.arrow.f, triple.left):
         out.append("section does not extend the left half")
-    if compose_maps(triple.right, co.component).components != identity_map(co.arrow.cod).components:
+    if not composite_equals(triple.right, co.component, identity_of=co.arrow.cod):
         out.append("section is not a section of the right half")
     return out
 
@@ -393,9 +394,9 @@ def validate_rule_coalgebra(rule: FactorizationRule, co: RuleCoalgebra) -> list[
 def validate_rule_algebra(rule: FactorizationRule, al: RuleAlgebra) -> list[str]:
     out = []
     triple = rule.factor(al.arrow.f)
-    if compose_maps(al.component, triple.left).components != identity_map(al.arrow.dom).components:
+    if not composite_equals(al.component, triple.left, identity_of=al.arrow.dom):
         out.append("retraction does not retract the left half")
-    if compose_maps(al.arrow.f, al.component).components != triple.right.components:
+    if not composite_equals(al.arrow.f, al.component, triple.right):
         out.append("retraction does not cover the right half")
     return out
 
@@ -422,9 +423,9 @@ def canonical_lift(
     if problems:
         raise IncompatibleInput(f"canonical_lift: {problems[0]}")
     lift = compose_maps(p.component, compose_maps(rule.on_square(sq), s.component))
-    if compose_maps(lift, s.arrow.f).components != sq.top.components:
+    if not composite_equals(lift, s.arrow.f, sq.top):
         raise InternalCheckFailed("canonical_lift: lift breaks the top triangle")
-    if compose_maps(p.arrow.f, lift).components != sq.bottom.components:
+    if not composite_equals(p.arrow.f, lift, sq.bottom):
         raise InternalCheckFailed("canonical_lift: lift breaks the bottom triangle")
     return lift
 

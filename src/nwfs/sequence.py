@@ -31,6 +31,7 @@ from .core import (
     Presheaf,
     PresheafMap,
     compose_maps,
+    composite_equals,
     identity_map,
     is_iso,
     is_surjective,
@@ -414,12 +415,8 @@ def build_comparison(free: SequenceState, plain: SequenceState) -> ComparisonRep
     surj = []
     for n in range(n_stages):
         q = maps[n]
-        left_ok.append(
-            compose_maps(q, plain.stages[n].left).components == free.stages[n].left.components
-        )
-        right_ok.append(
-            compose_maps(free.stages[n].right, q).components == plain.stages[n].right.components
-        )
+        left_ok.append(composite_equals(q, plain.stages[n].left, free.stages[n].left))
+        right_ok.append(composite_equals(free.stages[n].right, q, plain.stages[n].right))
         surj.append(is_surjective(q))
     return ComparisonReport(
         maps=tuple(maps),

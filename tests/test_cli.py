@@ -285,6 +285,11 @@ def test_validate_rejects_booleans_in_the_laws_sample(tmp_path, capsys, sample):
         ([("run/steps/0/right/0/0", 2)], "/run/steps/0/right: differs from the rebuilt step"),
         ([("run/steps/0/squares/0/top/0/0", 0)], "/run/steps/0/squares/0/top: differs from the canonical enumeration"),
         ([("run/steps/0/squares/0/cell_leg/0/0", 3)], "/run/steps/0/squares/0/cell_leg: differs from the rebuilt step"),
+        # each equation of a fold and of a link is checked on its own
+        ([("run/folds/1/0/0", 1)], "/run/folds/1: fold does not reproduce the link"),
+        ([("run/folds/1/0/5", 3)], "/run/folds/1: fold does not cover the step's right half"),
+        ([("run/links/1/0/0", 1)], "/run/links/1: link does not extend the left half"),
+        ([("run/links/1/0/2", 3)], "/run/links/1: link does not cover the right half"),
     ],
 )
 def test_validate_reports_a_tampered_claim(tmp_path, map_file, capsys, edits, problem):

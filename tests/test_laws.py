@@ -1,5 +1,8 @@
 import itertools
 
+import pytest
+
+from nwfs.arrows import identity_square
 from nwfs.catalog import get_category
 from nwfs.core import maps_equal, validate
 from nwfs.laws import LawReport, check_laws, evaluate_rule, exhaustive_arrows, sample_arrows
@@ -117,3 +120,25 @@ def test_evaluate_rule_names_the_arrow():
     checks = evaluate_rule(graph_rule(), arrow)
     assert all(c.arrow == arrow.label for c in checks)
     assert all(c.ok for c in checks)
+
+
+@pytest.mark.parametrize("rule", BUILTINS, ids=lambda rule: rule.name)
+def test_builtin_rules_build_presheaves_and_natural_maps(rule):
+    # the laws compare components only, so a middle that is no presheaf or a
+    # structure map that is not natural would pass them unseen
+    arrows = exhaustive_arrows(3) + sample_arrows(get_category("delta<=1"), 2, 0)
+    for arrow in arrows:
+        f = arrow.f
+        triple = rule.factor(f)
+        assert validate(triple.mid) == [], (arrow.label, "mid")
+        maps = {
+            "left": triple.left,
+            "right": triple.right,
+            "on_square": rule.on_square(identity_square(arrow)),
+        }
+        if rule.comult is not None:
+            maps["comult"] = rule.comult(f)
+        if rule.mult is not None:
+            maps["mult"] = rule.mult(f)
+        for name, m in maps.items():
+            assert validate(m) == [], (arrow.label, name)

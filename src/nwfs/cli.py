@@ -18,10 +18,11 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import algebras, catalog, jsonio, laws, sequence
-from .arrows import as_arrow, generating_squares
+from .arrows import GeneratingSet
 from .core import EngineError, FinCategory, PresheafMap
 from .jsonio import InputError
 
@@ -42,6 +43,8 @@ def _read_json(path: str, what: str):
         return json.loads(raw)
     except json.JSONDecodeError as err:
         raise InputError(f"/{what}", f"{path} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise InputError(f"/{what}", f"{path} is nested too deeply to read") from None
 
 
 def _resolve_category(value: str) -> FinCategory:
@@ -59,14 +62,11 @@ def _is_catalog_key(value: str) -> bool:
     return True
 
 
-def _resolve_gens(value: str, ambient: FinCategory):
-    if _is_catalog_key(value):
-        return jsonio.load_gens(value, "/gens", ambient)
-    return jsonio.load_gens(_read_json(value, "gens"), "/gens", ambient)
-
-
-def _resolve_map(value: str, ambient: FinCategory) -> PresheafMap:
-    return jsonio.load_map(_read_json(value, "map"), "/map", ambient)
+def _resolve_inputs(args) -> tuple[FinCategory, GeneratingSet, PresheafMap]:
+    """The category, generating set and arrow; the map is always a JSON file."""
+    cat = _resolve_category(args.category)
+    gens_doc = args.gens if _is_catalog_key(args.gens) else _read_json(args.gens, "gens")
+    return cat, jsonio.load_gens(gens_doc, "/gens", cat), jsonio.load_map(_read_json(args.map, "map"), "/map", cat)
 
 
 def _emit(cert: dict, args, text: str) -> None:
@@ -106,9 +106,7 @@ def _sequence_text(state, elapsed: float) -> str:
 
 
 def _cmd_run(args, mode: str) -> int:
-    cat = _resolve_category(args.category)
-    gens = _resolve_gens(args.gens, cat)
-    arrow = _resolve_map(args.map, cat)
+    _, gens, arrow = _resolve_inputs(args)
     budget = sequence.OrdinalBudget(args.budget_successors, args.budget_omega_blocks)
     runner = sequence.run_free if mode == sequence.FREE else sequence.run_plain
     start = time.perf_counter()
@@ -126,18 +124,8 @@ def _cmd_run(args, mode: str) -> int:
     return EXIT_OK if state.converged_at is not None else EXIT_EXHAUSTED
 
 
-def cmd_factorize(args) -> int:
-    return _cmd_run(args, sequence.FREE)
-
-
-def cmd_plain(args) -> int:
-    return _cmd_run(args, sequence.PLAIN)
-
-
 def cmd_compare(args) -> int:
-    cat = _resolve_category(args.category)
-    gens = _resolve_gens(args.gens, cat)
-    arrow = _resolve_map(args.map, cat)
+    _, gens, arrow = _resolve_inputs(args)
     budget = sequence.OrdinalBudget(args.budget_successors, args.budget_omega_blocks)
     start = time.perf_counter()
     free = sequence.run_free(gens, arrow, budget=budget, stop_at_convergence=False)
@@ -190,9 +178,7 @@ def cmd_laws(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    cat = _resolve_category(args.category)
-    gens = _resolve_gens(args.gens, cat)
-    arrow = _resolve_map(args.map, cat)
+    cat, gens, arrow = _resolve_inputs(args)
     start = time.perf_counter()
     report = algebras.check_bijection(gens, arrow)
     elapsed = time.perf_counter() - start
@@ -212,34 +198,24 @@ def cmd_enumerate(args) -> int:
 
 def cmd_fill(args) -> int:
     doc = _read_json(args.certificate, "certificate")
-    problems = jsonio.validate_certificate(doc)
+    problems, run = jsonio.replay_certificate(doc)
     if problems:
         for p in problems:
             print(f"problem: {p}", file=sys.stderr)
         return EXIT_FAILED
-    if doc.get("schema") != jsonio.SCHEMA_SEQUENCE or doc.get("lifting_table") is None:
+    if run is None or doc.get("lifting_table") is None:
         raise InputError("/lifting_table", "fill needs a converged sequence certificate with a lifting table")
-    inputs = doc["inputs"]
-    cat = jsonio.load_category(inputs["category"], "/inputs/category")
-    gens = jsonio.load_gens(inputs["gens"], "/inputs/gens", cat)
-    arrow = jsonio.load_map(inputs["arrow"], "/inputs/arrow", cat)
-    gamma = doc["run"]["converged_at"]
-    stage = doc["run"]["stages"][gamma]
-    mid = jsonio.load_presheaf(stage["mid"], f"/run/stages/{gamma}/mid", cat)
-    right = PresheafMap(
-        mid, arrow.target, jsonio.parse_components(stage["right"], f"/run/stages/{gamma}/right")
-    )
-    squares = generating_squares(gens, as_arrow(right))
-    if not 0 <= args.square < len(squares):
-        raise InputError("/square", f"square index {args.square} out of range (found {len(squares)})")
-    gi, sq = squares[args.square]
-    filler_comps = jsonio.parse_components(
-        doc["lifting_table"]["fillers"][args.square], f"/lifting_table/fillers/{args.square}"
-    )
-    filler = PresheafMap(gens.members[gi].f.target, mid, filler_comps)
-    cert = jsonio.filler_certificate(cat, gi, gens.members[gi], right, sq.top, sq.bottom, filler)
+    # the validator accepts a lifting table only on a converged run
+    stage, step = run.stages[run.converged_at], run.steps[run.converged_at]
+    if not 0 <= args.square < len(step.squares):
+        raise InputError("/square", f"square index {args.square} out of range (found {len(step.squares)})")
+    gi, sq = step.squares[args.square]
+    gen = run.gens.members[gi]
+    filler_doc = doc["lifting_table"]["fillers"][args.square]
+    filler = PresheafMap(gen.f.target, stage.mid, jsonio.parse_components(filler_doc, f"/lifting_table/fillers/{args.square}"))
+    cert = jsonio.filler_certificate(run.arrow.f.source.base, gi, gen, stage.right, sq.top, sq.bottom, filler)
     text = (
-        f"square {args.square} (generator {gi}: {gens.members[gi].label or 'unnamed'})\n"
+        f"square {args.square} (generator {gi}: {gen.label or 'unnamed'})\n"
         f"filler extracted; both triangles verified"
     )
     _emit(cert, args, text)
@@ -283,12 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factorize", help="run the free (coequalizer-collapsed) sequence")
     _add_inputs(p)
     _add_common(p, budget=True)
-    p.set_defaults(func=cmd_factorize)
+    p.set_defaults(func=partial(_cmd_run, mode=sequence.FREE))
 
     p = sub.add_parser("plain", help="run the plain step-iteration sequence")
     _add_inputs(p)
     _add_common(p, budget=True)
-    p.set_defaults(func=cmd_plain)
+    p.set_defaults(func=partial(_cmd_run, mode=sequence.PLAIN))
 
     p = sub.add_parser("compare", help="run both sequences and verify the stagewise comparison")
     _add_inputs(p)

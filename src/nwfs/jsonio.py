@@ -7,13 +7,15 @@ morphism; maps carry their endpoint presheaves plus components. A generating
 set is a list of arrows, each either a map document or a catalog key.
 
 Certificates are self-contained: they embed the normalised inputs, their
-digests, and the full run. `validate_certificate` rebuilds each recorded
-one-step factorisation with `build_onestep` and the comparison with
-`build_comparison`, and requires the record to equal them; links, folds,
-pairs and filler triangles are rechecked against the recorded stages.
-Recorded values are compared by their canonical JSON, so `1`, `1.0` and
-`true` differ. All serialization is deterministic (sorted keys, fixed list
-orders, no clocks), which is what makes byte-identical reruns possible.
+digests, and the full run. `validate_certificate` replays a recorded run
+with `sequence.stage_schedule`, in the recorded mode and budget and for as
+many stages as the record holds, and reports the first recorded stage,
+link, step, fold or pair that differs from the replayed one. It rechecks
+the equations any run must satisfy, whoever built it, and rebuilds the
+comparison with `build_comparison`. Recorded values are compared by their
+canonical JSON, so `1`, `1.0` and `true` differ. All serialization is
+deterministic (sorted keys, fixed list orders, no clocks), which is what
+makes byte-identical reruns possible.
 """
 
 from __future__ import annotations
@@ -25,22 +27,21 @@ from typing import Any, Mapping
 
 from . import catalog
 from .arrows import ArrowObj, GeneratingSet, Square, square_commutes
-from .colimits import quotient
 from .core import (
     EngineError,
     FinCategory,
     Morphism,
     Presheaf,
     PresheafMap,
+    compose_maps,
     composite_equals,
-    identity_map,
     is_iso,
     is_surjective,
     presheaf,
     validate,
 )
-from .onestep import OneStepFactorization, build_onestep
-from .sequence import OrdinalBudget, SequenceState, Stage, _ordinal_label, build_comparison
+from .onestep import OneStepFactorization
+from .sequence import FREE, PLAIN, OrdinalBudget, SequenceState, Stage, build_comparison, stage_schedule
 
 SCHEMA_SEQUENCE = "nwfs.sequence/1"
 SCHEMA_COMPARE = "nwfs.compare/1"
@@ -344,10 +345,50 @@ def cells_doc(cell_legs, objects) -> dict:
     return components_doc({a: dict(enumerate(values)) for a, values in cells.items()})
 
 
-def sequence_body(state) -> dict:
-    def opt_comps(m):
-        return None if m is None else components_doc(m)
+# One builder per entry of a run document; the validator compares each
+# recorded entry with the same builder applied to the replayed run.
 
+
+def stage_doc(s: Stage) -> dict:
+    return {
+        "index": s.index,
+        "ordinal": s.ordinal,
+        "kind": s.kind,
+        "mid": presheaf_doc(s.mid),
+        "left": components_doc(s.left),
+        "right": components_doc(s.right),
+    }
+
+
+def fold_doc(fold: PresheafMap | None) -> dict | None:
+    return None if fold is None else components_doc(fold)
+
+
+def pair_doc(pair: tuple[PresheafMap, PresheafMap] | None) -> dict | None:
+    return None if pair is None else {"first": components_doc(pair[0]), "second": components_doc(pair[1])}
+
+
+def step_doc(st: OneStepFactorization | None) -> dict | None:
+    if st is None:
+        return None
+    return {
+        "mid": presheaf_doc(st.mid),
+        "left": components_doc(st.left),
+        "right": components_doc(st.right),
+        "cells": cells_doc(st.cocone.legs[1:], st.mid.base.objects),
+        "squares": [
+            {
+                "gen": i,
+                "top": components_doc(sq.top),
+                "bottom": components_doc(sq.bottom),
+                "cell_leg": components_doc(st.cell_leg(n)),
+            }
+            for n, (i, sq) in enumerate(st.squares)
+        ],
+    }
+
+
+def sequence_body(state: SequenceState) -> dict:
     return {
         "mode": state.mode,
         "budget": {
@@ -356,43 +397,11 @@ def sequence_body(state) -> dict:
         },
         "converged_at": state.converged_at,
         "exhausted": state.exhausted,
-        "stages": [
-            {
-                "index": s.index,
-                "ordinal": s.ordinal,
-                "kind": s.kind,
-                "mid": presheaf_doc(s.mid),
-                "left": components_doc(s.left),
-                "right": components_doc(s.right),
-            }
-            for s in state.stages
-        ],
+        "stages": [stage_doc(s) for s in state.stages],
         "links": [components_doc(m) for m in state.links],
-        "folds": [opt_comps(m) for m in state.folds],
-        "pairs": [
-            None if p is None else {"first": components_doc(p[0]), "second": components_doc(p[1])}
-            for p in state.pairs
-        ],
-        "steps": [
-            None
-            if st is None
-            else {
-                "mid": presheaf_doc(st.mid),
-                "left": components_doc(st.left),
-                "right": components_doc(st.right),
-                "cells": cells_doc(st.cocone.legs[1:], st.mid.base.objects),
-                "squares": [
-                    {
-                        "gen": i,
-                        "top": components_doc(sq.top),
-                        "bottom": components_doc(sq.bottom),
-                        "cell_leg": components_doc(st.cell_leg(n)),
-                    }
-                    for n, (i, sq) in enumerate(st.squares)
-                ],
-            }
-            for st in state.steps
-        ],
+        "folds": [fold_doc(m) for m in state.folds],
+        "pairs": [pair_doc(p) for p in state.pairs],
+        "steps": [step_doc(st) for st in state.steps],
         "cardinalities": [dict(sorted(c.items())) for c in state.cardinalities],
     }
 
@@ -522,10 +531,9 @@ def _equal(recorded: Any, expected: Any) -> bool:
     return canonical_bytes(recorded) == canonical_bytes(expected)
 
 
-def _check(problems: list[str], cond: bool, path: str, message: str) -> bool:
+def _check(problems: list[str], cond: bool, path: str, message: str) -> None:
     if not cond:
         problems.append(f"{path}: {message}")
-    return cond
 
 
 def _composite_is(g: PresheafMap, f: PresheafMap, h: PresheafMap) -> bool:
@@ -535,16 +543,6 @@ def _composite_is(g: PresheafMap, f: PresheafMap, h: PresheafMap) -> bool:
         and f.source.carrier == h.source.carrier
         and g.target.carrier == h.target.carrier
     )
-
-
-def _matches(doc, f: PresheafMap, path: str, message: str, problems: list[str]) -> bool:
-    """Check that a components document lists exactly the components of `f`."""
-    try:
-        comps = parse_components(doc, path)
-    except InputError as err:
-        problems.append(str(err))
-        return False
-    return _check(problems, comps == f.components, path, message)
 
 
 def _load_inputs(doc, problems) -> tuple | None:
@@ -567,59 +565,99 @@ def _load_inputs(doc, problems) -> tuple | None:
             _check(problems, want == got, f"/digests/{key}", f"digest mismatch: recorded {want}, recomputed {got}")
     else:
         problems.append("/digests: missing or not an object")
-    return cat, gens, arrow
+    return gens, arrow
 
 
-def _rebuilt_step(tdoc, tp, gens, right, problems) -> OneStepFactorization | None:
-    """`build_onestep` on a stage's right half; the recorded step must equal it."""
-    step = build_onestep(gens, ArrowObj(right))
-    sq_docs = tdoc.get("squares")
-    if not isinstance(sq_docs, list) or len(sq_docs) != len(step.squares):
-        problems.append(
-            f"{tp}/squares: recorded {len(sq_docs) if isinstance(sq_docs, list) else '?'} squares, "
-            f"recomputation finds {len(step.squares)}"
-        )
+def _plain(doc: Any) -> bool:
+    """Whether a JSON value holds no float and no boolean anywhere."""
+    values = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else (doc,)
+    kinds = set(map(type, values))
+    if float in kinds or bool in kinds:
+        return False
+    return not (dict in kinds or list in kinds) or all(_plain(v) for v in values if isinstance(v, _NESTED))
+
+
+def _first_difference(recorded: Any, expected: Any, path: str) -> str | None:
+    """The first place where a recorded JSON value differs from an expected run entry.
+
+    Objects are walked in the expected key order and lists in order; a
+    differing leaf reads `{path}: recorded {r!r}, expected {e!r}`. Values
+    are compared as JSON, so `1`, `1.0` and `true` differ.
+    """
+    # run entries hold no floats or booleans, so Python's `==`, which takes
+    # 1.0 and true for 1, decides once the recorded value holds none either
+    if recorded == expected and _plain(recorded):
         return None
-    _check(problems, _equal(tdoc.get("mid"), presheaf_doc(step.mid)), f"{tp}/mid", "differs from the colimit of the squares' cells")
-    _matches(tdoc.get("left"), step.left, f"{tp}/left", "differs from the rebuilt step", problems)
-    _matches(tdoc.get("right"), step.right, f"{tp}/right", "differs from the rebuilt step", problems)
-    cells = cells_doc(step.cocone.legs[1:], step.mid.base.objects)
-    _check(problems, _equal(tdoc.get("cells"), cells), f"{tp}/cells", "does not list the squares' cell legs")
-    for n, (sqdoc, (gi, sq)) in enumerate(zip(sq_docs, step.squares)):
-        qp = f"{tp}/squares/{n}"
-        if not isinstance(sqdoc, dict):
-            problems.append(f"{qp}: expected an object, got {type(sqdoc).__name__}")
-            return None
-        recorded = sqdoc.get("gen")
-        _check(problems, _equal(recorded, gi), f"{qp}/gen", f"recorded generator {recorded!r}, recomputation gives {gi}")
-        _matches(sqdoc.get("top"), sq.top, f"{qp}/top", "differs from the canonical enumeration", problems)
-        _matches(sqdoc.get("bottom"), sq.bottom, f"{qp}/bottom", "differs from the canonical enumeration", problems)
-        _matches(sqdoc.get("cell_leg"), step.cell_leg(n), f"{qp}/cell_leg", "differs from the rebuilt step", problems)
-    return step
+    if isinstance(expected, (dict, list)) and type(recorded) is not type(expected):
+        return f"{path}: expected {'an object' if isinstance(expected, dict) else 'a list'}, got {type(recorded).__name__}"
+    if isinstance(expected, dict):
+        for key, want in expected.items():
+            if key not in recorded:
+                return f"{path}/{key}: missing"
+            found = _first_difference(recorded[key], want, f"{path}/{key}")
+            if found:
+                return found
+        return f"{path}/{next(k for k in recorded if k not in expected)}: not expected"
+    if isinstance(expected, list):
+        for i, (got, want) in enumerate(zip(recorded, expected)):
+            found = _first_difference(got, want, f"{path}/{i}")
+            if found:
+                return found
+        return f"{path}: recorded {len(recorded)} entries, expected {len(expected)}"
+    return f"{path}: recorded {recorded!r}, expected {expected!r}"
 
 
-def _is_middle(sdoc, link_doc, step: OneStepFactorization) -> bool:
-    """Whether a recorded stage is `step`'s middle, reached by its left half, over its right half."""
-    return (
-        _equal(sdoc.get("mid"), presheaf_doc(step.mid))
-        and _equal(link_doc, components_doc(step.left))
-        and _equal(sdoc.get("right"), components_doc(step.right))
-    )
+def _entries(state: SequenceState, i: int, last: bool) -> list[tuple[str, int, Any]]:
+    """The entries stage i adds to a run document, in the order the engine builds them.
+
+    Stage i comes with the step, pair, fold and link of the stage below it;
+    the last stage also with its own step, pair and fold, which are null.
+    """
+    below = [] if i == 0 else [
+        ("steps", i - 1, step_doc(state.steps[i - 1])),
+        ("pairs", i - 1, pair_doc(state.pairs[i - 1])),
+        ("folds", i - 1, fold_doc(state.folds[i - 1])),
+        ("links", i - 1, components_doc(state.links[i - 1])),
+    ]
+    here = [("stages", i, stage_doc(state.stages[i]))]
+    return below + here + [(key, i, None) for key in ("steps", "pairs", "folds") if last]
 
 
-def _validate_run(body, path, cat, gens, arrow, problems) -> SequenceState | None:
-    """Recheck one serialized sequence run; return it as a run state if it holds.
+def _check_in_place(state: SequenceState, i: int, path: str, problems: list[str]) -> None:
+    """The equations stage i and the maps into it must satisfy, whoever built them."""
+    stage, below, link = state.stages[i], state.stages[i - 1], state.links[i - 1]
+    lp = f"{path}/links/{i - 1}"
+    _check(problems, composite_equals(link, below.left, stage.left), lp, "link does not extend the left half")
+    _check(problems, composite_equals(stage.right, link, below.right), lp, "link does not cover the right half")
+    if stage.kind == "limit":
+        # a finite chain's colimit is its last stage
+        _check(problems, is_iso(link), lp, "link into a limit stage is not an isomorphism")
+    fold, step, pair = state.folds[i - 1], state.steps[i - 1], state.pairs[i - 1]
+    if fold is None:
+        return
+    fp = f"{path}/folds/{i - 1}"
+    _check(problems, is_surjective(fold), fp, "fold is not surjective")
+    _check(problems, composite_equals(fold, step.left, link), fp, "fold does not reproduce the link")
+    _check(problems, composite_equals(stage.right, fold, step.right), fp, "fold does not cover the step's right half")
+    if pair is not None:
+        _check(problems, composite_equals(fold, pair[0], compose_maps(fold, pair[1])), fp, "fold does not coequalize its pair")
 
-    The state holds the recorded stages (with recomputed ordinals), links and
-    folds, and each step as `build_onestep` rebuilds it. It holds no pairs:
-    their common source, the colimit of the step middles, is not recorded.
+
+def _validate_run(body, path, gens, arrow, problems, modes=(FREE, PLAIN), may_stop=True) -> SequenceState | None:
+    """Replay one serialized run with the engine's stage schedule; return the replay if it holds.
+
+    The recorded mode, one of `modes`, and the recorded budget drive
+    `stage_schedule` for exactly as many stages as the record holds, and
+    each recorded entry must equal the one the replay builds. The replay
+    stops at the first difference. A run spends its whole budget, or, when
+    it `may_stop`, ends right after it converges.
     """
     if not isinstance(body, dict):
         problems.append(f"{path}: missing or not an object")
         return None
     mode = body.get("mode")
-    if mode not in ("free", "plain"):
-        problems.append(f"{path}/mode: expected 'free' or 'plain', got {mode!r}")
+    if mode not in modes:
+        problems.append(f"{path}/mode: expected {' or '.join(map(repr, modes))}, got {mode!r}")
         return None
     raw_stages = body.get("stages")
     if not isinstance(raw_stages, list) or not raw_stages:
@@ -630,13 +668,15 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> SequenceState | Non
     steps_doc = body.get("steps", [])
     folds_doc = body.get("folds", [])
     pairs_doc = body.get("pairs", [])
-    # stages and links are always present; the rest are null where not taken
+    cards = body.get("cardinalities", [])
+    # stages and links are always present; steps, folds and pairs are null where not taken
     for key, entries, nullable in (
         ("stages", raw_stages, False),
         ("links", links_doc, False),
         ("steps", steps_doc, True),
         ("folds", folds_doc, True),
         ("pairs", pairs_doc, True),
+        ("cardinalities", cards, False),
     ):
         if not isinstance(entries, list):
             problems.append(f"{path}/{key}: expected a list, got {type(entries).__name__}")
@@ -645,187 +685,48 @@ def _validate_run(body, path, cat, gens, arrow, problems) -> SequenceState | Non
             if not (isinstance(entry, dict) or (nullable and entry is None)):
                 problems.append(f"{path}/{key}/{i}: expected an object, got {type(entry).__name__}")
                 return None
-    if not (len(links_doc) == n - 1 and len(steps_doc) == len(folds_doc) == len(pairs_doc) == n):
+    if not (len(links_doc) == n - 1 and len(steps_doc) == len(folds_doc) == len(pairs_doc) == len(cards) == n):
         problems.append(f"{path}: stage/link/step list lengths are inconsistent")
         return None
+    budget = body.get("budget") if isinstance(body.get("budget"), dict) else {}
+    per_block, blocks = budget.get("successors_per_block"), budget.get("omega_blocks")
+    if not (_is_int(per_block) and _is_int(blocks) and per_block >= 1 and blocks >= 1):
+        problems.append(f"{path}/budget: expected positive integers successors_per_block and omega_blocks")
+        return None
+    budget = OrdinalBudget(per_block, blocks)
 
-    C, D = arrow.source, arrow.target
     before = len(problems)
-    stages: list[Stage] = []
-    links: list[PresheafMap] = []
-    steps: list[OneStepFactorization | None] = []
-    block = offset = longest = 0  # a stage's ω-block, its successors in it, the most in any block
-    for i, sdoc in enumerate(raw_stages):
-        sp, kind = f"{path}/stages/{i}", sdoc.get("kind")
-        if i:
-            if mode == "plain":
-                ok = kind in ("onestep", "limit")
-            else:
-                ok = kind == "onestep" if i == 1 else kind in ("successor", "limit")
-            _check(problems, ok, f"{sp}/kind", f"kind {kind!r} is not allowed here in {mode} mode")
-            block, offset = (block + 1, 0) if kind == "limit" else (block, offset + 1)
-            longest = max(longest, offset)
-        else:
-            _check(problems, kind == "zero", f"{sp}/kind", f"expected 'zero', got {kind!r}")
-        index, ordinal, want = sdoc.get("index"), sdoc.get("ordinal"), _ordinal_label(block, offset)
-        _check(problems, _is_int(index) and index == i, f"{sp}/index", f"recorded {index!r}, expected {i}")
-        _check(problems, ordinal == want, f"{sp}/ordinal", f"recorded {ordinal!r}, expected {want!r}")
-
-        if i == 0:
-            # stage 0 is the arrow's domain, the identity and the arrow itself
-            _check(problems, _equal(sdoc.get("mid"), presheaf_doc(C)), f"{sp}/mid", "differs from the input arrow's domain")
-            _matches(sdoc.get("left"), identity_map(C), f"{sp}/left", "left half is not the identity", problems)
-            _matches(sdoc.get("right"), arrow, f"{sp}/right", "right half is not the input arrow", problems)
-            stages.append(Stage(0, want, kind, C, identity_map(C), arrow))
-        else:
-            below, lp = steps[i - 1], f"{path}/links/{i - 1}"
-            # a plain stage after a step is that step's middle; sharing the one
-            # object keeps the comparison's maps off deep presheaf equality
-            if mode == "plain" and below is not None and _check(
-                problems, _is_middle(sdoc, links_doc[i - 1], below), sp, "plain stage is not the middle of the step below it"
-            ):
-                mid, link, right = below.mid, below.left, below.right
-            else:
-                try:
-                    mid = load_presheaf(sdoc.get("mid"), f"{sp}/mid", cat)
-                except InputError as err:
-                    problems.append(str(err))
-                    return None
-                link = _rebuild_map(links_doc[i - 1], lp, stages[-1].mid, mid, problems)
-                right = _rebuild_map(sdoc.get("right"), f"{sp}/right", mid, D, problems)
-            left = _rebuild_map(sdoc.get("left"), f"{sp}/left", C, mid, problems)
-            if link is None or left is None or right is None:
-                return None
-            _check(problems, _composite_is(link, stages[-1].left, left), lp, "link does not extend the left half")
-            _check(problems, _composite_is(right, link, stages[-1].right), lp, "link does not cover the right half")
-            if kind == "limit":
-                # a finite chain's colimit is its last stage
-                _check(problems, is_iso(link), lp, "link into a limit stage is not an isomorphism")
-            links.append(link)
-            stages.append(Stage(i, want, kind, mid, left, right))
-        if steps_doc[i] is None:
-            steps.append(None)
-            continue
-        steps.append(_rebuilt_step(steps_doc[i], f"{path}/steps/{i}", gens, stages[i].right, problems))
-        if steps[i] is None:
-            return None
-
-    folds: list[PresheafMap | None] = []
-    for i, fdoc in enumerate(folds_doc):
-        if fdoc is None:
-            folds.append(None)
-            continue
-        fp = f"{path}/folds/{i}"
-        if steps[i] is None:
-            problems.append(f"{fp}: fold recorded for a stage without a step")
-            return None
-        if i + 1 >= n:
-            problems.append(f"{fp}: fold recorded for the final stage")
-            return None
-        fold = _rebuild_map(fdoc, fp, steps[i].mid, stages[i + 1].mid, problems)
-        if fold is None:
-            return None
-        _check(problems, is_surjective(fold), fp, "fold is not surjective")
-        _check(problems, _composite_is(fold, steps[i].left, links[i]), fp, "fold does not reproduce the link")
-        _check(problems, _composite_is(stages[i + 1].right, fold, steps[i].right), fp, "fold does not cover the step's right half")
-        folds.append(fold)
-
-    for i, pdoc in enumerate(pairs_doc):
-        if pdoc is None:
-            continue
-        pp = f"{path}/pairs/{i}"
-        if folds[i] is None:
-            problems.append(f"{pp}: parallel pair recorded without a fold")
-            continue
-        try:
-            u1 = parse_components(pdoc.get("first"), f"{pp}/first")
-            u2 = parse_components(pdoc.get("second"), f"{pp}/second")
-        except InputError as err:
-            problems.append(str(err))
-            continue
-        fold = folds[i]
-        in_range = True
-        for a in cat.objects:
-            c1, c2 = u1.get(a, {}), u2.get(a, {})
-            if set(c1) != set(c2):
-                problems.append(f"{pp}: the two parallel maps have different domains at object {a!r}")
-                in_range = False
-                continue
-            for x, y1 in c1.items():
-                y2 = c2[x]
-                if y1 not in fold.components[a] or y2 not in fold.components[a]:
-                    problems.append(f"{pp}: pair lands outside the step middle at object {a!r}")
-                    in_range = False
-                    break
-                if fold.components[a][y1] != fold.components[a][y2]:
-                    problems.append(f"{pp}: fold does not coequalize the recorded pair at object {a!r}, element {x}")
-                    break
-        if not in_range:
-            continue
-        # a surjective fold that coequalizes the pair factors through the
-        # pair's coequalizer, so it is that coequalizer when the sizes agree
-        pair = [(a, y, u2[a][x]) for a in cat.objects for x, y in u1.get(a, {}).items()]
-        classes = quotient(steps[i].mid, pair).apex.sizes
-        for a in cat.objects:
-            hit = len(set(fold.components[a].values()))
-            _check(problems, hit == classes[a], pp, f"fold is not the coequalizer of the recorded pair at object {a!r}")
-
-    kinds = [s.kind for s in stages]
-    if mode == "plain":
-        for i in range(n - 1):
-            if kinds[i + 1] == "onestep":
-                _check(problems, steps_doc[i] is not None, f"{path}/steps/{i}", "plain mode one-step stage is missing its step")
-        _check(problems, all(f is None for f in folds_doc), f"{path}/folds", "plain mode must not record folds")
-        _check(problems, all(p is None for p in pairs_doc), f"{path}/pairs", "plain mode must not record pairs")
-    else:
+    if mode == "free":
+        kinds = [s.get("kind") for s in raw_stages]
         for i in range(n - 1):
             _check(problems, steps_doc[i] is not None, f"{path}/steps/{i}", "free mode stage is missing its step")
             _check(problems, folds_doc[i] is not None, f"{path}/folds/{i}", "free mode stage is missing its fold")
             if kinds[i + 1] == "successor":
                 _check(problems, pairs_doc[i] is not None, f"{path}/pairs/{i}", "free mode successor stage is missing its pair")
 
-    # a run converges at its first link into a non-limit stage that is an iso
+    for i, run in zip(range(n), stage_schedule(mode, gens, arrow, budget)):
+        for key, j, want in _entries(run, i, last=i == n - 1):
+            found = _first_difference(body[key][j], want, f"{path}/{key}/{j}")
+            if found:
+                problems.append(found)
+                return None
+        _check(problems, _equal(cards[i], run.stages[i].mid.sizes), f"{path}/cardinalities/{i}", "recorded sizes differ from the stage middle")
+        if i:
+            _check_in_place(run, i, path, problems)
+    if len(run.stages) < n:
+        problems.append(f"{path}/budget: the stages do not match the budget")
+        return None
+
     gamma, exhausted = body.get("converged_at"), body.get("exhausted")
-    first = next((i for i, link in enumerate(links) if kinds[i + 1] != "limit" and is_iso(link)), None)
+    # a run recorded as exhausted must have spent its budget
+    stopped = may_stop and run.converged_at is not None and n == run.converged_at + 2 and exhausted is not True
+    _check(problems, n == blocks * (per_block + 1) or stopped, f"{path}/budget", "the stages do not match the budget")
     if gamma is not None and not (_is_int(gamma) and 0 <= gamma < n - 1):
         problems.append(f"{path}/converged_at: index {gamma!r} out of range")
     else:
-        _check(problems, gamma == first, f"{path}/converged_at", f"recorded {gamma!r}, recomputed {first!r}")
-        _check(problems, exhausted is (gamma is None), f"{path}/exhausted", f"recorded {exhausted!r}, expected {gamma is None}")
-
-    # the stages fit the budget, and an exhausted run used all of it
-    budget = body.get("budget") if isinstance(body.get("budget"), dict) else {}
-    per_block, blocks = budget.get("successors_per_block"), budget.get("omega_blocks")
-    if not (_is_int(per_block) and _is_int(blocks) and per_block >= 1 and blocks >= 1):
-        problems.append(f"{path}/budget: expected positive integers successors_per_block and omega_blocks")
-        return None
-    fits = longest <= per_block and block < blocks and (exhausted is not True or n == blocks * (per_block + 1))
-    _check(problems, fits, f"{path}/budget", "the stages do not match the budget")
-
-    state = SequenceState(
-        mode=mode,
-        gens=gens,
-        arrow=ArrowObj(arrow),
-        budget=OrdinalBudget(per_block, blocks),
-        stages=tuple(stages),
-        links=tuple(links),
-        steps=tuple(steps),
-        folds=tuple(folds),
-        pairs=(None,) * n,
-        converged_at=gamma,
-        exhausted=gamma is None,
-    )
-    cards = body.get("cardinalities")
-    if isinstance(cards, list) and len(cards) == n:
-        for i, (card, sizes) in enumerate(zip(cards, state.cardinalities)):
-            _check(problems, _equal(card, sizes), f"{path}/cardinalities/{i}", "recorded sizes differ from the stage middle")
-    else:
-        problems.append(f"{path}/cardinalities: missing or wrong length")
-
-    if len(problems) > before + 24:
-        del problems[before + 24 :]
-        problems.append(f"{path}: further problems suppressed")
-    return state if len(problems) == before else None
+        _check(problems, gamma == run.converged_at, f"{path}/converged_at", f"recorded {gamma!r}, recomputed {run.converged_at!r}")
+        _check(problems, exhausted is run.exhausted, f"{path}/exhausted", f"recorded {exhausted!r}, expected {run.exhausted}")
+    return run if len(problems) == before else None
 
 
 def _check_work(problems, doc, want) -> None:
@@ -833,14 +734,15 @@ def _check_work(problems, doc, want) -> None:
     _check(problems, isinstance(timing, dict) and _equal(timing.get("work"), want), "/timing/work", "recorded counters differ from the run")
 
 
-def _validate_sequence_cert(doc, problems) -> None:
+def _validate_sequence_cert(doc, problems) -> SequenceState | None:
+    """Recheck a sequence certificate; return its replayed run once the run holds."""
     loaded = _load_inputs(doc, problems)
     if loaded is None:
-        return
-    cat, gens, arrow = loaded
-    run = _validate_run(doc.get("run"), "/run", cat, gens, arrow, problems)
+        return None
+    gens, arrow = loaded
+    run = _validate_run(doc.get("run"), "/run", gens, arrow, problems)
     if run is None:
-        return
+        return None
     _check_work(problems, doc, run.work)
     gamma = run.converged_at
     step = None if gamma is None else run.steps[gamma]
@@ -872,14 +774,14 @@ def _validate_sequence_cert(doc, problems) -> None:
     elif table is not None:
         if step is None:
             problems.append("/lifting_table: recorded without a converged stage step")
-            return
+            return run
         fillers = table.get("fillers")
         if not isinstance(fillers, list) or len(fillers) != len(step.squares):
             problems.append(
                 f"/lifting_table/fillers: expected {len(step.squares)} fillers, got "
                 f"{len(fillers) if isinstance(fillers, list) else '?'}"
             )
-            return
+            return run
         stage = run.stages[gamma]
         for sn, fdoc in enumerate(fillers):
             fp = f"/lifting_table/fillers/{sn}"
@@ -890,24 +792,20 @@ def _validate_sequence_cert(doc, problems) -> None:
                 continue
             _check(problems, _composite_is(filler, j.f, sq.top), fp, "upper filler triangle fails")
             _check(problems, _composite_is(stage.right, filler, sq.bottom), fp, "lower filler triangle fails")
+    return run
 
 
 def _validate_compare_cert(doc, problems) -> None:
     loaded = _load_inputs(doc, problems)
     if loaded is None:
         return
-    cat, gens, arrow = loaded
-    free = _validate_run(doc.get("free"), "/free", cat, gens, arrow, problems)
-    plain = _validate_run(doc.get("plain"), "/plain", cat, gens, arrow, problems)
+    gens, arrow = loaded
+    # `nwfs compare` runs both sequences to the end of the budget
+    free = _validate_run(doc.get("free"), "/free", gens, arrow, problems, modes=(FREE,), may_stop=False)
+    plain = _validate_run(doc.get("plain"), "/plain", gens, arrow, problems, modes=(PLAIN,), may_stop=False)
     if free is None or plain is None:
         return
     _check_work(problems, doc, {"free": free.work, "plain": plain.work})
-    modes = [
-        _check(problems, free.mode == "free", "/free/mode", "expected the free sequence"),
-        _check(problems, plain.mode == "plain", "/plain/mode", "expected the plain sequence"),
-    ]
-    if not all(modes):
-        return
     comp = doc.get("comparison")
     if not isinstance(comp, dict):
         problems.append("/comparison: missing or not an object")
@@ -920,7 +818,8 @@ def _validate_compare_cert(doc, problems) -> None:
     report = build_comparison(free, plain)
     for i, mdoc in enumerate(maps_doc):
         mp = f"/comparison/maps/{i}"
-        _matches(mdoc, report.maps[i], mp, "differs from the comparison rebuilt from the runs", problems)
+        comps = parse_components(mdoc, mp)
+        _check(problems, comps == report.maps[i].components, mp, "differs from the comparison rebuilt from the runs")
         _check(problems, report.left_commutes[i], mp, "does not commute with the left halves")
         _check(problems, report.right_commutes[i], mp, "does not commute with the right halves")
         _check(problems, report.surjective[i], mp, "is not componentwise surjective")
@@ -1013,7 +912,7 @@ def _validate_enumeration_cert(doc, problems) -> None:
     loaded = _load_inputs(doc, problems)
     if loaded is None:
         return
-    cat, gens, arrow = loaded
+    gens, arrow = loaded
     from . import algebras
 
     report = algebras.check_bijection(gens, arrow)
@@ -1066,19 +965,31 @@ _VALIDATORS = {
 }
 
 
-def validate_certificate(doc: Any) -> list[str]:
-    """Recheck a certificate document; returns all problems found, or []."""
-    problems: list[str] = []
+def replay_certificate(doc: Any) -> tuple[list[str], SequenceState | None]:
+    """Recheck a certificate document; return the problems found, or [], and the replay.
+
+    The replay is the run a sequence certificate's inputs and budget give,
+    and None for the other schemas or when the run does not hold.
+    """
     if not isinstance(doc, dict):
-        return ["/: certificate must be a JSON object"]
+        return ["/: certificate must be a JSON object"], None
     schema = doc.get("schema")
     validator = _VALIDATORS.get(schema) if isinstance(schema, str) else None
     if validator is None:
-        return [f"/schema: unknown schema {schema!r}"]
+        return [f"/schema: unknown schema {schema!r}"], None
+    problems: list[str] = []
     try:
-        validator(doc, problems)
+        return problems, validator(doc, problems)
     except InputError as err:
         problems.append(str(err))
     except EngineError as err:
         problems.append(f"/: recomputation failed: {err}")
-    return problems
+    except RecursionError:
+        # json can read a document too deep for the validator to encode again
+        problems.append("/: nested too deeply to check")
+    return problems, None
+
+
+def validate_certificate(doc: Any) -> list[str]:
+    """Recheck a certificate document; returns all problems found, or []."""
+    return replay_certificate(doc)[0]

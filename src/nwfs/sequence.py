@@ -10,7 +10,8 @@ Budgets are organised in blocks of successor steps. Between blocks the
 sequence passes to the colimit of the chain built so far (a limit stage).
 A finite chain's colimit is its last stage, renumbered, so a limit stage's
 connecting map is an isomorphism by construction and is excluded from the
-convergence test.
+convergence test. `stage_schedule` is the one place that orders the stages;
+the runners and the certificate validator all consume it.
 
 Every free stage after the first is built by one step. The one-step middle
 of the current stage is coequalized against the folds below it: after a
@@ -23,6 +24,7 @@ stage, the other applies the step functor to those links.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .arrows import ArrowObj, GeneratingSet, Square, as_arrow
 from .colimits import Cocone, chain_colimit, coequalizer, induce
@@ -298,32 +300,41 @@ def _free_step(run: _Run, ordinal: str) -> None:
     run.push(stage, link=link, step=step, fold=fold, pair=(first, second))
 
 
-def _run_sequence(
+def stage_schedule(
     mode: str,
     gens: GeneratingSet,
     g: PresheafMap | ArrowObj,
     budget: OrdinalBudget,
-    stop_at_convergence: bool,
-) -> SequenceState:
+) -> Iterator[SequenceState]:
+    """The stages of a run in the order its budget takes them, one at a time.
+
+    Yields the run so far: first stage 0 alone, then once after each stage
+    it adds, until the budget is spent. It builds a stage only when asked
+    for it, so a consumer decides where the run ends: `run_free` and
+    `run_plain` stop at convergence when told to, and the certificate
+    validator after the stages a certificate records.
+    """
     arrow = as_arrow(g)
     if gens.members and not arrow.f.source.base == gens.members[0].f.source.base:
         raise IncompatibleInput("generating set and arrow live over different base categories")
     run = _Run(mode, gens, arrow, budget)
+    yield run.freeze()
     for block in range(budget.omega_blocks):
         if block > 0:
             _limit_stage(run, block)
-        taken = 0
-        while taken < budget.successors_per_block:
-            if stop_at_convergence and run.converged_at is not None:
-                return run.freeze()
-            if mode == PLAIN or run.last.kind == "zero":
-                _first_step(run, _ordinal_label(block, taken + 1))
-            else:
-                _free_step(run, _ordinal_label(block, taken + 1))
-            taken += 1
-        if stop_at_convergence and run.converged_at is not None:
-            return run.freeze()
-    return run.freeze()
+            yield run.freeze()
+        for taken in range(budget.successors_per_block):
+            add = _first_step if mode == PLAIN or run.last.kind == "zero" else _free_step
+            add(run, _ordinal_label(block, taken + 1))
+            yield run.freeze()
+
+
+def _until(schedule: Iterator[SequenceState], stop_at_convergence: bool) -> SequenceState:
+    """The run a schedule has built when its budget is spent, or once it converges if told to stop there."""
+    for state in schedule:
+        if stop_at_convergence and state.converged_at is not None:
+            break
+    return state
 
 
 def run_free(
@@ -333,7 +344,7 @@ def run_free(
     stop_at_convergence: bool = True,
 ) -> SequenceState:
     """Run the free sequence on g until convergence or budget exhaustion."""
-    return _run_sequence(FREE, gens, g, budget or OrdinalBudget(), stop_at_convergence)
+    return _until(stage_schedule(FREE, gens, g, budget or OrdinalBudget()), stop_at_convergence)
 
 
 def run_plain(
@@ -343,7 +354,7 @@ def run_plain(
     stop_at_convergence: bool = True,
 ) -> SequenceState:
     """Run the plain re-application sequence on g under the same budget rules."""
-    return _run_sequence(PLAIN, gens, g, budget or OrdinalBudget(), stop_at_convergence)
+    return _until(stage_schedule(PLAIN, gens, g, budget or OrdinalBudget()), stop_at_convergence)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import random
 
 import hypothesis.strategies as st
 
-from nwfs.catalog import terminal_category
+from nwfs.catalog import get_category, representable, terminal_category, terminal_presheaf
 from nwfs.core import Presheaf, PresheafMap, presheaf
 
 
@@ -20,6 +20,14 @@ def finset(elements) -> Presheaf:
 def set_map(source_size: int, target_size: int, values) -> PresheafMap:
     src, tgt = finset(source_size), finset(target_size)
     return PresheafMap(src, tgt, {"0": {i: v for i, v in enumerate(values)}})
+
+
+def edge_to_point() -> PresheafMap:
+    """The interval Δ[1] over delta<=1 mapped to the terminal presheaf."""
+    base = get_category("delta<=1")
+    edge = representable(base, "1")
+    point = terminal_presheaf(base)
+    return PresheafMap(edge, point, {a: dict.fromkeys(edge.carrier[a], 0) for a in base.objects})
 
 
 def random_set_map(rng: random.Random, max_size: int = 6, min_source: int = 0) -> PresheafMap:

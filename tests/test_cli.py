@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
-from conftest import set_map
+from conftest import edge_to_point, set_map
+from nwfs import sequence
 from nwfs.catalog import get_gens
 from nwfs.cli import main
-from nwfs.jsonio import compare_certificate, sequence_body
+from nwfs.colimits import quotient
+from nwfs.jsonio import compare_certificate, sequence_body, sequence_certificate
 from nwfs.sequence import OrdinalBudget, build_comparison, run_free, run_plain
 
 MAP_DOC = {
@@ -172,6 +174,14 @@ def test_input_errors_exit_four(tmp_path):
     assert res.returncode == 4
 
 
+def test_input_nested_too_deeply_exits_four(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["validate", str(deep)]) == 4
+    assert main(["factorize", "--category", "terminal", "--gens", "point", "--map", str(deep)]) == 4
+    assert "deep.json is nested too deeply to read" in capsys.readouterr().err
+
+
 def test_text_format_prints_a_stage_table(map_file):
     res = cli(
         "factorize", "--category", "terminal", "--gens", "point",
@@ -266,8 +276,8 @@ def test_validate_rejects_booleans_in_the_laws_sample(tmp_path, capsys, sample):
         ([("run/converged_at", True)], "/run/converged_at: index True out of range"),
         ([("schema", {"name": "nwfs.sequence/1"})], "/schema: unknown schema"),
         ([("schema", ["nwfs.sequence/1"])], "/schema: unknown schema"),
-        ([("run/steps/0/squares/0/gen", 0.0)], "/run/steps/0/squares/0/gen: recorded generator 0.0"),
-        ([("run/steps/0/cells/0/0", 3)], "/run/steps/0/cells: does not list the squares' cell legs"),
+        ([("run/steps/0/squares/0/gen", 0.0)], "/run/steps/0/squares/0/gen: recorded 0.0, expected 0"),
+        ([("run/steps/0/cells/0/0", 3)], "/run/steps/0/cells/0/0: recorded 3, expected 2"),
         ([("run/stages/1/index", 2)], "/run/stages/1/index: recorded 2, expected 1"),
         ([("run/stages/2/ordinal", "ω")], "/run/stages/2/ordinal: recorded 'ω', expected '2'"),
         ([("run/exhausted", True)], "/run/exhausted: recorded True, expected False"),
@@ -280,16 +290,15 @@ def test_validate_rejects_booleans_in_the_laws_sample(tmp_path, capsys, sample):
         # JSON tells 5.0 and true from 5, so the validator must too
         ([("run/cardinalities/1/0", 5.0)], "/run/cardinalities/1: recorded sizes differ from the stage middle"),
         ([("timing/work/stages", 3.0)], "/timing/work: recorded counters differ from the run"),
-        ([("run/steps/0/cells/0/0", 2.0)], "/run/steps/0/cells: does not list the squares' cell legs"),
-        # each piece of a step is compared with the rebuilt step at its own path
-        ([("run/steps/0/right/0/0", 2)], "/run/steps/0/right: differs from the rebuilt step"),
-        ([("run/steps/0/squares/0/top/0/0", 0)], "/run/steps/0/squares/0/top: differs from the canonical enumeration"),
-        ([("run/steps/0/squares/0/cell_leg/0/0", 3)], "/run/steps/0/squares/0/cell_leg: differs from the rebuilt step"),
-        # each equation of a fold and of a link is checked on its own
-        ([("run/folds/1/0/0", 1)], "/run/folds/1: fold does not reproduce the link"),
-        ([("run/folds/1/0/5", 3)], "/run/folds/1: fold does not cover the step's right half"),
-        ([("run/links/1/0/0", 1)], "/run/links/1: link does not extend the left half"),
-        ([("run/links/1/0/2", 3)], "/run/links/1: link does not cover the right half"),
+        ([("run/steps/0/cells/0/0", 2.0)], "/run/steps/0/cells/0/0: recorded 2.0, expected 2"),
+        # the replay reports the first leaf that differs from the entry it rebuilds
+        ([("run/steps/0/right/0/0", 2)], "/run/steps/0/right/0/0: recorded 2, expected 1"),
+        ([("run/steps/0/squares/0/top/0/0", 0)], "/run/steps/0/squares/0/top/0/0: not expected"),
+        ([("run/steps/0/squares/0/cell_leg/0/0", 3)], "/run/steps/0/squares/0/cell_leg/0/0: recorded 3, expected 2"),
+        ([("run/folds/1/0/0", 1)], "/run/folds/1/0/0: recorded 1, expected 0"),
+        ([("run/folds/1/0/5", 3)], "/run/folds/1/0/5: recorded 3, expected 2"),
+        ([("run/links/1/0/0", 1)], "/run/links/1/0/0: recorded 1, expected 0"),
+        ([("run/links/1/0/2", 3)], "/run/links/1/0/2: recorded 3, expected 2"),
     ],
 )
 def test_validate_reports_a_tampered_claim(tmp_path, map_file, capsys, edits, problem):
@@ -444,7 +453,7 @@ def test_validate_requires_a_plain_stage_to_be_its_steps_middle(tmp_path, map_fi
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["validate", str(out)]) == 3
-    assert "/plain/steps/0/mid: differs from the colimit of the squares' cells" in capsys.readouterr().out
+    assert "/plain/steps/0/mid/sets/0/4: recorded 7, expected 4" in capsys.readouterr().out
 
 
 def _glue_the_cell_over_one_to_zero(holder):
@@ -461,8 +470,8 @@ def _glue_the_cell_over_one_to_zero(holder):
 @pytest.mark.parametrize(
     "forge_step, problem",
     [
-        (True, "/run/steps/0/mid: differs from the colimit of the squares' cells"),
-        (False, "/run/stages/1: plain stage is not the middle of the step below it"),
+        (True, "/run/steps/0/mid/sets/0: recorded 4 entries, expected 5"),
+        (False, "/run/stages/1/mid/sets/0: recorded 4 entries, expected 5"),
     ],
 )
 def test_validate_checks_step_middles_against_attach(tmp_path, map_file, capsys, forge_step, problem):
@@ -489,3 +498,46 @@ def test_validate_checks_step_middles_against_attach(tmp_path, map_file, capsys,
     capsys.readouterr()
     assert main(["validate", str(out)]) == 3
     assert problem in capsys.readouterr().out
+
+
+def test_validate_rejects_over_collapsed_stages_whose_pairs_ask_for_it(tmp_path, monkeypatch, capsys):
+    # a faulty coequalizer also identifies elements 0 and 1 at object '0'
+    # of every free step's middle; each recorded pair then gets a made-up
+    # element that asks for that identification, so every fold is the
+    # coequalizer of its recorded pair, though not of the pair the engine builds
+    def over_collapsing(first, second):
+        pairs = [
+            (a, first.components[a][x], second.components[a][x])
+            for a in first.source.base.objects
+            for x in first.source.carrier[a]
+        ]
+        return quotient(first.target, pairs + [("0", 0, 1)])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sequence, "coequalizer", over_collapsing)
+        state = run_free(get_gens("horns<=1"), edge_to_point(), OrdinalBudget(3, 1))
+    assert [stage.mid.total_size for stage in state.stages] == [5, 17, 39, 79]
+    doc = json.loads(json.dumps(sequence_certificate(state)))
+    for pair in doc["run"]["pairs"][1:3]:
+        pair["first"]["0"]["999999"] = 0
+        pair["second"]["0"]["999999"] = 1
+    out = tmp_path / "forged.json"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith(("problem: /run/stages/2", "problem: /run/pairs/1")) for line in lines)
+
+
+def test_validate_replays_no_further_than_the_recorded_stages(tmp_path, map_file, capsys):
+    out = tmp_path / "cmp.json"
+    assert main([
+        "compare", "--category", "terminal", "--gens", "point",
+        "--map", str(map_file), "--budget-successors", "2", "--out", str(out),
+    ]) == 0
+    doc = json.loads(out.read_text())
+    doc["free"]["budget"]["successors_per_block"] = 10**9
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert capsys.readouterr().out.splitlines()[0] == "problem: /free/budget: the stages do not match the budget"

@@ -10,25 +10,17 @@ import hashlib
 
 import pytest
 
-from conftest import set_map
-from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
-from nwfs.core import PresheafMap
+from conftest import edge_to_point, set_map
+from nwfs.catalog import get_category, get_gens
 from nwfs.jsonio import canonical_bytes, components_doc, sequence_body
 from nwfs.laws import check_laws, exhaustive_arrows, sample_arrows
 from nwfs.rules import MUTANT_COUNT, cograph_rule, graph_rule, mutant_rule, trivial_left_rule, trivial_right_rule
 from nwfs.sequence import OrdinalBudget, build_comparison, run_free, run_plain
 
 
-def _edge_to_point() -> PresheafMap:
-    base = get_category("delta<=1")
-    edge = representable(base, "1")
-    point = terminal_presheaf(base)
-    return PresheafMap(edge, point, {a: dict.fromkeys(edge.carrier[a], 0) for a in base.objects})
-
-
 GOLDEN = {
     "horns<=1": (
-        _edge_to_point,
+        edge_to_point,
         "788ceea76dc1280002b16fb85f0fc8615d5facf2a0ff994480664e42177fdb4b",
         "f9e7bd7d0203bba9d398bb64003d38f6e0b7bd6ea167963ed879070a9ca6d100",
         "9db259923368bc904359c21419385a6e84dca7a51806616e8f8a154bec2c7e35",

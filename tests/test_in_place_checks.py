@@ -5,8 +5,12 @@ reference: `composite_equals` with building the composite and comparing
 its components, `enumerate_squares` with the all-pairs filter, and
 `induce` with the dict version. Inputs are random sets over `terminal`
 and random reflexive graphs over `delta<=1`, with random element ids.
-The negative tests check that every in-place check still fires.
+The negative tests check that every in-place check still fires, the
+validator's equations on a replayed run among them.
 """
+
+import json
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import assume, given, settings
 
 from conftest import finset, set_map
 from test_hom_search import reflexive_graphs
-from nwfs import sequence
+from nwfs import jsonio, sequence
 from nwfs.algebras import (
     enumerate_algebra_structures,
     enumerate_lifting_tables,
@@ -29,12 +33,14 @@ from nwfs.core import (
     InternalCheckFailed,
     PresheafMap,
     _same,
+    compose_maps,
     composite_equals,
     enumerate_maps,
     identity_map,
     presheaf,
 )
-from nwfs.sequence import OrdinalBudget, build_comparison, run_free, run_plain
+from nwfs.jsonio import sequence_certificate, validate_certificate
+from nwfs.sequence import FREE, PLAIN, OrdinalBudget, build_comparison, run_free, run_plain
 
 POINT = get_gens("point")
 CODIAG = get_gens("codiagonal")
@@ -420,3 +426,55 @@ def test_a_tampered_comparison_map_fails_its_flag(monkeypatch, flag):
     commutes = report.left_commutes if flag == "left" else report.right_commutes
     assert commutes == (True, False)
     assert not report.ok
+
+
+def swap(X, a, b) -> PresheafMap:
+    """The automorphism of a set that swaps elements a and b."""
+    values = {x: x for x in X.carrier["0"]}
+    values[a], values[b] = b, a
+    return PresheafMap(X, X, {"0": values})
+
+
+def constant(source, target, value) -> PresheafMap:
+    return PresheafMap(source, target, {"0": dict.fromkeys(source.carrier["0"], value)})
+
+
+def at_1(entries, value):
+    return entries[:1] + (value,) + entries[2:]
+
+
+# Each fault breaks one equation at stage 2 of the free (or, for the limit,
+# plain) run of 2 -> 3 [1, 1] against the point. Elements 0 and 2 of stage
+# 2 lie over different points, and 0 is the image of the domain's 0.
+ENGINE_FAULTS = {
+    "/run/links/1: link does not extend the left half":
+        lambda s: replace(s, links=at_1(s.links, compose_maps(swap(s.stages[2].mid, 0, 2), s.links[1]))),
+    "/run/links/1: link does not cover the right half":
+        lambda s: replace(s, links=at_1(s.links, compose_maps(swap(s.stages[2].mid, 0, 2), s.links[1]))),
+    "/run/links/1: link into a limit stage is not an isomorphism":
+        lambda s: replace(s, stages=s.stages[:2] + (replace(s.stages[2], kind="limit"),) + s.stages[3:]),
+    "/run/folds/1: fold is not surjective":
+        lambda s: replace(s, folds=at_1(s.folds, constant(s.steps[1].mid, s.stages[2].mid, 0))),
+    "/run/folds/1: fold does not reproduce the link":
+        lambda s: replace(s, folds=at_1(s.folds, compose_maps(swap(s.stages[2].mid, 0, 2), s.folds[1]))),
+    "/run/folds/1: fold does not cover the step's right half":
+        lambda s: replace(s, folds=at_1(s.folds, compose_maps(swap(s.stages[2].mid, 0, 2), s.folds[1]))),
+    "/run/folds/1: fold does not coequalize its pair":
+        lambda s: replace(s, pairs=at_1(s.pairs, (s.pairs[1][0], constant(s.pairs[1][0].source, s.steps[1].mid, 0)))),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(ENGINE_FAULTS))
+def test_the_validator_checks_the_equations_a_faulty_engine_breaks(monkeypatch, problem):
+    # the certificate is written from the faulty run and replayed by the
+    # same faulty schedule, so every recorded entry matches the replay
+    honest, fault = jsonio.stage_schedule, ENGINE_FAULTS[problem]
+
+    def faulty(*args):
+        for state in honest(*args):
+            yield fault(state) if len(state.stages) > 2 else state
+
+    monkeypatch.setattr(jsonio, "stage_schedule", faulty)
+    mode = PLAIN if "limit" in problem else FREE
+    *_, state = faulty(mode, POINT, set_map(2, 3, [1, 1]), OrdinalBudget(3, 1))
+    assert problem in validate_certificate(json.loads(json.dumps(sequence_certificate(state))))

@@ -7,6 +7,14 @@ the factorisation and functor laws and nothing else. A law whose very
 construction fails (a non-commuting square fed to the functor, say) counts
 as violated with the raised message as detail; deliberately broken rules
 tend to fail that way.
+
+The checks build only what they read. A law of the form g ∘ f = h, or
+g ∘ f = id, is checked element by element with `core.composite_equals`,
+and both sides are built only to describe a law that fails. All rules on
+one arrow share one `rules.memo_scope`, so each product or sum is built
+once per arrow and dropped before the next. A product's action tables,
+which no law reads, are left unbuilt, and so is each projection that no
+rule asks for.
 """
 
 from __future__ import annotations
@@ -22,8 +30,10 @@ from .colimits import coproduct, quotient
 from .core import (
     EngineError,
     FinCategory,
+    Presheaf,
     PresheafMap,
     compose_maps,
+    composite_equals,
     identity_map,
     presheaf,
 )
@@ -75,12 +85,37 @@ def _equation(lhs: Callable[[], PresheafMap], rhs: Callable[[], PresheafMap]) ->
     return False, _diff(left, right)
 
 
+def _composite_equation(
+    g: Callable[[], PresheafMap],
+    f: Callable[[], PresheafMap],
+    rhs: Callable[[], PresheafMap] | None,
+    mid: Presheaf,
+) -> tuple[bool, str]:
+    """`_equation` for g ∘ f against rhs, or against the identity of mid.
+
+    The law is checked in place with `composite_equals`, so a law that holds
+    never builds g ∘ f; only a law that fails builds it, to describe the
+    difference. When building a side raises, both sides are built again in
+    `_equation`'s order, so the detail names the error it meets first.
+    """
+    identity = lambda: identity_map(mid)
+    try:
+        after, before = g(), f()
+        right = None if rhs is None else rhs()
+        if composite_equals(after, before, right, identity_of=mid):
+            return True, ""
+    except EngineError:
+        return _equation(lambda: compose_maps(g(), f()), rhs or identity)
+    return _equation(lambda: compose_maps(after, before), identity if right is None else lambda: right)
+
+
 def evaluate_rule(rule: FactorizationRule, arrow: ArrowObj) -> list[LawCheck]:
     """Run every applicable law for one rule at one arrow.
 
     The laws share one `rules.memo_scope`: a product or binary sum that
-    several laws mention is built once, and all of them are dropped when
-    this call returns.
+    several laws mention is built once. The scope is this call's own,
+    dropped when it returns, unless one is already open, as `check_laws`
+    keeps one for all the rules on an arrow.
     """
     with memo_scope():
         return _evaluate_rule(rule, arrow)
@@ -95,12 +130,13 @@ def _evaluate_rule(rule: FactorizationRule, arrow: ArrowObj) -> list[LawCheck]:
         ok, detail = _equation(lhs, rhs)
         checks.append(LawCheck(rule.name, law, label, ok, detail))
 
+    def record_composite(law: str, after, before, rhs=None) -> None:
+        """Record after ∘ before = rhs, or = the middle's identity when rhs is None."""
+        ok, detail = _composite_equation(after, before, rhs, triple.mid)
+        checks.append(LawCheck(rule.name, law, label, ok, detail))
+
     triple = rule.factor(f)
-    record(
-        "factors",
-        lambda: compose_maps(triple.right, triple.left),
-        lambda: f,
-    )
+    record_composite("factors", lambda: triple.right, lambda: triple.left, lambda: f)
     record(
         "functor-id",
         lambda: rule.on_square(identity_square(as_arrow(f))),
@@ -110,34 +146,24 @@ def _evaluate_rule(rule: FactorizationRule, arrow: ArrowObj) -> list[LawCheck]:
     if rule.comult is not None:
         sigma = rule.comult(f)
         left_of_left = rule.factor(triple.left)
-        record(
-            "counit-arrow",
-            lambda: compose_maps(left_of_left.right, sigma),
-            lambda: identity_map(triple.mid),
-        )
-        record(
+        record_composite("counit-arrow", lambda: left_of_left.right, lambda: sigma)
+        record_composite(
             "counit-functor",
-            lambda: compose_maps(
-                rule.on_square(
-                    Square(
-                        source=as_arrow(triple.left),
-                        target=as_arrow(f),
-                        top=identity_map(f.source),
-                        bottom=triple.right,
-                    )
-                ),
-                sigma,
+            lambda: rule.on_square(
+                Square(
+                    source=as_arrow(triple.left),
+                    target=as_arrow(f),
+                    top=identity_map(f.source),
+                    bottom=triple.right,
+                )
             ),
-            lambda: identity_map(triple.mid),
+            lambda: sigma,
         )
-        record(
-            "comult-square",
-            lambda: compose_maps(sigma, triple.left),
-            lambda: left_of_left.left,
-        )
-        record(
+        record_composite("comult-square", lambda: sigma, lambda: triple.left, lambda: left_of_left.left)
+        record_composite(
             "comult-coassoc",
-            lambda: compose_maps(rule.comult(triple.left), sigma),
+            lambda: rule.comult(triple.left),
+            lambda: sigma,
             lambda: compose_maps(
                 rule.on_square(
                     Square(
@@ -154,34 +180,24 @@ def _evaluate_rule(rule: FactorizationRule, arrow: ArrowObj) -> list[LawCheck]:
     if rule.mult is not None:
         pi = rule.mult(f)
         right_of_right = rule.factor(triple.right)
-        record(
-            "unit-arrow",
-            lambda: compose_maps(pi, right_of_right.left),
-            lambda: identity_map(triple.mid),
-        )
-        record(
+        record_composite("unit-arrow", lambda: pi, lambda: right_of_right.left)
+        record_composite(
             "unit-functor",
-            lambda: compose_maps(
-                pi,
-                rule.on_square(
-                    Square(
-                        source=as_arrow(f),
-                        target=as_arrow(triple.right),
-                        top=triple.left,
-                        bottom=identity_map(f.target),
-                    )
-                ),
+            lambda: pi,
+            lambda: rule.on_square(
+                Square(
+                    source=as_arrow(f),
+                    target=as_arrow(triple.right),
+                    top=triple.left,
+                    bottom=identity_map(f.target),
+                )
             ),
-            lambda: identity_map(triple.mid),
         )
-        record(
-            "mult-square",
-            lambda: compose_maps(triple.right, pi),
-            lambda: right_of_right.right,
-        )
-        record(
+        record_composite("mult-square", lambda: triple.right, lambda: pi, lambda: right_of_right.right)
+        record_composite(
             "mult-assoc",
-            lambda: compose_maps(pi, rule.mult(triple.right)),
+            lambda: pi,
+            lambda: rule.mult(triple.right),
             lambda: compose_maps(
                 pi,
                 rule.on_square(
@@ -196,9 +212,10 @@ def _evaluate_rule(rule: FactorizationRule, arrow: ArrowObj) -> list[LawCheck]:
         )
 
     if rule.comult is not None and rule.mult is not None:
-        record(
+        record_composite(
             "distributivity",
-            lambda: compose_maps(rule.comult(f), rule.mult(f)),
+            lambda: rule.comult(f),
+            lambda: rule.mult(f),
             lambda: _distributivity_rhs(rule, f),
         )
 
@@ -246,15 +263,21 @@ def _distributivity_rhs(rule: FactorizationRule, f: PresheafMap) -> PresheafMap:
 
 
 def check_laws(rules: Sequence[FactorizationRule], sample: Sequence[ArrowObj]) -> LawReport:
-    """Evaluate every rule against every sample arrow."""
-    checks: list[LawCheck] = []
-    for rule in rules:
-        for arrow in sample:
-            checks.extend(evaluate_rule(rule, arrow))
+    """Evaluate every rule against every sample arrow.
+
+    All rules on one arrow share one `rules.memo_scope`, so a product or sum
+    that several rules ask for is built once and dropped before the next
+    arrow. The checks come out rule by rule, each rule's in sample order.
+    """
+    per_rule: list[list[LawCheck]] = [[] for _ in rules]
+    for arrow in sample:
+        with memo_scope():
+            for rule, checks in zip(rules, per_rule):
+                checks.extend(evaluate_rule(rule, arrow))
     return LawReport(
         rules=tuple(r.name for r in rules),
         arrows=tuple(a.label or "arrow" for a in sample),
-        checks=tuple(checks),
+        checks=tuple(itertools.chain.from_iterable(per_rule)),
     )
 
 
@@ -277,6 +300,23 @@ def exhaustive_arrows(max_total: int) -> list[ArrowObj]:
                 label = f"{m}->{n}:" + "".join(str(v) for v in vals)
                 out.append(ArrowObj(PresheafMap(sets[m], sets[n], comps), label=label))
     return out
+
+
+def exhaustive_size(max_total: int, most: int) -> int:
+    """`len(exhaustive_arrows(max_total))`, counted without building the arrows.
+
+    There are n^m functions from m elements to n, none when m > 0 and n = 0,
+    and Python's 0 ** 0 is 1. The count stops as soon as it passes `most`,
+    returning a number above it, so a huge `max_total` costs no more than
+    `most` does.
+    """
+    total = 0
+    for m in range(max_total + 1):
+        for n in range(max_total + 1 - m):
+            total += n**m
+            if total > most:
+                return total
+    return total
 
 
 def sample_arrows(base: FinCategory, count: int, seed: int) -> list[ArrowObj]:

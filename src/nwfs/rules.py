@@ -14,19 +14,23 @@ finite carriers, nothing is symbolic.
 
 Binary products number their pairs lexicographically: at object a the pair
 (x, y) is element i·|Y_a| + j, where i and j are the positions of x and y in
-the sorted carriers, so every action is offset arithmetic. The builtin rules
-ask for products and binary sums through `memo_product` and `memo_sum`.
-Inside a `memo_scope`, which `laws.evaluate_rule` opens for the length of
-one evaluation, each is built once per pair of operand objects; outside it,
-as in `canonical_lift` or `compose_coalgebras`, every call builds afresh.
+the sorted carriers, so every action is offset arithmetic. A product is
+built only as far as it is read: each action table is filled in the first
+time its morphism is looked up, and each projection the first time it is
+asked for. The law checks read no action table. The builtin rules ask for
+products and binary sums through `memo_product` and `memo_sum`. Inside a
+`memo_scope`, which `laws.check_laws` opens for all the rules it checks on
+one arrow, each is built once per pair of operand objects; outside it, as
+in `canonical_lift` or `compose_coalgebras`, every call builds afresh.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping
+from functools import cached_property
 
 from .arrows import ArrowObj, Square, as_arrow, validate_square
 from .colimits import Cocone, coproduct, induce
@@ -66,15 +70,33 @@ class ProductData:
     At each object a the pair (x, y) is apex element i·|Y_a| + j, where i and
     j are the positions of x in X.carrier[a] and of y in Y.carrier[a]: pairs
     are numbered lexicographically. `rank1` and `rank2` hold those positions.
-    Within a `memo_scope`, `memo_product` hands the same instance to every
-    caller with the same operand objects, so nothing may modify it.
+    The projections onto `first` (X) and `second` (Y) are built the first
+    time each is read. Within a `memo_scope`, `memo_product` hands the same
+    instance to every caller with the same operand objects, so nothing may
+    modify it.
     """
 
     apex: Presheaf
-    proj1: PresheafMap
-    proj2: PresheafMap
+    first: Presheaf
+    second: Presheaf
     rank1: Mapping[str, Mapping[int, int]]
     rank2: Mapping[str, Mapping[int, int]]
+
+    @cached_property
+    def proj1(self) -> PresheafMap:
+        X, Y, carrier = self.first, self.second, self.apex.carrier
+        return PresheafMap(
+            self.apex,
+            X,
+            {a: dict(zip(carrier[a], [x for x in X.carrier[a] for _ in Y.carrier[a]])) for a in X.base.objects},
+        )
+
+    @cached_property
+    def proj2(self) -> PresheafMap:
+        X, Y, carrier = self.first, self.second, self.apex.carrier
+        return PresheafMap(
+            self.apex, Y, {a: dict(zip(carrier[a], Y.carrier[a] * len(X.carrier[a]))) for a in X.base.objects}
+        )
 
     def index(self, a: str, x: int, y: int) -> int:
         """The apex element at object a that stands for the pair (x, y)."""
@@ -91,37 +113,58 @@ class ProductData:
         return PresheafMap(Z, self.apex, comps)
 
 
+class _ProductActions(Mapping):
+    """The action tables of a product apex, each built the first time it is read.
+
+    A morphism m sends pair element i·|Y| + j to rows[i] + cols[j], where
+    rows[i] is the position of x's image times the width of Y at dom(m) and
+    cols[j] is the position of y's image. Keys and values are taken from the
+    apex carriers, so the tables share their int objects with them. `tables`
+    holds the tables built so far; reading every key, as `validate` and
+    equality do, builds them all.
+    """
+
+    def __init__(self, X: Presheaf, Y: Presheaf, rank1, rank2, carrier) -> None:
+        self._operands = (X, Y, rank1, rank2, carrier)
+        self._morphisms = {m.name: m for m in X.base.morphisms}
+        self.tables: dict[str, dict[int, int]] = {}
+
+    def __getitem__(self, name: str) -> dict[int, int]:
+        table = self.tables.get(name)
+        if table is None:
+            m = self._morphisms[name]
+            X, Y, rank1, rank2, carrier = self._operands
+            r1, r2, out = rank1[m.dom], rank2[m.dom], carrier[m.dom]
+            xa, ya, width = X.action[name], Y.action[name], len(r2)
+            rows = [r1[xa[x]] * width for x in X.carrier[m.cod]]
+            cols = [r2[ya[y]] for y in Y.carrier[m.cod]]
+            table = self.tables[name] = dict(zip(carrier[m.cod], [out[r + c] for r in rows for c in cols]))
+        return table
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._morphisms
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._morphisms)
+
+    def __len__(self) -> int:
+        return len(self._morphisms)
+
+
 def product_presheaf(X: Presheaf, Y: Presheaf) -> ProductData:
     """Binary product, pairs numbered lexicographically per object.
 
-    Each action is offset arithmetic: a morphism sends element i·|Y| + j to
-    rows[i] + cols[j], where rows[i] is the position of x's image times the
-    width of Y at the domain and cols[j] is the position of y's image. Keys
-    and values are taken from the apex carriers, so the tables share their
-    int objects with them.
+    Only the carriers and the rank tables are built here; each action table
+    is offset arithmetic done on first read, and each projection is built
+    on first use.
     """
     base = X.base
     rank1 = {a: {x: i for i, x in enumerate(X.carrier[a])} for a in base.objects}
     rank2 = {a: {y: j for j, y in enumerate(Y.carrier[a])} for a in base.objects}
     carrier = {a: tuple(range(len(X.carrier[a]) * len(Y.carrier[a]))) for a in base.objects}
-    action = {}
-    for m in base.morphisms:
-        r1, r2, out = rank1[m.dom], rank2[m.dom], carrier[m.dom]
-        xa, ya, width = X.action[m.name], Y.action[m.name], len(r2)
-        rows = [r1[xa[x]] * width for x in X.carrier[m.cod]]
-        cols = [r2[ya[y]] for y in Y.carrier[m.cod]]
-        action[m.name] = dict(zip(carrier[m.cod], [out[r + c] for r in rows for c in cols]))
     # carriers are sorted and every morphism acts, so no normalising is needed
-    apex = Presheaf(base=base, carrier=carrier, action=action)
-    proj1 = PresheafMap(
-        apex,
-        X,
-        {a: dict(zip(carrier[a], [x for x in X.carrier[a] for _ in Y.carrier[a]])) for a in base.objects},
-    )
-    proj2 = PresheafMap(
-        apex, Y, {a: dict(zip(carrier[a], Y.carrier[a] * len(X.carrier[a]))) for a in base.objects}
-    )
-    return ProductData(apex=apex, proj1=proj1, proj2=proj2, rank1=rank1, rank2=rank2)
+    apex = Presheaf(base=base, carrier=carrier, action=_ProductActions(X, Y, rank1, rank2, carrier))
+    return ProductData(apex=apex, first=X, second=Y, rank1=rank1, rank2=rank2)
 
 
 _MEMO: ContextVar[dict | None] = ContextVar("nwfs.rules.memo", default=None)
@@ -134,9 +177,13 @@ def memo_scope() -> Iterator[None]:
     Inside the scope, `memo_product(X, Y)` and `memo_sum(X, Y)` return what
     they already built for the same operand objects. Entries are keyed by id
     and hold their operands, so an id cannot be reused while it is a key.
-    Outside any scope both build afresh on every call. `laws.evaluate_rule`
-    opens one scope per evaluation, so nothing is kept across evaluations.
+    Outside any scope both build afresh on every call. A scope opened inside
+    another one shares the outer memo and leaves it in place. `laws` opens
+    one scope per sample arrow, so nothing is kept across arrows.
     """
+    if _MEMO.get() is not None:
+        yield
+        return
     token = _MEMO.set({})
     try:
         yield

@@ -541,3 +541,54 @@ def test_validate_replays_no_further_than_the_recorded_stages(tmp_path, map_file
     capsys.readouterr()
     assert main(["validate", str(out)]) == 3
     assert capsys.readouterr().out.splitlines()[0] == "problem: /free/budget: the stages do not match the budget"
+
+
+def test_validate_rejects_unknown_keys_in_a_law_check(tmp_path, capsys):
+    out = tmp_path / "laws.json"
+    assert main(["laws", "--max-total", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["checks"][1]["extra"] = "x"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    problem, summary = capsys.readouterr().out.splitlines()
+    assert problem.startswith("problem: /checks/1: recorded verdict differs from recomputation (")
+    assert "'extra': 'x'" in problem and summary == "1 problem(s) found"
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        {"kind": "exhaustive", "max_total": 40},
+        {"kind": "exhaustive", "max_total": 10**9},
+        {"kind": "seeded", "category": "delta<=1", "count": 10**9, "seed": 0},
+    ],
+)
+def test_validate_bounds_a_laws_sample_by_the_recorded_checks(tmp_path, capsys, sample):
+    # graph on the 4 arrows of --max-total 2 records 44 checks; every rule
+    # records at least two on each arrow, so 22 arrows is the most they cover
+    out = tmp_path / "laws.json"
+    assert main(["laws", "--rules", "graph", "--max-total", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["checks"]) == 44
+    doc["sample"] = sample
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "problem: /sample: names more than 22 arrows, too many for the recorded checks"
+    )
+
+
+def test_validate_builds_no_sample_that_no_rule_reads(tmp_path, capsys):
+    out = tmp_path / "laws.json"
+    assert main(["laws", "--rules", ",", "--max-total", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["rules"] == [] and doc["checks"] == []
+    doc["sample"]["max_total"] = 10**9
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 0
+    doc["sample"]["max_total"] = -1
+    out.write_text(json.dumps(doc))
+    assert main(["validate", str(out)]) == 3

@@ -1,11 +1,20 @@
+import dataclasses
 import itertools
 
 import pytest
 
+from nwfs import laws
 from nwfs.arrows import identity_square
 from nwfs.catalog import get_category
-from nwfs.core import maps_equal, validate
-from nwfs.laws import LawReport, check_laws, evaluate_rule, exhaustive_arrows, sample_arrows
+from nwfs.core import IncompatibleInput, maps_equal, validate
+from nwfs.laws import (
+    LawReport,
+    check_laws,
+    evaluate_rule,
+    exhaustive_arrows,
+    exhaustive_size,
+    sample_arrows,
+)
 from nwfs.rules import (
     MUTANT_COUNT,
     cograph_rule,
@@ -44,6 +53,15 @@ def test_exhaustive_corpus_size():
     assert len(corpus) == count_set_maps(4) == 17
     labels = [a.label for a in corpus]
     assert len(set(labels)) == len(labels)
+
+
+def test_exhaustive_size_counts_the_corpus_without_building_it():
+    for max_total in range(6):
+        size = len(exhaustive_arrows(max_total))
+        assert exhaustive_size(max_total, size) == size == count_set_maps(max_total)
+        # one short of the count, the count stops past it
+        assert exhaustive_size(max_total, size - 1) > size - 1
+    assert exhaustive_size(10**9, 22) == 23
 
 
 def test_exhaustive_corpus_is_exactly_the_function_space():
@@ -142,3 +160,42 @@ def test_builtin_rules_build_presheaves_and_natural_maps(rule):
             maps["mult"] = rule.mult(f)
         for name, m in maps.items():
             assert validate(m) == [], (arrow.label, name)
+
+
+def _raising_on_squares(rule):
+    """The rule, but its functor refuses every square it is given."""
+
+    def refuse(sq):
+        raise IncompatibleInput("on_square refuses")
+
+    return dataclasses.replace(rule, name=rule.name + "!refuse", on_square=refuse)
+
+
+@pytest.mark.parametrize(
+    "rules, sample",
+    [
+        (BUILTINS + [mutant_rule(i) for i in range(MUTANT_COUNT)], lambda: exhaustive_arrows(4)),
+        (BUILTINS, lambda: sample_arrows(get_category("delta<=1"), 4, 0)),
+        ([_raising_on_squares(graph_rule()), _raising_on_squares(cograph_rule())], lambda: exhaustive_arrows(3)),
+    ],
+    ids=["exhaustive", "seeded", "raising"],
+)
+def test_in_place_verdicts_match_building_both_sides(monkeypatch, rules, sample):
+    """A law checked in place gets the verdict and detail that building both sides gives.
+
+    With `composite_equals` patched to find no law holding, every law of the
+    form g ∘ f = h falls through to building g ∘ f and h, as laws were once
+    checked; the reference is that run.
+    """
+    arrows = sample()
+    in_place = check_laws(rules, arrows).checks
+    monkeypatch.setattr(laws, "composite_equals", lambda *args, **kwargs: False)
+    built = check_laws(rules, arrows).checks
+    assert [(c.rule, c.law, c.arrow) for c in in_place] == [(c.rule, c.law, c.arrow) for c in built]
+    assert [(c.ok, c.detail) for c in in_place] == [(c.ok, c.detail) for c in built]
+    assert any(c.ok for c in in_place)
+    if len(rules) > len(BUILTINS):
+        assert any(not c.ok for c in in_place)
+    if rules[0].name.endswith("!refuse"):
+        raised = [c for c in in_place if c.law in {"functor-id", "counit-functor", "unit-functor"}]
+        assert raised and all(c.detail == "evaluation raised: on_square refuses" for c in raised)

@@ -2,10 +2,15 @@
 
 The reference numbers the pairs of each object by enumerating them
 lexicographically into a dict, as `product_presheaf` once did; the kernel
-must give the same apex, projections, pairings and indices.
+must give the same apex, projections, pairings and indices. The kernel
+builds its action tables only when they are read, and the law checks share
+products across the rules on one arrow and read none of those tables.
 """
 
 import dataclasses
+import gc
+import tracemalloc
+import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -18,7 +23,15 @@ from nwfs.arrows import ArrowObj
 from nwfs.catalog import get_category
 from nwfs.core import IncompatibleInput, enumerate_maps, presheaf, validate
 from nwfs.laws import check_laws, evaluate_rule, exhaustive_arrows, sample_arrows
-from nwfs.rules import cograph_rule, graph_rule, memo_product, memo_scope, memo_sum, product_presheaf
+from nwfs.rules import (
+    cograph_rule,
+    graph_rule,
+    memo_product,
+    memo_scope,
+    memo_sum,
+    mutant_rule,
+    product_presheaf,
+)
 
 
 def reference_product(X, Y):
@@ -155,3 +168,89 @@ def test_the_scope_closes_when_an_evaluation_raises():
         evaluate_rule(rule, ArrowObj(set_map(1, 2, [1])))
     X, Y = finset(2), finset(2)
     assert memo_product(X, Y) is not memo_product(X, Y)
+
+
+def test_a_product_builds_its_actions_on_first_read():
+    base = get_category("delta<=1")
+    first, second = sample_arrows(base, 2, 3)
+    prod = product_presheaf(first.cod, second.dom)
+    actions = prod.apex.action
+    assert actions.tables == {}
+    assert len(actions) == len(base.morphisms) and list(actions) == [m.name for m in base.morphisms]
+    assert all(m.name in actions for m in base.morphisms) and "nope" not in actions
+    assert actions.tables == {}
+    name = base.morphisms[-1].name
+    assert actions[name] is actions[name] and list(actions.tables) == [name]
+    with pytest.raises(KeyError):
+        actions["nope"]
+    assert validate(prod.apex) == []
+    assert set(actions.tables) == {m.name for m in base.morphisms}
+
+
+def test_a_laws_evaluation_reads_no_product_action(monkeypatch):
+    built = []
+
+    def recording(X, Y):
+        built.append(product_presheaf(X, Y))
+        return built[-1]
+
+    monkeypatch.setattr(rules, "product_presheaf", recording)
+    arrows = sample_arrows(get_category("delta<=1"), 2, 0)
+    report = check_laws([graph_rule(), mutant_rule(0), mutant_rule(1)], arrows)
+    assert built and any(not c.ok for c in report.checks)
+    assert all(prod.apex.action.tables == {} for prod in built)
+    # the actions are still all there for whoever reads them
+    assert all(validate(prod.apex) == [] for prod in built)
+
+
+def test_rules_on_one_arrow_share_their_products_and_drop_them_after(monkeypatch):
+    builds = [0]
+
+    def counted(X, Y):
+        builds[0] += 1
+        return product_presheaf(X, Y)
+
+    monkeypatch.setattr(rules, "product_presheaf", counted)
+    arrows = [a for a in exhaustive_arrows(3) if a.dom.total_size][:4]
+    seen: dict[int, set[int]] = {}
+    finished: list = []  # weak references to a product of each arrow begun
+
+    def probing(rule):
+        def factor(f):
+            if any(f is a.f for a in arrows):
+                prod = memo_product(f.source, f.target)
+                if id(f) not in seen:
+                    # a new arrow: the products of every earlier one are gone
+                    gc.collect()
+                    assert all(ref() is None for ref in finished)
+                    finished.append(weakref.ref(prod))
+                seen.setdefault(id(f), set()).add(id(prod))
+            return rule.factor(f)
+
+        return dataclasses.replace(rule, factor=factor)
+
+    probed = [probing(graph_rule()), probing(mutant_rule(0)), probing(mutant_rule(2))]
+    report = check_laws(probed, arrows)
+    assert len(seen) == len(arrows) and all(len(ids) == 1 for ids in seen.values())
+    # all three rules on an arrow build no more products than one of them
+    for arrow in arrows:
+        before = builds[0]
+        check_laws(probed[:1], [arrow])
+        alone = builds[0] - before
+        check_laws(probed, [arrow])
+        assert builds[0] - before == 2 * alone
+    assert report.checks == tuple(c for rule in probed for a in arrows for c in evaluate_rule(rule, a))
+
+
+def test_the_laws_of_a_large_arrow_stay_small():
+    # one seeded arrow over delta<=2, with 4 and 7 top cells: its graph-rule
+    # laws peaked at 253 MB when every product action table was built
+    arrows = sample_arrows(get_category("delta<=2"), 1, 0)
+    tracemalloc.start()
+    try:
+        report = check_laws([graph_rule()], arrows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 100 * 2**20

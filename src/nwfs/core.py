@@ -165,12 +165,6 @@ class Presheaf:
     carrier: Mapping[str, tuple[int, ...]]
     action: Mapping[str, Mapping[int, int]]
 
-    def at(self, obj: str) -> tuple[int, ...]:
-        return self.carrier[obj]
-
-    def act(self, mor: str, elt: int) -> int:
-        return self.action[mor][elt]
-
     @property
     def sizes(self) -> dict[str, int]:
         return {a: len(self.carrier[a]) for a in self.base.objects}
@@ -268,9 +262,6 @@ class PresheafMap:
     target: Presheaf
     components: Mapping[str, Mapping[int, int]]
 
-    def at(self, obj: str, elt: int) -> int:
-        return self.components[obj][elt]
-
 
 def _same(x: object, y: object) -> bool:
     return x is y or x == y
@@ -281,6 +272,7 @@ def _validate_map(f: PresheafMap) -> list[str]:
     if not _same(f.source.base, f.target.base):
         return ["source and target live over different base categories"]
     base = f.source.base
+    out.extend(f"component at unknown object {a!r}" for a in f.components if a not in base.objects)
     for a in base.objects:
         comp = f.components.get(a)
         if comp is None:

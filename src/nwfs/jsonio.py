@@ -7,15 +7,18 @@ morphism; maps carry their endpoint presheaves plus components. A generating
 set is a list of arrows, each either a map document or a catalog key.
 
 Certificates are self-contained: they embed the normalised inputs, their
-digests, and the full run. `validate_certificate` replays a recorded run
-with `sequence.stage_schedule`, in the recorded mode and budget and for as
-many stages as the record holds, and reports the first recorded stage,
-link, step, fold or pair that differs from the replayed one. It rechecks
-the equations any run must satisfy, whoever built it, and rebuilds the
-comparison with `build_comparison`. Recorded values are compared by their
-canonical JSON, so `1`, `1.0` and `true` differ. All serialization is
-deterministic (sorted keys, fixed list orders, no clocks), which is what
-makes byte-identical reruns possible.
+digests, and the full run. `validate_certificate` checks a certificate as
+one document. Everything but its run bodies must equal, key for key, the
+document the engine's own builder writes from the reloaded inputs, the
+replayed runs and the recorded seed, so a missing, changed or unknown key
+anywhere is a problem. The run bodies are compared entry by entry during
+the replay: `sequence.stage_schedule` runs in the recorded mode and budget
+for as many stages as the record holds, and the first recorded stage, link,
+step, fold, pair or cardinality that differs from the replayed one is
+reported. The validator also rechecks the equations any run must satisfy,
+whoever built it. Values are compared as JSON, so `1`, `1.0` and `true`
+differ. All serialization is deterministic (sorted keys, fixed list orders,
+no clocks), which is what makes byte-identical reruns possible.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from json.encoder import encode_basestring
 from typing import Any, Mapping
 
 from . import catalog
+from .algebras import check_bijection, extract_algebra, fillers_from_algebra
 from .arrows import ArrowObj, GeneratingSet, Square, square_commutes
 from .core import (
     EngineError,
@@ -388,13 +392,14 @@ def step_doc(st: OneStepFactorization | None) -> dict | None:
     }
 
 
+def budget_doc(budget: OrdinalBudget) -> dict:
+    return {"successors_per_block": budget.successors_per_block, "omega_blocks": budget.omega_blocks}
+
+
 def sequence_body(state: SequenceState) -> dict:
     return {
         "mode": state.mode,
-        "budget": {
-            "successors_per_block": state.budget.successors_per_block,
-            "omega_blocks": state.budget.omega_blocks,
-        },
+        "budget": budget_doc(state.budget),
         "converged_at": state.converged_at,
         "exhausted": state.exhausted,
         "stages": [stage_doc(s) for s in state.stages],
@@ -406,25 +411,30 @@ def sequence_body(state: SequenceState) -> dict:
     }
 
 
-def input_block(cat: FinCategory, gens: GeneratingSet, arrow: PresheafMap) -> tuple[dict, dict]:
+def certificate_header(schema: str, cat: FinCategory, gens: GeneratingSet, arrow: PresheafMap, seed: int | None) -> dict:
+    """The head of a certificate that embeds its inputs: schema, tool, inputs, their digests and the seed."""
     docs = {
         "category": category_doc(cat),
         "gens": gens_doc(gens),
         "arrow": map_doc(arrow),
     }
-    digests = {k: digest(v) for k, v in docs.items()}
-    return docs, digests
-
-
-def sequence_certificate(state, algebra=None, table=None, seed: int | None = None) -> dict:
-    docs, digests = input_block(state.arrow.f.source.base, state.gens, state.arrow.f)
     return {
-        "schema": SCHEMA_SEQUENCE,
+        "schema": schema,
         "tool": TOOL,
         "inputs": docs,
-        "digests": digests,
+        "digests": {k: digest(v) for k, v in docs.items()},
         "seed": seed,
-        "run": sequence_body(state),
+    }
+
+
+# A sequence or compare certificate is a frame around its run bodies; the
+# validator compares the frame as one document and replays the bodies.
+
+
+def sequence_frame(state, algebra=None, table=None, seed: int | None = None) -> dict:
+    """A sequence certificate without its run body."""
+    return {
+        **certificate_header(SCHEMA_SEQUENCE, state.arrow.f.source.base, state.gens, state.arrow.f, seed),
         "algebra": None if algebra is None else {"structure": components_doc(algebra.structure)},
         "lifting_table": None
         if table is None
@@ -433,16 +443,14 @@ def sequence_certificate(state, algebra=None, table=None, seed: int | None = Non
     }
 
 
-def compare_certificate(free, plain, report, seed: int | None = None) -> dict:
-    docs, digests = input_block(free.arrow.f.source.base, free.gens, free.arrow.f)
+def sequence_certificate(state, algebra=None, table=None, seed: int | None = None) -> dict:
+    return {**sequence_frame(state, algebra, table, seed), "run": sequence_body(state)}
+
+
+def compare_frame(free, plain, report, seed: int | None = None) -> dict:
+    """A compare certificate without its two run bodies."""
     return {
-        "schema": SCHEMA_COMPARE,
-        "tool": TOOL,
-        "inputs": docs,
-        "digests": digests,
-        "seed": seed,
-        "free": sequence_body(free),
-        "plain": sequence_body(plain),
+        **certificate_header(SCHEMA_COMPARE, free.arrow.f.source.base, free.gens, free.arrow.f, seed),
         "comparison": {
             "maps": [components_doc(m) for m in report.maps],
             "left_commutes": list(report.left_commutes),
@@ -455,6 +463,10 @@ def compare_certificate(free, plain, report, seed: int | None = None) -> dict:
             "work": {"free": free.work, "plain": plain.work},
         },
     }
+
+
+def compare_certificate(free, plain, report, seed: int | None = None) -> dict:
+    return {**compare_frame(free, plain, report, seed), "free": sequence_body(free), "plain": sequence_body(plain)}
 
 
 def laws_certificate(report, rule_tokens, sample_spec, seed: int | None = None) -> dict:
@@ -474,14 +486,9 @@ def laws_certificate(report, rule_tokens, sample_spec, seed: int | None = None) 
 
 
 def enumeration_certificate(report, cat, gens, arrow, seed=None) -> dict:
-    docs, digests = input_block(cat, gens, arrow)
     small = report.algebra_count <= 64 and report.table_count <= 64
     return {
-        "schema": SCHEMA_ENUMERATION,
-        "tool": TOOL,
-        "inputs": docs,
-        "digests": digests,
-        "seed": seed,
+        **certificate_header(SCHEMA_ENUMERATION, cat, gens, arrow, seed),
         "algebra_count": report.algebra_count,
         "table_count": report.table_count,
         "product_count": report.product_count,
@@ -511,61 +518,32 @@ def filler_certificate(cat, gen_index, gen_arrow, target, top, bottom, filler) -
 # re-validation
 
 
-def _rebuild_map(doc, path, source, target, problems) -> PresheafMap | None:
-    """Parse a components document into a checked map between known presheaves."""
-    try:
-        comps = parse_components(doc, path)
-    except InputError as err:
-        problems.append(str(err))
-        return None
-    f = PresheafMap(source, target, comps)
-    bad = validate(f)
-    if bad:
-        problems.append(f"{path}: {bad[0]}")
-        return None
-    return f
-
-
-def _equal(recorded: Any, expected: Any) -> bool:
-    """JSON equality; unlike Python's `==` it tells `1` from `1.0` and `true`."""
-    return canonical_bytes(recorded) == canonical_bytes(expected)
-
-
 def _check(problems: list[str], cond: bool, path: str, message: str) -> None:
     if not cond:
         problems.append(f"{path}: {message}")
 
 
-def _composite_is(g: PresheafMap, f: PresheafMap, h: PresheafMap) -> bool:
-    """`maps_equal(compose_maps(g, f), h)`, checked without building g after f."""
-    return (
-        composite_equals(g, f, h)
-        and f.source.carrier == h.source.carrier
-        and g.target.carrier == h.target.carrier
-    )
+def _load_components(doc: Any, path: str, source: Presheaf, target: Presheaf) -> PresheafMap:
+    """A components document as a checked map between known presheaves."""
+    f = PresheafMap(source, target, parse_components(doc, path))
+    problems = validate(f)
+    if problems:
+        raise InputError(path, problems[0])
+    return f
 
 
-def _load_inputs(doc, problems) -> tuple | None:
-    inputs = doc.get("inputs")
-    if not isinstance(inputs, dict):
-        problems.append("/inputs: missing or not an object")
-        return None
-    try:
-        cat = load_category(inputs.get("category"), "/inputs/category")
-        gens = load_gens(inputs.get("gens"), "/inputs/gens", cat)
-        arrow = load_map(inputs.get("arrow"), "/inputs/arrow", cat)
-    except InputError as err:
-        problems.append(str(err))
-        return None
-    digests = doc.get("digests")
-    if isinstance(digests, dict):
-        for key in ("category", "gens", "arrow"):
-            want = digests.get(key)
-            got = digest(inputs[key])
-            _check(problems, want == got, f"/digests/{key}", f"digest mismatch: recorded {want}, recomputed {got}")
-    else:
-        problems.append("/digests: missing or not an object")
-    return gens, arrow
+def _load_inputs(doc: dict) -> tuple[FinCategory, GeneratingSet, PresheafMap]:
+    inputs = _expect(doc, "inputs", dict, "")
+    cat = load_category(inputs.get("category"), "/inputs/category")
+    return cat, load_gens(inputs.get("gens"), "/inputs/gens", cat), load_map(inputs.get("arrow"), "/inputs/arrow", cat)
+
+
+def _recorded_seed(doc: dict) -> int | None:
+    """The recorded seed, which the engine copies from its command line: an integer or null."""
+    seed = doc.get("seed")
+    if seed is not None and not _is_int(seed):
+        raise InputError("/seed", f"expected an integer or null, got {type(seed).__name__}")
+    return seed
 
 
 def _plain(doc: Any) -> bool:
@@ -578,15 +556,16 @@ def _plain(doc: Any) -> bool:
 
 
 def _first_difference(recorded: Any, expected: Any, path: str) -> str | None:
-    """The first place where a recorded JSON value differs from an expected run entry.
+    """The first place where a recorded JSON value differs from the expected one, or None.
 
     Objects are walked in the expected key order and lists in order; a
-    differing leaf reads `{path}: recorded {r!r}, expected {e!r}`. Values
+    differing leaf reads `{path}: recorded {r!r}, expected {e!r}`, a key
+    only one side has `{path}: missing` or `{path}: not expected`. Values
     are compared as JSON, so `1`, `1.0` and `true` differ.
     """
-    # run entries hold no floats or booleans, so Python's `==`, which takes
-    # 1.0 and true for 1, decides once the recorded value holds none either
-    if recorded == expected and _plain(recorded):
+    # Python's `==` takes 1.0 and true for 1, so it decides only where
+    # neither side holds a float or a boolean
+    if recorded == expected and _plain(expected) and _plain(recorded):
         return None
     if isinstance(expected, (dict, list)) and type(recorded) is not type(expected):
         return f"{path}: expected {'an object' if isinstance(expected, dict) else 'a list'}, got {type(recorded).__name__}"
@@ -597,14 +576,24 @@ def _first_difference(recorded: Any, expected: Any, path: str) -> str | None:
             found = _first_difference(recorded[key], want, f"{path}/{key}")
             if found:
                 return found
-        return f"{path}/{next(k for k in recorded if k not in expected)}: not expected"
+        extra = next((key for key in recorded if key not in expected), None)
+        return None if extra is None else f"{path}/{extra}: not expected"
     if isinstance(expected, list):
         for i, (got, want) in enumerate(zip(recorded, expected)):
             found = _first_difference(got, want, f"{path}/{i}")
             if found:
                 return found
-        return f"{path}: recorded {len(recorded)} entries, expected {len(expected)}"
+        return None if len(recorded) == len(expected) else f"{path}: recorded {len(recorded)} entries, expected {len(expected)}"
+    if type(recorded) is type(expected) and recorded == expected:
+        return None
     return f"{path}: recorded {recorded!r}, expected {expected!r}"
+
+
+def _check_document(doc: dict, expected: dict, problems: list[str], bodies: tuple[str, ...] = ()) -> None:
+    """Compare a certificate, apart from its replayed run `bodies`, with the document the engine writes."""
+    found = _first_difference({k: v for k, v in doc.items() if k not in bodies}, expected, "")
+    if found:
+        problems.append(found)
 
 
 def _entries(state: SequenceState, i: int, last: bool) -> list[tuple[str, int, Any]]:
@@ -619,7 +608,7 @@ def _entries(state: SequenceState, i: int, last: bool) -> list[tuple[str, int, A
         ("folds", i - 1, fold_doc(state.folds[i - 1])),
         ("links", i - 1, components_doc(state.links[i - 1])),
     ]
-    here = [("stages", i, stage_doc(state.stages[i]))]
+    here = [("stages", i, stage_doc(state.stages[i])), ("cardinalities", i, state.stages[i].mid.sizes)]
     return below + here + [(key, i, None) for key in ("steps", "pairs", "folds") if last]
 
 
@@ -643,6 +632,9 @@ def _check_in_place(state: SequenceState, i: int, path: str, problems: list[str]
         _check(problems, composite_equals(fold, pair[0], compose_maps(fold, pair[1])), fp, "fold does not coequalize its pair")
 
 
+_RUN_KEYS = ("mode", "budget", "converged_at", "exhausted", "stages", "links", "folds", "pairs", "steps", "cardinalities")
+
+
 def _validate_run(body, path, gens, arrow, problems, modes=(FREE, PLAIN), may_stop=True) -> SequenceState | None:
     """Replay one serialized run with the engine's stage schedule; return the replay if it holds.
 
@@ -654,6 +646,10 @@ def _validate_run(body, path, gens, arrow, problems, modes=(FREE, PLAIN), may_st
     """
     if not isinstance(body, dict):
         problems.append(f"{path}: missing or not an object")
+        return None
+    extra = next((key for key in body if key not in _RUN_KEYS), None)
+    if extra is not None:
+        problems.append(f"{path}/{extra}: not expected")
         return None
     mode = body.get("mode")
     if mode not in modes:
@@ -694,6 +690,10 @@ def _validate_run(body, path, gens, arrow, problems, modes=(FREE, PLAIN), may_st
         problems.append(f"{path}/budget: expected positive integers successors_per_block and omega_blocks")
         return None
     budget = OrdinalBudget(per_block, blocks)
+    found = _first_difference(body["budget"], budget_doc(budget), f"{path}/budget")
+    if found:
+        problems.append(found)
+        return None
 
     before = len(problems)
     if mode == "free":
@@ -710,7 +710,6 @@ def _validate_run(body, path, gens, arrow, problems, modes=(FREE, PLAIN), may_st
             if found:
                 problems.append(found)
                 return None
-        _check(problems, _equal(cards[i], run.stages[i].mid.sizes), f"{path}/cardinalities/{i}", "recorded sizes differ from the stage middle")
         if i:
             _check_in_place(run, i, path, problems)
     if len(run.stages) < n:
@@ -729,103 +728,35 @@ def _validate_run(body, path, gens, arrow, problems, modes=(FREE, PLAIN), may_st
     return run if len(problems) == before else None
 
 
-def _check_work(problems, doc, want) -> None:
-    timing = doc.get("timing")
-    _check(problems, isinstance(timing, dict) and _equal(timing.get("work"), want), "/timing/work", "recorded counters differ from the run")
-
-
 def _validate_sequence_cert(doc, problems) -> SequenceState | None:
     """Recheck a sequence certificate; return its replayed run once the run holds."""
-    loaded = _load_inputs(doc, problems)
-    if loaded is None:
-        return None
-    gens, arrow = loaded
+    _, gens, arrow = _load_inputs(doc)
+    seed = _recorded_seed(doc)
     run = _validate_run(doc.get("run"), "/run", gens, arrow, problems)
     if run is None:
         return None
-    _check_work(problems, doc, run.work)
-    gamma = run.converged_at
-    step = None if gamma is None else run.steps[gamma]
-    alg = doc.get("algebra")
-    if alg is not None and not isinstance(alg, dict):
-        problems.append(f"/algebra: expected an object, got {type(alg).__name__}")
-    elif alg is not None:
-        if step is None:
-            problems.append("/algebra: recorded without a converged stage step")
-        else:
-            stage = run.stages[gamma]
-            p = _rebuild_map(alg.get("structure"), "/algebra/structure", step.mid, stage.mid, problems)
-            if p is not None:
-                _check(
-                    problems,
-                    composite_equals(p, step.left, identity_of=stage.mid),
-                    "/algebra/structure",
-                    "structure map does not retract the step's left half",
-                )
-                _check(
-                    problems,
-                    _composite_is(stage.right, p, step.right),
-                    "/algebra/structure",
-                    "structure map does not live over the factored arrow",
-                )
-    table = doc.get("lifting_table")
-    if table is not None and not isinstance(table, dict):
-        problems.append(f"/lifting_table: expected an object, got {type(table).__name__}")
-    elif table is not None:
-        if step is None:
-            problems.append("/lifting_table: recorded without a converged stage step")
-            return run
-        fillers = table.get("fillers")
-        if not isinstance(fillers, list) or len(fillers) != len(step.squares):
-            problems.append(
-                f"/lifting_table/fillers: expected {len(step.squares)} fillers, got "
-                f"{len(fillers) if isinstance(fillers, list) else '?'}"
-            )
-            return run
-        stage = run.stages[gamma]
-        for sn, fdoc in enumerate(fillers):
-            fp = f"/lifting_table/fillers/{sn}"
-            gi, sq = step.squares[sn]
-            j = gens.members[gi]
-            filler = _rebuild_map(fdoc, fp, j.f.target, stage.mid, problems)
-            if filler is None:
-                continue
-            _check(problems, _composite_is(filler, j.f, sq.top), fp, "upper filler triangle fails")
-            _check(problems, _composite_is(stage.right, filler, sq.bottom), fp, "lower filler triangle fails")
+    # `nwfs factorize` records the algebra of every converged run; a library
+    # caller may leave it out
+    algebra = table = None
+    if run.converged_at is not None and doc.get("algebra") is not None:
+        algebra = extract_algebra(run)
+        table = fillers_from_algebra(algebra)
+    _check_document(doc, sequence_frame(run, algebra, table, seed), problems, bodies=("run",))
     return run
 
 
 def _validate_compare_cert(doc, problems) -> None:
-    loaded = _load_inputs(doc, problems)
-    if loaded is None:
-        return
-    gens, arrow = loaded
-    # `nwfs compare` runs both sequences to the end of the budget
+    _, gens, arrow = _load_inputs(doc)
+    seed = _recorded_seed(doc)
+    # `nwfs compare` runs both sequences to the end of the same budget
     free = _validate_run(doc.get("free"), "/free", gens, arrow, problems, modes=(FREE,), may_stop=False)
     plain = _validate_run(doc.get("plain"), "/plain", gens, arrow, problems, modes=(PLAIN,), may_stop=False)
     if free is None or plain is None:
         return
-    _check_work(problems, doc, {"free": free.work, "plain": plain.work})
-    comp = doc.get("comparison")
-    if not isinstance(comp, dict):
-        problems.append("/comparison: missing or not an object")
-        return
-    maps_doc = comp.get("maps")
-    n = min(len(plain.stages), len(free.stages))
-    if not isinstance(maps_doc, list) or len(maps_doc) != n or len(plain.stages) != len(free.stages):
-        problems.append(f"/comparison/maps: expected one map per stage ({n} stages)")
-        return
     report = build_comparison(free, plain)
-    for i, mdoc in enumerate(maps_doc):
-        mp = f"/comparison/maps/{i}"
-        comps = parse_components(mdoc, mp)
-        _check(problems, comps == report.maps[i].components, mp, "differs from the comparison rebuilt from the runs")
-        _check(problems, report.left_commutes[i], mp, "does not commute with the left halves")
-        _check(problems, report.right_commutes[i], mp, "does not commute with the right halves")
-        _check(problems, report.surjective[i], mp, "is not componentwise surjective")
-    for key in ("left_commutes", "right_commutes", "surjective"):
-        _check(problems, _equal(comp.get(key), getattr(report, key)), f"/comparison/{key}", "recorded flags differ from recomputation")
-    _check(problems, _equal(comp.get("ok"), report.ok), "/comparison/ok", "summary flag is wrong")
+    _check(problems, plain.budget == free.budget, "/plain/budget", "differs from the free run's budget")
+    _check_document(doc, compare_frame(free, plain, report, seed), problems, bodies=("free", "plain"))
+    _check(problems, report.ok, "/comparison/ok", "the comparison does not hold")
 
 
 def rule_from_token(token: str):
@@ -851,8 +782,8 @@ def rule_from_token(token: str):
     raise InputError("/rules", f"unknown rule token {token!r}")
 
 
-def _sample_from_spec(spec, problems, most: int | None) -> list | None:
-    """The sample a laws certificate names, or None after reporting a problem.
+def _sample_from_spec(spec, most: int | None) -> tuple[list, dict]:
+    """The sample a laws certificate names, and the spec the engine writes for it.
 
     A sample of more than `most` arrows is reported at /sample without being
     built, so the work stays bounded by the certificate. With `most` None no
@@ -862,37 +793,37 @@ def _sample_from_spec(spec, problems, most: int | None) -> list | None:
     from . import laws
 
     if not isinstance(spec, dict):
-        problems.append("/sample: missing or not an object")
-        return None
+        raise InputError("/sample", "missing or not an object")
     kind = spec.get("kind")
     if kind == "exhaustive":
         max_total = spec.get("max_total")
         if not _is_int(max_total) or max_total < 0:
-            problems.append("/sample/max_total: expected a non-negative integer")
-            return None
+            raise InputError("/sample/max_total", "expected a non-negative integer")
         size = None if most is None else laws.exhaustive_size(max_total, most)
         build = lambda: laws.exhaustive_arrows(max_total)
+        written = {"kind": kind, "max_total": max_total}
     elif kind == "seeded":
-        try:
-            base = load_category(spec.get("category"), "/sample/category")
-        except InputError as err:
-            problems.append(str(err))
-            return None
+        category = spec.get("category")
+        base = load_category(category, "/sample/category")
         count, seed = spec.get("count"), spec.get("seed")
         if not _is_int(count) or not _is_int(seed):
-            problems.append("/sample: seeded samples need integer count and seed")
-            return None
+            raise InputError("/sample", "seeded samples need integer count and seed")
         size = max(count, 0)
         build = lambda: laws.sample_arrows(base, count, seed)
+        # `nwfs laws` names a catalog category by its key
+        written = {
+            "kind": kind,
+            "category": category if isinstance(category, str) else category_doc(base),
+            "count": count,
+            "seed": seed,
+        }
     else:
-        problems.append(f"/sample/kind: unknown kind {kind!r}")
-        return None
+        raise InputError("/sample/kind", f"unknown kind {kind!r}")
     if most is None:
-        return []
+        return [], written
     if size > most:
-        problems.append(f"/sample: names more than {most} arrows, too many for the recorded checks")
-        return None
-    return build()
+        raise InputError("/sample", f"names more than {most} arrows, too many for the recorded checks")
+    return build(), written
 
 
 def _validate_laws_cert(doc, problems) -> None:
@@ -900,79 +831,41 @@ def _validate_laws_cert(doc, problems) -> None:
 
     tokens = doc.get("rules")
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        problems.append("/rules: expected a list of rule tokens")
-        return
-    try:
-        rules_ = [rule_from_token(t) for t in tokens]
-    except InputError as err:
-        problems.append(str(err))
-        return
+        raise InputError("/rules", "expected a list of rule tokens")
+    rules_ = [rule_from_token(t) for t in tokens]
+    seed = _recorded_seed(doc)
     recorded = doc.get("checks")
     # every rule records at least `factors` and `functor-id` on every arrow
     listed = len(recorded) if isinstance(recorded, list) else 0
     most = listed // (2 * len(rules_)) if rules_ else None
-    sample = _sample_from_spec(doc.get("sample"), problems, most)
-    if sample is None:
-        return
+    sample, spec = _sample_from_spec(doc.get("sample"), most)
     report = laws.check_laws(rules_, sample)
-    fields = ("rule", "law", "arrow", "ok", "detail")
-    recomputed = [{k: getattr(c, k) for k in fields} for c in report.checks]
-    if not isinstance(recorded, list) or len(recorded) != len(recomputed):
-        problems.append(f"/checks: expected {len(recomputed)} entries")
-        return
-    for i, (rec, new) in enumerate(zip(recorded, recomputed)):
-        # an entry holds exactly these fields, as the certificate writes them
-        _check(problems, _equal(rec, new), f"/checks/{i}", f"recorded verdict differs from recomputation ({rec} vs {new})")
-    _check(problems, _equal(doc.get("ok"), report.ok), "/ok", "summary flag differs from recomputation")
-    _check_work(problems, doc, {"checks": len(report.checks)})
+    _check_document(doc, laws_certificate(report, tokens, spec, seed), problems)
 
 
 def _validate_enumeration_cert(doc, problems) -> None:
-    loaded = _load_inputs(doc, problems)
-    if loaded is None:
-        return
-    gens, arrow = loaded
-    from . import algebras
-
-    report = algebras.check_bijection(gens, arrow)
-    for key in ("algebra_count", "table_count", "product_count"):
-        _check(
-            problems,
-            _equal(doc.get(key), getattr(report, key)),
-            f"/{key}",
-            f"recorded {doc.get(key)}, recomputed {getattr(report, key)}",
-        )
-    recorded = doc.get("problems", [])
-    if isinstance(recorded, list):
-        _check(problems, _equal(recorded, report.problems), "/problems", "recorded problems differ")
-    else:
-        problems.append(f"/problems: expected a list, got {type(recorded).__name__}")
-    _check(problems, _equal(doc.get("ok"), report.ok), "/ok", "summary flag differs from recomputation")
-    _check_work(problems, doc, {"algebras": report.algebra_count})
-    if doc.get("algebras") is not None:
-        listed = [components_doc(a.structure) for a in report.algebras]
-        _check(problems, _equal(doc["algebras"], listed), "/algebras", "recorded listing differs from recomputation")
-    if doc.get("tables") is not None:
-        listed = [[components_doc(f) for f in t.fillers] for t in report.tables]
-        _check(problems, _equal(doc["tables"], listed), "/tables", "recorded listing differs from recomputation")
+    cat, gens, arrow = _load_inputs(doc)
+    seed = _recorded_seed(doc)
+    report = check_bijection(gens, arrow)
+    _check_document(doc, enumeration_certificate(report, cat, gens, arrow, seed), problems)
 
 
 def _validate_filler_cert(doc, problems) -> None:
-    try:
-        cat = load_category(doc.get("category"), "/category")
-        gen = load_map(doc.get("gen_arrow"), "/gen_arrow", cat)
-        target = load_map(doc.get("target"), "/target", cat)
-    except InputError as err:
-        problems.append(str(err))
-        return
-    top = _rebuild_map(doc.get("top"), "/top", gen.source, target.source, problems)
-    bottom = _rebuild_map(doc.get("bottom"), "/bottom", gen.target, target.target, problems)
-    filler = _rebuild_map(doc.get("filler"), "/filler", gen.target, target.source, problems)
-    if top is None or bottom is None or filler is None:
-        return
+    cat = load_category(doc.get("category"), "/category")
+    gen = load_map(doc.get("gen_arrow"), "/gen_arrow", cat)
+    target = load_map(doc.get("target"), "/target", cat)
+    top = _load_components(doc.get("top"), "/top", gen.source, target.source)
+    bottom = _load_components(doc.get("bottom"), "/bottom", gen.target, target.target)
+    filler = _load_components(doc.get("filler"), "/filler", gen.target, target.source)
+    index, label = doc.get("generator"), doc["gen_arrow"].get("label")
+    if not _is_int(index):
+        raise InputError("/generator", f"expected an integer, got {type(index).__name__}")
+    gen_arrow = ArrowObj(gen, label=label if isinstance(label, str) else None)
+    _check_document(doc, filler_certificate(cat, index, gen_arrow, target, top, bottom, filler), problems)
     _check(problems, square_commutes(Square(ArrowObj(gen), ArrowObj(target), top, bottom)), "/top", "the problem square does not commute")
-    _check(problems, _composite_is(filler, gen, top), "/filler", "upper triangle fails")
-    _check(problems, _composite_is(target, filler, bottom), "/filler", "lower triangle fails")
+    # the maps were loaded between the presheaves each triangle names
+    _check(problems, composite_equals(filler, gen, top), "/filler", "upper triangle fails")
+    _check(problems, composite_equals(target, filler, bottom), "/filler", "lower triangle fails")
 
 
 _VALIDATORS = {

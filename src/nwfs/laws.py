@@ -37,7 +37,7 @@ from .core import (
     identity_map,
     presheaf,
 )
-from .rules import FactorizationRule, interchange, memo_scope
+from .rules import FactorizationRule, FactorTriple, interchange, memo_scope
 
 
 @dataclass(frozen=True)
@@ -214,26 +214,31 @@ def _evaluate_rule(rule: FactorizationRule, arrow: ArrowObj) -> list[LawCheck]:
     if rule.comult is not None and rule.mult is not None:
         record_composite(
             "distributivity",
-            lambda: rule.comult(f),
-            lambda: rule.mult(f),
-            lambda: _distributivity_rhs(rule, f),
+            lambda: sigma,
+            lambda: pi,
+            lambda: _distributivity_rhs(rule, f, triple, sigma, pi, left_of_left, right_of_right),
         )
 
     return checks
 
 
-def _distributivity_rhs(rule: FactorizationRule, f: PresheafMap) -> PresheafMap:
+def _distributivity_rhs(
+    rule: FactorizationRule,
+    f: PresheafMap,
+    triple: FactorTriple,
+    sigma: PresheafMap,
+    pi: PresheafMap,
+    left_of_left: FactorTriple,
+    right_of_right: FactorTriple,
+) -> PresheafMap:
     """The long way around the distributivity square.
 
     Widen the right half along the comultiplication, comultiply the combined
     right part, cross the interchange, multiply the combined left part, then
-    squash back down along the multiplication.
+    squash back down along the multiplication. The factorisations of f and
+    of its two halves, and sigma and pi at f, are the ones the other laws
+    already built.
     """
-    triple = rule.factor(f)
-    sigma = rule.comult(f)
-    pi = rule.mult(f)
-    left_of_left = rule.factor(triple.left)
-    right_of_right = rule.factor(triple.right)
     combined_right = compose_maps(triple.right, left_of_left.right)
     combined_left = compose_maps(right_of_right.left, triple.left)
     widen = rule.on_square(

@@ -384,21 +384,22 @@ def interchange(
     right-whiskered one.
     """
     fd = D.factor(f)
-    cd_right = compose_maps(fd.right, C.factor(fd.left).right)
-    bd_left = compose_maps(B.factor(fd.right).left, fd.left)
+    c_left, b_right = C.factor(fd.left), B.factor(fd.right)
+    cd_right = compose_maps(fd.right, c_left.right)
+    bd_left = compose_maps(b_right.left, fd.left)
     top = C.on_square(
         Square(
             source=as_arrow(fd.left),
             target=as_arrow(bd_left),
             top=identity_map(f.source),
-            bottom=B.factor(fd.right).left,
+            bottom=b_right.left,
         )
     )
     bottom = B.on_square(
         Square(
             source=as_arrow(cd_right),
             target=as_arrow(fd.right),
-            top=C.factor(fd.left).right,
+            top=c_left.right,
             bottom=identity_map(f.target),
         )
     )

@@ -23,7 +23,7 @@ from nwfs.core import (
 def closure_oracle(X, pairs):
     """Independent congruence closure: saturate pairs under all actions,
     then compute equivalence classes by repeated merging over frozensets."""
-    classes = {a: {x: frozenset([x]) for x in X.at(a)} for a in X.base.objects}
+    classes = {a: {x: frozenset([x]) for x in X.carrier[a]} for a in X.base.objects}
     work = [(a, x, y) for a, x, y in pairs]
     while work:
         a, x, y = work.pop()
@@ -37,7 +37,7 @@ def closure_oracle(X, pairs):
             if m.cod == a:
                 for u in cx:
                     for v in cy:
-                        work.append((m.dom, X.act(m.name, u), X.act(m.name, v)))
+                        work.append((m.dom, X.action[m.name][u], X.action[m.name][v]))
     return {a: {frozenset(c) for c in classes[a].values()} for a in X.base.objects}
 
 
@@ -53,17 +53,17 @@ def test_quotient_matches_independent_closure():
     edge = representable(base, "1")
     two = coproduct([edge, edge])
     X = two.apex
-    nondeg = edge.at("1")[-1]  # carrier is sorted by hom name, identity last
+    nondeg = edge.carrier["1"][-1]  # carrier is sorted by hom name, identity last
     # glue one endpoint of the first edge to the other endpoint of the second
-    tip = two.legs[0].at("0", edge.act("f01_1", nondeg))
-    tail = two.legs[1].at("0", edge.act("f01_0", nondeg))
+    tip = two.legs[0].components["0"][edge.action["f01_1"][nondeg]]
+    tail = two.legs[1].components["0"][edge.action["f01_0"][nondeg]]
     cone = quotient(X, [("0", tip, tail)])
     oracle = closure_oracle(X, [("0", tip, tail)])
     proj = cone.legs[0]
     for a in base.objects:
         got = {}
-        for x in X.at(a):
-            got.setdefault(proj.at(a, x), set()).add(x)
+        for x in X.carrier[a]:
+            got.setdefault(proj.components[a][x], set()).add(x)
         assert {frozenset(c) for c in got.values()} == oracle[a]
     assert validate(cone.apex) == []
     # a path of two edges: 3 vertices, 2 nondegenerate + 3 degenerate edges
@@ -74,10 +74,10 @@ def test_quotient_propagates_along_actions():
     base = get_category("delta<=1")
     edge = representable(base, "1")
     two = coproduct([edge, edge])
-    nondeg = edge.at("1")[-1]
+    nondeg = edge.carrier["1"][-1]
     # glue the two nondegenerate edges themselves: endpoints must follow
-    e0 = two.legs[0].at("1", nondeg)
-    e1 = two.legs[1].at("1", nondeg)
+    e0 = two.legs[0].components["1"][nondeg]
+    e1 = two.legs[1].components["1"][nondeg]
     cone = quotient(two.apex, [("1", e0, e1)])
     assert cone.apex.sizes == {"0": 2, "1": 3}
     oracle = closure_oracle(two.apex, [("1", e0, e1)])
@@ -94,7 +94,7 @@ def test_coproduct_legs_partition_the_apex():
         img = set(leg.components["0"].values())
         assert not (img & seen)
         seen |= img
-    assert seen == set(cone.apex.at("0"))
+    assert seen == set(cone.apex.carrier["0"])
 
 
 @given(parallel_pairs())
@@ -119,14 +119,14 @@ def test_coequalizer_universal_property(pair):
 @settings(max_examples=60)
 def test_pushout_square_and_mono_preservation(data):
     f = data.draw(set_maps(max_size=5))
-    n = len(f.source.at("0"))
+    n = len(f.source.carrier["0"])
     m = data.draw(st.integers(1, 4)) if n else data.draw(st.integers(0, 4))
     g = set_map(n, m, [data.draw(st.integers(0, m - 1)) for _ in range(n)])
     cone = pushout(f, g)
     left, right = cone.legs
     assert maps_equal(compose_maps(left, f), compose_maps(right, g))
     covered = set(left.components["0"].values()) | set(right.components["0"].values())
-    assert covered == set(cone.apex.at("0"))
+    assert covered == set(cone.apex.carrier["0"])
     if is_injective(f):
         assert is_injective(right)
 

@@ -29,7 +29,7 @@ def test_presheaf_fills_identity_actions():
     X = representable(base, "1")
     for obj in base.objects:
         ident = base.identity[obj]
-        assert all(X.act(ident, x) == x for x in X.at(obj))
+        assert all(X.action[ident][x] == x for x in X.carrier[obj])
 
 
 def test_presheaf_rejects_missing_action():
@@ -42,7 +42,7 @@ def test_validate_catches_broken_naturality():
     base = get_category("delta<=1")
     X = representable(base, "1")
     # swap the vertices but keep every edge fixed: endpoints no longer match
-    comps = {"0": {0: 1, 1: 0}, "1": {x: x for x in X.at("1")}}
+    comps = {"0": {0: 1, 1: 0}, "1": {x: x for x in X.carrier["1"]}}
     assert any("naturality" in p for p in validate(PresheafMap(X, X, comps)))
 
 
@@ -71,7 +71,7 @@ def test_identity_is_a_unit(f):
 @given(st.data())
 def test_compose_is_associative(data):
     f = data.draw(set_maps())
-    n = len(f.target.at("0"))
+    n = len(f.target.carrier["0"])
     g_vals = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     g = set_map(n, 4, g_vals)
     h_vals = data.draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))

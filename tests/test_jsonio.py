@@ -12,6 +12,7 @@ from nwfs.catalog import get_category, get_gens, representable, terminal_categor
 from nwfs.core import PresheafMap, maps_equal, validate
 from nwfs.jsonio import (
     InputError,
+    _first_difference,
     canonical_bytes,
     category_doc,
     compare_certificate,
@@ -145,7 +146,8 @@ def test_validator_reports_a_value_nested_too_deeply():
     deep = []
     for _ in range(5000):
         deep = [deep]
-    cert["timing"]["work"] = deep
+    # the validator walks as deep as the expected counter, then describes the deep value
+    cert["timing"]["work"]["elements"] = deep
     assert validate_certificate(cert) == ["/: nested too deeply to check"]
 
 
@@ -254,6 +256,17 @@ def test_filler_certificate_round_trip():
     broken = copy.deepcopy(cert)
     broken["filler"]["0"]["0"] = 9
     assert validate_certificate(broken) != []
+
+    stray = copy.deepcopy(cert)
+    stray["filler"]["1"] = {}
+    assert validate_certificate(stray) == ["/filler: component at unknown object '1'"]
+
+
+def test_first_difference_tells_booleans_from_numbers_on_either_side():
+    assert _first_difference({"ok": [True, False], "n": 1}, {"ok": [True, False], "n": 1}, "") is None
+    assert _first_difference({"ok": 1}, {"ok": True}, "") == "/ok: recorded 1, expected True"
+    assert _first_difference({"n": True}, {"n": 1}, "") == "/n: recorded True, expected 1"
+    assert _first_difference({"n": 1, "m": 2}, {"n": 1}, "") == "/m: not expected"
 
 
 def test_validator_rejects_unknown_schema():

@@ -77,7 +77,7 @@ def test_step_cocone_is_jointly_surjective(g):
     covered = set(step.left.components["0"].values())
     for n in range(len(step.squares)):
         covered |= set(step.cell_leg(n).components["0"].values())
-    assert covered == set(step.mid.at("0"))
+    assert covered == set(step.mid.carrier["0"])
 
 
 def test_identity_square_induces_identity():

@@ -217,13 +217,7 @@ def load_gens(doc: Any, path: str, ambient: FinCategory) -> GeneratingSet:
     for i, entry in enumerate(arrows):
         ep = f"{path}/arrows/{i}"
         if isinstance(entry, str):
-            try:
-                sub = catalog.get_gens(entry)
-            except catalog.UnknownCatalogKey as err:
-                raise InputError(ep, str(err)) from None
-            if sub.members and sub.members[0].f.source.base != ambient:
-                raise InputError(ep, f"generating set {entry!r} lives over a different category")
-            members.extend(sub.members)
+            members.extend(load_gens(entry, ep, ambient).members)
         else:
             label = entry.get("label") if isinstance(entry, dict) else None
             members.append(
@@ -500,12 +494,11 @@ def enumeration_certificate(report, cat, gens, arrow, seed=None) -> dict:
     }
 
 
-def filler_certificate(cat, gen_index, gen_arrow, target, top, bottom, filler) -> dict:
+def filler_certificate(cat, gen_arrow, target, top, bottom, filler) -> dict:
     return {
         "schema": SCHEMA_FILLER,
         "tool": TOOL,
         "category": category_doc(cat),
-        "generator": gen_index,
         "gen_arrow": map_doc(gen_arrow.f, label=gen_arrow.label),
         "target": map_doc(target),
         "top": components_doc(top),
@@ -735,10 +728,9 @@ def _validate_sequence_cert(doc, problems) -> SequenceState | None:
     run = _validate_run(doc.get("run"), "/run", gens, arrow, problems)
     if run is None:
         return None
-    # `nwfs factorize` records the algebra of every converged run; a library
-    # caller may leave it out
+    # `nwfs factorize` records the algebra of every converged run
     algebra = table = None
-    if run.converged_at is not None and doc.get("algebra") is not None:
+    if run.converged_at is not None:
         algebra = extract_algebra(run)
         table = fillers_from_algebra(algebra)
     _check_document(doc, sequence_frame(run, algebra, table, seed), problems, bodies=("run",))
@@ -782,13 +774,14 @@ def rule_from_token(token: str):
     raise InputError("/rules", f"unknown rule token {token!r}")
 
 
-def _sample_from_spec(spec, most: int | None) -> tuple[list, dict]:
-    """The sample a laws certificate names, and the spec the engine writes for it.
+def sample_from_spec(spec, most: int | None) -> tuple[list, dict]:
+    """The sample a laws spec names, and the spec the engine writes for it.
 
-    A sample of more than `most` arrows is reported at /sample without being
-    built, so the work stays bounded by the certificate. With `most` None no
-    rule reads the sample: only its shape is checked, and it comes back
-    empty.
+    `nwfs laws` builds its spec from its flags and reads it here, so it
+    writes only specs the validator accepts. A sample of more than `most`
+    arrows is reported at /sample without being built, so the validator's
+    work stays bounded by the certificate. With `most` None no rule reads
+    the sample: only its shape is checked, and it comes back empty.
     """
     from . import laws
 
@@ -838,7 +831,7 @@ def _validate_laws_cert(doc, problems) -> None:
     # every rule records at least `factors` and `functor-id` on every arrow
     listed = len(recorded) if isinstance(recorded, list) else 0
     most = listed // (2 * len(rules_)) if rules_ else None
-    sample, spec = _sample_from_spec(doc.get("sample"), most)
+    sample, spec = sample_from_spec(doc.get("sample"), most)
     report = laws.check_laws(rules_, sample)
     _check_document(doc, laws_certificate(report, tokens, spec, seed), problems)
 
@@ -857,11 +850,9 @@ def _validate_filler_cert(doc, problems) -> None:
     top = _load_components(doc.get("top"), "/top", gen.source, target.source)
     bottom = _load_components(doc.get("bottom"), "/bottom", gen.target, target.target)
     filler = _load_components(doc.get("filler"), "/filler", gen.target, target.source)
-    index, label = doc.get("generator"), doc["gen_arrow"].get("label")
-    if not _is_int(index):
-        raise InputError("/generator", f"expected an integer, got {type(index).__name__}")
+    label = doc["gen_arrow"].get("label")
     gen_arrow = ArrowObj(gen, label=label if isinstance(label, str) else None)
-    _check_document(doc, filler_certificate(cat, index, gen_arrow, target, top, bottom, filler), problems)
+    _check_document(doc, filler_certificate(cat, gen_arrow, target, top, bottom, filler), problems)
     _check(problems, square_commutes(Square(ArrowObj(gen), ArrowObj(target), top, bottom)), "/top", "the problem square does not commute")
     # the maps were loaded between the presheaves each triangle names
     _check(problems, composite_equals(filler, gen, top), "/filler", "upper triangle fails")

@@ -23,7 +23,7 @@ stage, the other applies the step functor to those links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .arrows import ArrowObj, GeneratingSet, Square, as_arrow
@@ -78,13 +78,14 @@ class Stage:
 
 @dataclass(frozen=True)
 class SequenceState:
-    """A finished (converged or exhausted) run of either sequence.
+    """A run of either sequence, as far as it has been built.
 
     Indexing: `links[i]` connects stage i to stage i + 1, `steps[i]` is the
     one-step factorisation of stage i's right part when it was needed, and
     for the free mode `folds[i]` maps that step's middle onto stage i + 1.
     `pairs[i]` records the parallel pair whose coequalizer produced stage
-    i + 1, when one was taken.
+    i + 1, when one was taken. `steps`, `folds` and `pairs` have one entry
+    per stage, so the last stage's entries are `None`.
     """
 
     mode: str
@@ -97,7 +98,34 @@ class SequenceState:
     folds: tuple[PresheafMap | None, ...]
     pairs: tuple[tuple[PresheafMap, PresheafMap] | None, ...]
     converged_at: int | None
-    exhausted: bool
+
+    @property
+    def exhausted(self) -> bool:
+        return self.converged_at is None
+
+    def extended(self, stage: Stage, link: PresheafMap, step=None, fold=None, pair=None) -> SequenceState:
+        """The run with one more stage, the link into it and the step data of the stage before it.
+
+        The run converges at the first non-limit link that is an isomorphism.
+        """
+        converged_at = self.converged_at
+        if stage.kind != "limit" and converged_at is None and is_iso(link):
+            converged_at = stage.index - 1
+        return replace(
+            self,
+            stages=self.stages + (stage,),
+            links=self.links + (link,),
+            steps=self.steps[:-1] + (step, None),
+            folds=self.folds[:-1] + (fold, None),
+            pairs=self.pairs[:-1] + (pair, None),
+            converged_at=converged_at,
+        )
+
+    def step_of(self, i: int) -> OneStepFactorization:
+        built = self.steps[i]
+        if built is None:
+            raise IncompatibleInput(f"one-step data for stage {i} was not built")
+        return built
 
     def connect(self, i: int, j: int) -> PresheafMap:
         """The composite connecting map from stage i to stage j."""
@@ -140,67 +168,18 @@ def chain_composites(links, last: Presheaf) -> list[PresheafMap]:
     return out
 
 
-class _Run:
-    """Mutable scaffolding shared by both modes; frozen into a SequenceState."""
+def _carry(
+    gens: GeneratingSet,
+    top: PresheafMap,
+    source_step: OneStepFactorization,
+    target_step: OneStepFactorization,
+) -> PresheafMap:
+    """The step functor on the square between two factored right halves.
 
-    def __init__(self, mode: str, gens: GeneratingSet, arrow: ArrowObj, budget: OrdinalBudget):
-        self.mode = mode
-        self.gens = gens
-        self.arrow = arrow
-        self.budget = budget
-        C = arrow.f.source
-        self.stages: list[Stage] = [
-            Stage(0, "0", "zero", C, identity_map(C), arrow.f)
-        ]
-        self.links: list[PresheafMap] = []
-        self.steps: list[OneStepFactorization | None] = []
-        self.folds: list[PresheafMap | None] = []
-        self.pairs: list[tuple[PresheafMap, PresheafMap] | None] = []
-        self.converged_at: int | None = None
-
-    @property
-    def last(self) -> Stage:
-        return self.stages[-1]
-
-    def right_arrow(self, i: int) -> ArrowObj:
-        return ArrowObj(self.stages[i].right)
-
-    def step_of(self, i: int) -> OneStepFactorization:
-        built = self.steps[i]
-        if built is None:
-            raise IncompatibleInput(f"one-step data for stage {i} was not built")
-        return built
-
-    # the same connecting maps as a finished run, over the stages built so far
-    connect = SequenceState.connect
-
-    def push(self, stage: Stage, link: PresheafMap, step=None, fold=None, pair=None) -> None:
-        """Append a stage, the link into it, and the step data of the stage before it."""
-        self.stages.append(stage)
-        self.links.append(link)
-        self.steps.append(step)
-        self.folds.append(fold)
-        self.pairs.append(pair)
-        if stage.kind != "limit" and self.converged_at is None and is_iso(link):
-            self.converged_at = stage.index - 1
-
-    def freeze(self) -> SequenceState:
-        # steps/folds/pairs are aligned with links; pad to stage count so the
-        # last stage has explicit (absent) entries.
-        pad = len(self.stages) - len(self.steps)
-        return SequenceState(
-            mode=self.mode,
-            gens=self.gens,
-            arrow=self.arrow,
-            budget=self.budget,
-            stages=tuple(self.stages),
-            links=tuple(self.links),
-            steps=tuple(self.steps) + (None,) * pad,
-            folds=tuple(self.folds) + (None,) * pad,
-            pairs=tuple(self.pairs) + (None,) * pad,
-            converged_at=self.converged_at,
-            exhausted=self.converged_at is None,
-        )
+    `top` runs between their domains, and the identity of D is the bottom.
+    """
+    square = Square(source_step.arrow, target_step.arrow, top, identity_map(target_step.arrow.cod))
+    return onestep_on_square(gens, square, source_step=source_step, target_step=target_step)
 
 
 def _ordinal_label(block: int, offset: int) -> str:
@@ -210,37 +189,38 @@ def _ordinal_label(block: int, offset: int) -> str:
     return prefix if offset == 0 else f"{prefix}+{offset}"
 
 
-def _first_step(run: _Run, ordinal: str) -> None:
+def _first_step(run: SequenceState, ordinal: str) -> SequenceState:
     """Stage 1 (or the stage after a limit in plain mode): apply the step."""
-    idx = run.last.index
-    step = build_onestep(run.gens, run.right_arrow(idx))
+    last = run.stages[-1]
+    step = build_onestep(run.gens, ArrowObj(last.right))
     fold = identity_map(step.mid) if run.mode == FREE else None
     stage = Stage(
-        index=idx + 1,
+        index=last.index + 1,
         ordinal=ordinal,
         kind="onestep",
         mid=step.mid,
-        left=compose_maps(step.left, run.last.left),
+        left=compose_maps(step.left, last.left),
         right=step.right,
     )
-    run.push(stage, link=step.left, step=step, fold=fold)
+    return run.extended(stage, link=step.left, step=step, fold=fold)
 
 
-def _limit_stage(run: _Run, block: int) -> None:
+def _limit_stage(run: SequenceState, block: int) -> SequenceState:
     """Pass to the colimit of the chain built so far."""
+    last = run.stages[-1]
     cocone = chain_colimit(list(run.links), start=run.stages[0].mid)
     stage = Stage(
-        index=run.last.index + 1,
+        index=last.index + 1,
         ordinal=_ordinal_label(block, 0),
         kind="limit",
         mid=cocone.apex,
-        left=compose_maps(cocone.legs[-1], run.last.left),
+        left=compose_maps(cocone.legs[-1], last.left),
         right=induce(cocone, [s.right for s in run.stages], run.arrow.cod),
     )
-    run.push(stage, link=cocone.legs[-1])
+    return run.extended(stage, link=cocone.legs[-1])
 
 
-def _free_step(run: _Run, ordinal: str) -> None:
+def _free_step(run: SequenceState, ordinal: str) -> SequenceState:
     """Free-mode stage: coequalize the new step against the folds below it.
 
     After a successor stage the only fold below is the previous one; after a
@@ -249,35 +229,23 @@ def _free_step(run: _Run, ordinal: str) -> None:
     its colimit: one through the folds and up to the current stage, the
     other through the step functor applied to the links into it.
     """
-    top = run.last.index
-    if run.last.kind == "limit":
+    last = run.stages[-1]
+    top = last.index
+    if last.kind == "limit":
         below = [i for i in range(top) if run.folds[i] is not None]
     else:
         below = [top - 1]
     if not below or run.folds[below[0]] is None:
         raise IncompatibleInput("free step without a fold to coequalize against")
-    step = build_onestep(run.gens, run.right_arrow(top))
-
-    def carried(i: int, j: int, along: PresheafMap, target_step: OneStepFactorization) -> PresheafMap:
-        return onestep_on_square(
-            run.gens,
-            Square(
-                source=run.right_arrow(i),
-                target=run.right_arrow(j),
-                top=along,
-                bottom=identity_map(run.arrow.f.target),
-            ),
-            source_step=run.step_of(i),
-            target_step=target_step,
-        )
+    step = build_onestep(run.gens, ArrowObj(last.right))
 
     # to_top[i - low] is connect(i, top), from one backward sweep
     low = below[0]
-    to_top = chain_composites(run.links[low:top], run.last.mid)
+    to_top = chain_composites(run.links[low:top], last.mid)
     # stages right under an earlier limit have no fold, so consecutive
     # members of `below` are not always adjacent
     web = chain_colimit(
-        [carried(i, j, run.connect(i, j), run.step_of(j)) for i, j in zip(below, below[1:])],
+        [_carry(run.gens, run.connect(i, j), run.step_of(i), run.step_of(j)) for i, j in zip(below, below[1:])],
         start=run.step_of(low).mid,
     )
     first = induce(
@@ -285,7 +253,7 @@ def _free_step(run: _Run, ordinal: str) -> None:
         [compose_maps(step.left, compose_maps(to_top[i + 1 - low], run.folds[i])) for i in below],
         step.mid,
     )
-    second = induce(web, [carried(i, top, to_top[i - low], step) for i in below], step.mid)
+    second = induce(web, [_carry(run.gens, to_top[i - low], run.step_of(i), step) for i in below], step.mid)
     coeq = coequalizer(first, second)
     fold = coeq.legs[0]
     link = compose_maps(fold, step.left)
@@ -294,10 +262,10 @@ def _free_step(run: _Run, ordinal: str) -> None:
         ordinal=ordinal,
         kind="successor",
         mid=coeq.apex,
-        left=compose_maps(link, run.last.left),
+        left=compose_maps(link, last.left),
         right=induce(coeq, [step.right], run.arrow.cod),
     )
-    run.push(stage, link=link, step=step, fold=fold, pair=(first, second))
+    return run.extended(stage, link=link, step=step, fold=fold, pair=(first, second))
 
 
 def stage_schedule(
@@ -317,16 +285,21 @@ def stage_schedule(
     arrow = as_arrow(g)
     if gens.members and not arrow.f.source.base == gens.members[0].f.source.base:
         raise IncompatibleInput("generating set and arrow live over different base categories")
-    run = _Run(mode, gens, arrow, budget)
-    yield run.freeze()
+    C = arrow.f.source
+    run = SequenceState(
+        mode, gens, arrow, budget,
+        stages=(Stage(0, "0", "zero", C, identity_map(C), arrow.f),),
+        links=(), steps=(None,), folds=(None,), pairs=(None,), converged_at=None,
+    )
+    yield run
     for block in range(budget.omega_blocks):
         if block > 0:
-            _limit_stage(run, block)
-            yield run.freeze()
+            run = _limit_stage(run, block)
+            yield run
         for taken in range(budget.successors_per_block):
-            add = _first_step if mode == PLAIN or run.last.kind == "zero" else _free_step
-            add(run, _ordinal_label(block, taken + 1))
-            yield run.freeze()
+            add = _first_step if mode == PLAIN or run.stages[-1].kind == "zero" else _free_step
+            run = add(run, _ordinal_label(block, taken + 1))
+            yield run
 
 
 def _until(schedule: Iterator[SequenceState], stop_at_convergence: bool) -> SequenceState:
@@ -407,17 +380,7 @@ def build_comparison(free: SequenceState, plain: SequenceState) -> ComparisonRep
             chain = Cocone(ps.mid, tuple(plain.connect_all(n)[:n]))
             maps.append(induce(chain, [compose_maps(into_free[i], maps[i]) for i in range(n)], fs.mid))
             continue
-        carried = onestep_on_square(
-            free.gens,
-            Square(
-                source=ArrowObj(plain.stages[n - 1].right),
-                target=ArrowObj(free.stages[n - 1].right),
-                top=maps[n - 1],
-                bottom=identity_map(free.arrow.f.target),
-            ),
-            source_step=plain.steps[n - 1],
-            target_step=free.steps[n - 1],
-        )
+        carried = _carry(free.gens, maps[n - 1], plain.step_of(n - 1), free.step_of(n - 1))
         fold = free.folds[n - 1]
         maps.append(carried if fold is None else compose_maps(fold, carried))
 

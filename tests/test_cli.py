@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,11 +8,11 @@ import pytest
 from conftest import edge_to_point, set_map
 from nwfs import sequence
 from nwfs.algebras import enumerate_algebra_structures, fillers_from_algebra, validate_algebra
-from nwfs.catalog import get_gens
+from nwfs.catalog import get_category, get_gens
 from nwfs.cli import main
 from nwfs.colimits import quotient
 from nwfs.core import maps_equal
-from nwfs.jsonio import components_doc, compare_certificate, sequence_body, sequence_certificate
+from nwfs.jsonio import category_doc, components_doc, compare_certificate, pretty_json, sequence_body, sequence_certificate
 from nwfs.sequence import OrdinalBudget, build_comparison, run_free, run_plain
 
 MAP_DOC = {
@@ -667,3 +668,55 @@ def test_validate_rejects_another_algebra_of_the_converged_step(tmp_path, map_fi
     assert main(["validate", str(out)]) == 3
     problem, summary = capsys.readouterr().out.splitlines()
     assert problem.startswith("problem: /algebra/structure/0/") and summary == "1 problem(s) found"
+
+
+def test_validate_requires_the_algebra_of_a_converged_run(tmp_path, map_file, capsys):
+    # `nwfs factorize` records the algebra of every converged run, and
+    # `nwfs fill` reads its lifting table
+    out, doc = _honest_factorize_cert(tmp_path, map_file)
+    doc["algebra"] = doc["lifting_table"] = None
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert capsys.readouterr().out.splitlines() == ["problem: /algebra: expected an object, got NoneType", "1 problem(s) found"]
+
+
+def test_laws_writes_no_sample_spec_the_validator_rejects(tmp_path, capsys):
+    out = tmp_path / "laws.json"
+    assert main(["laws", "--max-total", "-1", "--out", str(out)]) == 4
+    assert not out.exists()
+    assert "/sample/max_total: expected a non-negative integer" in capsys.readouterr().err
+
+    assert main(["laws", "--max-total", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["sample"]["max_total"] = -1
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    assert "problem: /sample/max_total: expected a non-negative integer" in capsys.readouterr().out
+
+
+def test_laws_on_a_category_file_keeps_its_bytes(tmp_path):
+    # the digest was recorded when `nwfs laws` still built its spec by hand
+    category, out = tmp_path / "cat.json", tmp_path / "laws.json"
+    category.write_text(pretty_json(category_doc(get_category("delta<=1"))))
+    argv = ["laws", "--rules", "graph,cograph", "--samples", "3", "--seed", "7", "--category", str(category)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "ff15e30ce3fabfdafff94fa169528869515f178b65f887eddcaf425400596375"
+    assert main(["validate", str(out)]) == 0
+
+
+@pytest.mark.parametrize("index", [0, -1, 1000000])
+def test_validate_rejects_a_filler_generator_index(tmp_path, map_file, capsys, index):
+    # the filler certificate embeds the generator arrow, not the generating
+    # set an index would point into
+    factorized, _ = _honest_factorize_cert(tmp_path, map_file)
+    out = tmp_path / "filler.json"
+    assert main(["fill", str(factorized), "--square", "0", "--out", str(out)]) == 0
+    assert "(generator 0: " in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert "generator" not in doc
+    doc["generator"] = index
+    out.write_text(json.dumps(doc))
+    assert main(["validate", str(out)]) == 3
+    assert capsys.readouterr().out.splitlines() == ["problem: /generator: not expected", "1 problem(s) found"]

@@ -248,7 +248,7 @@ def test_filler_certificate_round_trip():
     table = enumerate_lifting_tables(POINT, g)[0]
     cert = reload(
         filler_certificate(
-            terminal_category(), i, POINT.members[i], g, sq.top, sq.bottom, table.fillers[0]
+            terminal_category(), POINT.members[i], g, sq.top, sq.bottom, table.fillers[0]
         )
     )
     assert validate_certificate(cert) == []

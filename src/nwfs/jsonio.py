@@ -548,17 +548,19 @@ def _plain(doc: Any) -> bool:
     return not (dict in kinds or list in kinds) or all(_plain(v) for v in values if isinstance(v, _NESTED))
 
 
-def _first_difference(recorded: Any, expected: Any, path: str) -> str | None:
+def _first_difference(recorded: Any, expected: Any, path: str, plain_expected: bool = False) -> str | None:
     """The first place where a recorded JSON value differs from the expected one, or None.
 
     Objects are walked in the expected key order and lists in order; a
     differing leaf reads `{path}: recorded {r!r}, expected {e!r}`, a key
     only one side has `{path}: missing` or `{path}: not expected`. Values
-    are compared as JSON, so `1`, `1.0` and `true` differ.
+    are compared as JSON, so `1`, `1.0` and `true` differ. A caller whose
+    `expected` holds no float and no boolean says so with `plain_expected`,
+    and then only the recorded side's types are checked.
     """
     # Python's `==` takes 1.0 and true for 1, so it decides only where
     # neither side holds a float or a boolean
-    if recorded == expected and _plain(expected) and _plain(recorded):
+    if recorded == expected and (plain_expected or _plain(expected)) and _plain(recorded):
         return None
     if isinstance(expected, (dict, list)) and type(recorded) is not type(expected):
         return f"{path}: expected {'an object' if isinstance(expected, dict) else 'a list'}, got {type(recorded).__name__}"
@@ -566,14 +568,14 @@ def _first_difference(recorded: Any, expected: Any, path: str) -> str | None:
         for key, want in expected.items():
             if key not in recorded:
                 return f"{path}/{key}: missing"
-            found = _first_difference(recorded[key], want, f"{path}/{key}")
+            found = _first_difference(recorded[key], want, f"{path}/{key}", plain_expected)
             if found:
                 return found
         extra = next((key for key in recorded if key not in expected), None)
         return None if extra is None else f"{path}/{extra}: not expected"
     if isinstance(expected, list):
         for i, (got, want) in enumerate(zip(recorded, expected)):
-            found = _first_difference(got, want, f"{path}/{i}")
+            found = _first_difference(got, want, f"{path}/{i}", plain_expected)
             if found:
                 return found
         return None if len(recorded) == len(expected) else f"{path}: recorded {len(recorded)} entries, expected {len(expected)}"
@@ -699,7 +701,8 @@ def _validate_run(body, path, gens, arrow, problems, modes=(FREE, PLAIN), may_st
 
     for i, run in zip(range(n), stage_schedule(mode, gens, arrow, budget)):
         for key, j, want in _entries(run, i, last=i == n - 1):
-            found = _first_difference(body[key][j], want, f"{path}/{key}/{j}")
+            # the run-entry builders write no float and no boolean
+            found = _first_difference(body[key][j], want, f"{path}/{key}/{j}", plain_expected=True)
             if found:
                 problems.append(found)
                 return None

@@ -14,7 +14,9 @@ and both sides are built only to describe a law that fails. All rules on
 one arrow share one `rules.memo_scope`, so each product or sum is built
 once per arrow and dropped before the next. A product's action tables,
 which no law reads, are left unbuilt, and so is each projection that no
-rule asks for.
+rule asks for. The graph rule's maps between products, its functor on
+squares and its multiplication, are f × g by offset arithmetic, so
+`on_square` reads no projection and builds no composite with one.
 """
 
 from __future__ import annotations

@@ -17,11 +17,15 @@ Binary products number their pairs lexicographically: at object a the pair
 the sorted carriers, so every action is offset arithmetic. A product is
 built only as far as it is read: each action table is filled in the first
 time its morphism is looked up, and each projection the first time it is
-asked for. The law checks read no action table. The builtin rules ask for
-products and binary sums through `memo_product` and `memo_sum`. Inside a
-`memo_scope`, which `laws.check_laws` opens for all the rules it checks on
-one arrow, each is built once per pair of operand objects; outside it, as
-in `canonical_lift` or `compose_coalgebras`, every call builds afresh.
+asked for. A map between two products, f × g, is the same offset
+arithmetic (`ProductData.times`): the graph rule's functor on squares and
+its multiplication are such maps, so `on_square` reads no projection and
+`mult` only the first projection of its target. The law checks read no
+action table. The builtin rules ask for products and binary sums through
+`memo_product` and `memo_sum`. Inside a `memo_scope`, which
+`laws.check_laws` opens for all the rules it checks on one arrow, each is
+built once per pair of operand objects; outside it, as in
+`canonical_lift` or `compose_coalgebras`, every call builds afresh.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .core import (
     InternalCheckFailed,
     Presheaf,
     PresheafMap,
+    _same,
     compose_maps,
     composite_equals,
     identity_map,
@@ -71,9 +76,10 @@ class ProductData:
     j are the positions of x in X.carrier[a] and of y in Y.carrier[a]: pairs
     are numbered lexicographically. `rank1` and `rank2` hold those positions.
     The projections onto `first` (X) and `second` (Y) are built the first
-    time each is read. Within a `memo_scope`, `memo_product` hands the same
-    instance to every caller with the same operand objects, so nothing may
-    modify it.
+    time each is read; `pair` maps into the apex and `times` maps from it
+    into another product without reading them. Within a `memo_scope`,
+    `memo_product` hands the same instance to every caller with the same
+    operand objects, so nothing may modify it.
     """
 
     apex: Presheaf
@@ -111,6 +117,28 @@ class ProductData:
             fa, ga = f.components[a], g.components[a]
             comps[a] = {z: out[r1[fa[z]] * width + r2[ga[z]]] for z in Z.carrier[a]}
         return PresheafMap(Z, self.apex, comps)
+
+    def times(self, target: ProductData, f: PresheafMap, g: PresheafMap) -> PresheafMap:
+        """The map f × g from this apex to `target`'s: the pair (x, y) goes to (f x, g y).
+
+        The same offset arithmetic as an action table: at each object the
+        pair element i·|Y| + j goes to rows[i] + cols[j], where rows[i] is
+        the position of f(x) times the width of `target` and cols[j] is the
+        position of g(y). No projection is read or built.
+        """
+        if not (_same(f.source, self.first) and _same(f.target, target.first)):
+            raise IncompatibleInput("times: f does not run between the first factors")
+        if not (_same(g.source, self.second) and _same(g.target, target.second)):
+            raise IncompatibleInput("times: g does not run between the second factors")
+        X, Y, carrier = self.first, self.second, self.apex.carrier
+        comps = {}
+        for a in X.base.objects:
+            r1, r2, out = target.rank1[a], target.rank2[a], target.apex.carrier[a]
+            fa, ga, width = f.components[a], g.components[a], len(r2)
+            rows = [r1[fa[x]] * width for x in X.carrier[a]]
+            cols = [r2[ga[y]] for y in Y.carrier[a]]
+            comps[a] = dict(zip(carrier[a], [out[r + c] for r in rows for c in cols]))
+        return PresheafMap(self.apex, target.apex, comps)
 
 
 class _ProductActions(Mapping):
@@ -217,7 +245,8 @@ def graph_rule() -> FactorizationRule:
 
     The left half pairs the identity with the arrow, the right half is the
     second projection, and both structural maps are reshuffles of product
-    coordinates.
+    coordinates. A square acts as top × bottom, and the multiplication is
+    proj1 × id, both built by `ProductData.times`.
     """
 
     def factor(f: PresheafMap) -> FactorTriple:
@@ -227,9 +256,7 @@ def graph_rule() -> FactorizationRule:
     def on_square(sq: Square) -> PresheafMap:
         Pf = memo_product(sq.source.dom, sq.source.cod)
         Pg = memo_product(sq.target.dom, sq.target.cod)
-        return Pg.pair(
-            compose_maps(sq.top, Pf.proj1), compose_maps(sq.bottom, Pf.proj2)
-        )
+        return Pf.times(Pg, sq.top, sq.bottom)
 
     def comult(f: PresheafMap) -> PresheafMap:
         Pf = memo_product(f.source, f.target)
@@ -239,7 +266,7 @@ def graph_rule() -> FactorizationRule:
     def mult(f: PresheafMap) -> PresheafMap:
         Pf = memo_product(f.source, f.target)
         Pr = memo_product(Pf.apex, f.target)
-        return Pf.pair(compose_maps(Pf.proj1, Pr.proj1), Pr.proj2)
+        return Pr.times(Pf, Pf.proj1, identity_map(f.target))
 
     return FactorizationRule("graph", factor, on_square, comult, mult)
 

@@ -12,7 +12,9 @@ from nwfs.catalog import get_category, get_gens, representable, terminal_categor
 from nwfs.core import PresheafMap, maps_equal, validate
 from nwfs.jsonio import (
     InputError,
+    _entries,
     _first_difference,
+    _plain,
     canonical_bytes,
     category_doc,
     compare_certificate,
@@ -267,6 +269,18 @@ def test_first_difference_tells_booleans_from_numbers_on_either_side():
     assert _first_difference({"ok": 1}, {"ok": True}, "") == "/ok: recorded 1, expected True"
     assert _first_difference({"n": True}, {"n": 1}, "") == "/n: recorded True, expected 1"
     assert _first_difference({"n": 1, "m": 2}, {"n": 1}, "") == "/m: not expected"
+
+
+def test_replayed_run_entries_hold_no_float_and_no_boolean():
+    # so a replayed run is compared checking the value types of the recorded side only
+    g = set_map(2, 3, [1, 1])
+    budget = OrdinalBudget(2, 2)
+    for state in (run_free(POINT, g, budget=budget, stop_at_convergence=False), run_plain(POINT, g, budget=budget)):
+        n = len(state.stages)
+        entries = [want for i in range(n) for _, _, want in _entries(state, i, last=i == n - 1)]
+        assert len(entries) > n and all(_plain(want) for want in entries)
+    assert _first_difference({"n": [True]}, {"n": [1]}, "", plain_expected=True) == "/n/0: recorded True, expected 1"
+    assert _first_difference({"n": 1.0}, {"n": 1}, "", plain_expected=True) == "/n: recorded 1.0, expected 1"
 
 
 def test_validator_rejects_unknown_schema():

@@ -19,9 +19,17 @@ from hypothesis import given, settings
 from conftest import finset, set_map
 from test_hom_search import reflexive_graphs
 from nwfs import rules
-from nwfs.arrows import ArrowObj
+from nwfs.arrows import ArrowObj, enumerate_squares
 from nwfs.catalog import get_category
-from nwfs.core import IncompatibleInput, enumerate_maps, presheaf, validate
+from nwfs.core import (
+    IncompatibleInput,
+    PresheafMap,
+    compose_maps,
+    enumerate_maps,
+    identity_map,
+    presheaf,
+    validate,
+)
 from nwfs.laws import check_laws, evaluate_rule, exhaustive_arrows, sample_arrows
 from nwfs.rules import (
     cograph_rule,
@@ -98,6 +106,71 @@ def test_product_matches_the_dict_of_pairs(data):
             a: {z: index[a][(f.components[a][z], g.components[a][z])] for z in Z.carrier[a]}
             for a in Z.base.objects
         }
+
+
+def some_map(data, S, T):
+    """A map S → T drawn by `data`, or None when there is none.
+
+    Over a base without nonidentity morphisms any function per object is
+    natural, so it is drawn directly rather than out of all S → T.
+    """
+    if S.base.nonidentity:
+        maps = enumerate_maps(S, T)
+        return maps[data.draw(st.integers(0, len(maps) - 1))] if maps else None
+    if any(S.carrier[a] and not T.carrier[a] for a in S.base.objects):
+        return None
+    comps = {a: {x: data.draw(st.sampled_from(T.carrier[a])) for x in S.carrier[a]} for a in S.base.objects}
+    return PresheafMap(S, T, comps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_times_matches_pairing_the_projection_composites(data):
+    X, Y, Z = data.draw(factor_pairs())
+    f, g = some_map(data, X, Z), some_map(data, Y, X)
+    if f is None or g is None:
+        return
+    # the target swaps the factors, so mixing up the two rank tables shows
+    P, Q = product_presheaf(X, Y), product_presheaf(Z, X)
+    crossed = P.times(Q, f, g)
+    assert crossed.source is P.apex and crossed.target is Q.apex
+    assert crossed.components == Q.pair(compose_maps(f, P.proj1), compose_maps(g, P.proj2)).components
+
+
+def test_times_rejects_maps_between_the_wrong_factors():
+    X, Y = finset([3, 5]), finset([1, 4, 9])
+    P, swapped = product_presheaf(X, Y), product_presheaf(Y, X)
+    one_x, one_y = identity_map(X), identity_map(Y)
+    assert P.times(P, one_x, one_y).components == identity_map(P.apex).components
+    with pytest.raises(IncompatibleInput, match="times: f does not run between the first factors"):
+        P.times(P, one_y, one_x)
+    with pytest.raises(IncompatibleInput, match="times: f does not run between the first factors"):
+        P.times(swapped, one_x, one_y)
+    with pytest.raises(IncompatibleInput, match="times: g does not run between the second factors"):
+        P.times(product_presheaf(X, finset([2])), one_x, one_y)
+    with pytest.raises(IncompatibleInput, match="times: g does not run between the second factors"):
+        P.times(P, one_x, set_map(3, 3, [0, 1, 2]))
+
+
+def test_graph_maps_between_products_read_no_projection():
+    first, second = sample_arrows(get_category("delta<=1"), 2, 0)
+    sq = enumerate_squares(first, second)[0]
+    graph = graph_rule()
+    with memo_scope():
+        carried = graph.on_square(sq)
+        Pf = memo_product(sq.source.dom, sq.source.cod)
+        Pg = memo_product(sq.target.dom, sq.target.cod)
+        assert Pf is not Pg
+        for prod in (Pf, Pg):
+            assert "proj1" not in vars(prod) and "proj2" not in vars(prod)
+        assert carried.components == Pg.pair(
+            compose_maps(sq.top, Pf.proj1), compose_maps(sq.bottom, Pf.proj2)
+        ).components
+        f = first.f
+        merged = graph.mult(f)
+        Pr = memo_product(memo_product(f.source, f.target).apex, f.target)
+        assert "proj1" not in vars(Pr) and "proj2" not in vars(Pr)
+        assert merged.source is Pr.apex
 
 
 def test_memo_shares_products_and_sums_inside_a_scope():
@@ -254,3 +327,17 @@ def test_the_laws_of_a_large_arrow_stay_small():
         tracemalloc.stop()
     assert report.ok
     assert peak < 100 * 2**20
+
+
+def test_graph_laws_of_a_large_arrow_peak_under_40_mb():
+    # the same arrow peaked at 52 MB while the graph rule's maps between
+    # products were paired from projection composites, and at 25 MB by offset
+    arrows = sample_arrows(get_category("delta<=2"), 1, 0)
+    tracemalloc.start()
+    try:
+        report = check_laws([graph_rule()], arrows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 40 * 2**20

@@ -8,6 +8,11 @@ map, and fillers induce a structure map through the pushout because the top
 triangle of each filler agrees with the identity on everything the pushout
 glues. `check_bijection` verifies that correspondence exhaustively and
 compares the counts against the product of the per-square filler counts.
+It sends each algebra to its table and back once. A table that such a trip
+reached and returned from unchanged needs no trip of its own: that trip
+would induce from the same step and the same cocone legs, so it is the
+algebra's trip again. Tables are numbered in product order, so the table an
+algebra reaches is found from its fillers' positions in their sets.
 """
 
 from __future__ import annotations
@@ -235,8 +240,12 @@ def enumerate_algebra_structures(
     A structure map is exactly a filler of the square from the left half to
     g whose top is the identity and whose bottom is the right half.
     """
-    arrow = as_arrow(g)
-    step = build_onestep(gens, arrow)
+    return _algebra_structures(build_onestep(gens, as_arrow(g)))
+
+
+def _algebra_structures(step: OneStepFactorization) -> list[AlgebraStructure]:
+    """Every algebra structure on one built step, in enumerate_maps order."""
+    arrow = step.arrow
     sq = Square(
         source=ArrowObj(step.left), target=arrow, top=identity_map(arrow.dom), bottom=step.right
     )
@@ -266,9 +275,19 @@ class BijectionReport:
 
 
 def check_bijection(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> BijectionReport:
-    """Exhaustively verify that algebras and tables determine each other."""
+    """Exhaustively verify that algebras and tables determine each other.
+
+    Every algebra is sent to its table and back. When that trip gives the
+    algebra back, the table it reached is settled: the table's own trip
+    through algebras would induce from the same step and from cocone legs
+    with the same components, so it would repeat the algebra's trip and
+    give the table back. Only unsettled tables, which no algebra reached or
+    whose algebra's trip moved, make their own trip; the problems found,
+    and their order, are those of sending every table round.
+    """
     arrow = as_arrow(g)
-    algebras = enumerate_algebra_structures(gens, arrow)
+    step = build_onestep(gens, arrow)
+    algebras = _algebra_structures(step)
     squares, sets = square_filler_sets(gens, arrow)
     tables = _tables(gens, arrow, squares, sets)
     product_count = math.prod(len(s) for s in sets)
@@ -277,15 +296,12 @@ def check_bijection(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> Bijection
     if len(algebras) != len(tables):
         problems.append(f"{len(algebras)} algebras against {len(tables)} tables")
 
-    step = algebras[0].step if algebras else None
-    table_keys = {
-        tuple(components_key(f) for f in t.fillers): n for n, t in enumerate(tables)
-    }
+    positions = [{components_key(f): k for k, f in enumerate(s)} for s in sets]
     hit = set()
+    settled = set()
     for n, alg in enumerate(algebras):
         t = fillers_from_algebra(alg)
-        key = tuple(components_key(f) for f in t.fillers)
-        m = table_keys.get(key)
+        m = _table_number(sets, positions, t.fillers)
         if m is None:
             problems.append(f"algebra {n} maps to a table outside the enumeration")
             continue
@@ -293,9 +309,13 @@ def check_bijection(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> Bijection
             problems.append(f"algebras collide on table {m}")
         hit.add(m)
         back = algebra_from_fillers(t, step=alg.step)
-        if not maps_equal(back.structure, alg.structure):
+        if maps_equal(back.structure, alg.structure):
+            settled.add(m)
+        else:
             problems.append(f"round trip through tables moves algebra {n}")
     for m, t in enumerate(tables):
+        if m in settled:
+            continue
         back = fillers_from_algebra(algebra_from_fillers(t, step=step))
         if not all(maps_equal(a, b) for a, b in zip(back.fillers, t.fillers)):
             problems.append(f"round trip through algebras moves table {m}")
@@ -305,6 +325,27 @@ def check_bijection(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> Bijection
         product_count=product_count,
         problems=tuple(problems),
     )
+
+
+def _table_number(
+    sets: list[list[PresheafMap]],
+    positions: list[dict[tuple, int]],
+    fillers: tuple[PresheafMap, ...],
+) -> int | None:
+    """Index in `_tables(..., sets)` of the table with these fillers, if any.
+
+    Tables follow `itertools.product(*sets)`, so a table's index is its
+    fillers' positions in their sets read as a mixed-radix number.
+    """
+    if len(fillers) != len(sets):
+        return None
+    m = 0
+    for s, position, f in zip(sets, positions, fillers):
+        k = position.get(components_key(f))
+        if k is None:
+            return None
+        m = m * len(s) + k
+    return m
 
 
 def compose_lifting_tables(first: LiftingTable, second: LiftingTable) -> LiftingTable:

@@ -1,11 +1,15 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from conftest import finset, random_surjection, set_map
-from nwfs import arrows
+from conftest import finset, random_set_map, random_surjection, set_map
+from nwfs import algebras, arrows
 from nwfs.algebras import (
+    AlgebraStructure,
+    BijectionReport,
+    LiftingTable,
     algebra_from_fillers,
     check_bijection,
     compose_lifting_tables,
@@ -17,7 +21,7 @@ from nwfs.algebras import (
     validate_algebra,
     validate_table,
 )
-from nwfs.arrows import as_arrow, generating_squares
+from nwfs.arrows import as_arrow, components_key, generating_squares
 from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
 from nwfs.core import (
     IncompatibleInput,
@@ -26,6 +30,7 @@ from nwfs.core import (
     enumerate_maps,
     identity_map,
     maps_equal,
+    presheaf,
 )
 from nwfs.onestep import build_onestep
 from nwfs.sequence import OrdinalBudget, run_free, run_plain
@@ -243,3 +248,200 @@ def test_lookup_rejects_foreign_squares():
     (i, sq), *_ = generating_squares(POINT, as_arrow(h))
     with pytest.raises(IncompatibleInput):
         table.lookup(i, sq)
+
+
+def two_loop_check_bijection(gens, g):
+    """Reference: the bijection check that sends every table round trip too.
+
+    The engine's functions are read off the module at call time, so a
+    monkeypatched function acts here as it does in `check_bijection`.
+    """
+    arrow = as_arrow(g)
+    found = algebras.enumerate_algebra_structures(gens, arrow)
+    squares, sets = algebras.square_filler_sets(gens, arrow)
+    tables = (
+        []
+        if any(not s for s in sets)
+        else [
+            LiftingTable(target=arrow, gens=gens, squares=squares, fillers=choice)
+            for choice in itertools.product(*sets)
+        ]
+    )
+    product_count = math.prod(len(s) for s in sets)
+    problems = []
+
+    if len(found) != len(tables):
+        problems.append(f"{len(found)} algebras against {len(tables)} tables")
+
+    step = found[0].step if found else None
+    table_keys = {tuple(components_key(f) for f in t.fillers): n for n, t in enumerate(tables)}
+    hit = set()
+    for n, alg in enumerate(found):
+        t = algebras.fillers_from_algebra(alg)
+        m = table_keys.get(tuple(components_key(f) for f in t.fillers))
+        if m is None:
+            problems.append(f"algebra {n} maps to a table outside the enumeration")
+            continue
+        if m in hit:
+            problems.append(f"algebras collide on table {m}")
+        hit.add(m)
+        back = algebras.algebra_from_fillers(t, step=alg.step)
+        if not maps_equal(back.structure, alg.structure):
+            problems.append(f"round trip through tables moves algebra {n}")
+    for m, t in enumerate(tables):
+        back = algebras.fillers_from_algebra(algebras.algebra_from_fillers(t, step=step))
+        if not all(maps_equal(a, b) for a, b in zip(back.fillers, t.fillers)):
+            problems.append(f"round trip through algebras moves table {m}")
+    return BijectionReport(
+        algebras=tuple(found),
+        tables=tuple(tables),
+        product_count=product_count,
+        problems=tuple(problems),
+    )
+
+
+def report_value(report: BijectionReport) -> tuple:
+    return (
+        (report.algebra_count, report.table_count, report.product_count),
+        report.problems,
+        [alg.structure.components for alg in report.algebras],
+        [[f.components for f in t.fillers] for t in report.tables],
+    )
+
+
+def assert_matches_two_loop_check(gens, g) -> BijectionReport:
+    report = check_bijection(gens, g)
+    assert report_value(report) == report_value(two_loop_check_bijection(gens, g))
+    return report
+
+
+DELTA1 = get_category("delta<=1")
+
+
+def permutation_graph_to_point(perm: tuple[int, ...]) -> PresheafMap:
+    """The terminal map out of the reflexive graph with one edge v -> perm[v] per vertex.
+
+    Edges 0..n-1 are the degenerate ones, edge n + v runs from v to perm[v].
+    """
+    n = len(perm)
+    edges = range(2 * n)
+    src = dict(zip(edges, [*range(n), *range(n)]))
+    tgt = dict(zip(edges, [*range(n), *perm]))
+    graph = presheaf(
+        DELTA1,
+        {"0": range(n), "1": edges},
+        {"f01_0": src, "f01_1": tgt, "f10_00": {v: v for v in range(n)}, "f11_00": src, "f11_11": tgt},
+    )
+    point = terminal_presheaf(DELTA1)
+    return PresheafMap(graph, point, {a: dict.fromkeys(graph.carrier[a], 0) for a in DELTA1.objects})
+
+
+def test_bijection_matches_the_two_loop_check_on_set_maps():
+    rng = random.Random(41)
+    for _ in range(12):
+        g = random_set_map(rng, max_size=4)
+        for gens in (POINT, CODIAG):
+            report = assert_matches_two_loop_check(gens, g)
+            assert report.ok, report.problems
+
+
+@pytest.mark.parametrize("perm", [(1, 2, 0), (0, 2, 1), (0, 1, 2)], ids=["3-cycle", "loop+2-cycle", "3-loops"])
+def test_bijection_matches_the_two_loop_check_on_permutation_graphs(perm):
+    report = assert_matches_two_loop_check(HORNS1, permutation_graph_to_point(perm))
+    assert report.ok, report.problems
+    assert report.algebra_count == 64
+
+
+# a set map with four algebras and four tables under POINT, for fault injection
+FOUR = set_map(4, 2, [0, 0, 1, 1])
+
+
+def components_of(fillers) -> list:
+    return [f.components for f in fillers]
+
+
+def test_a_moved_algebra_round_trip_is_reported_alike(monkeypatch):
+    honest = check_bijection(POINT, FOUR)
+    moved = components_of(honest.tables[1].fillers)
+    elsewhere = honest.algebras[3].structure
+    real = algebras.algebra_from_fillers
+
+    def moving(table, step=None):
+        alg = real(table, step=step)
+        if components_of(table.fillers) == moved:
+            return AlgebraStructure(target=alg.target, structure=elsewhere, step=alg.step)
+        return alg
+
+    monkeypatch.setattr(algebras, "algebra_from_fillers", moving)
+    report = assert_matches_two_loop_check(POINT, FOUR)
+    assert report.problems == (
+        "round trip through tables moves algebra 1",
+        "round trip through algebras moves table 1",
+    )
+
+
+@pytest.mark.parametrize("fault", ["foreign filler", "missing filler"])
+def test_an_algebra_outside_the_enumeration_is_reported_alike(monkeypatch, fault):
+    honest = check_bijection(POINT, FOUR)
+    outside = honest.algebras[2].structure.components
+    real = algebras.fillers_from_algebra
+
+    def misplacing(alg):
+        table = real(alg)
+        if alg.structure.components != outside:
+            return table
+        first, second, *rest = table.fillers
+        fillers = (second, first, *rest) if fault == "foreign filler" else (first,)
+        return LiftingTable(target=table.target, gens=table.gens, squares=table.squares, fillers=fillers)
+
+    monkeypatch.setattr(algebras, "fillers_from_algebra", misplacing)
+    report = assert_matches_two_loop_check(POINT, FOUR)
+    # a swapped pair makes table 2's own trip come back moved; a cut-short
+    # table agrees with it on the filler that is left
+    expected = ["algebra 2 maps to a table outside the enumeration"]
+    if fault == "foreign filler":
+        expected.append("round trip through algebras moves table 2")
+    assert report.problems == tuple(expected)
+
+
+def test_colliding_algebras_are_reported_alike(monkeypatch):
+    real = algebras._algebra_structures
+    monkeypatch.setattr(algebras, "_algebra_structures", lambda step: [real(step)[0], *real(step)[:-1]])
+    report = assert_matches_two_loop_check(POINT, FOUR)
+    assert report.problems == ("algebras collide on table 0",)
+
+
+def counting(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(algebras, name)
+    monkeypatch.setattr(algebras, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
+def test_missing_algebras_leave_every_table_to_its_own_trip(monkeypatch):
+    monkeypatch.setattr(algebras, "_algebra_structures", lambda step: [])
+    trips = counting(monkeypatch, "algebra_from_fillers")
+    steps = counting(monkeypatch, "build_onestep")
+    report = check_bijection(POINT, FOUR)
+    assert report.problems == ("0 algebras against 4 tables",)
+    # every table is unsettled, and all of them share the one step
+    assert len(trips) == report.table_count == 4
+    assert len(steps) == 1
+    assert report_value(report) == report_value(two_loop_check_bijection(POINT, FOUR))
+
+
+@pytest.mark.parametrize(
+    "gens, g",
+    [(HORNS1, permutation_graph_to_point((1, 2, 0))), (POINT, FOUR), (POINT, set_map(1, 2, [0]))],
+    ids=["3-cycle", "four-algebras", "no-algebra"],
+)
+def test_bijection_makes_each_round_trip_once(monkeypatch, gens, g):
+    # the table side is read off the algebra side wherever that held, so
+    # each direction runs once per algebra, and one step serves both sides
+    to_tables = counting(monkeypatch, "fillers_from_algebra")
+    to_algebras = counting(monkeypatch, "algebra_from_fillers")
+    steps = counting(monkeypatch, "build_onestep")
+    report = check_bijection(gens, g)
+    assert report.ok, report.problems
+    assert len(to_tables) == len(to_algebras) == report.algebra_count
+    assert len(steps) == 1

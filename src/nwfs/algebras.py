@@ -29,6 +29,7 @@ from .arrows import (
     as_arrow,
     components_key,
     generating_squares,
+    square_fixing_domain,
     square_key,
 )
 from .colimits import induce
@@ -64,6 +65,7 @@ class AlgebraStructure:
 def validate_algebra(alg: AlgebraStructure) -> list[str]:
     out = []
     p, step = alg.structure, alg.step
+    # inline, not `arrows.filler_triangles`: every bijection round trip checks here, and a square costs an identity map
     if not composite_equals(p, step.left, identity_of=alg.target.dom):
         out.append("structure map does not retract the left half")
     if not composite_equals(alg.target.f, p, step.right):
@@ -100,6 +102,7 @@ def validate_table(table: LiftingTable) -> list[str]:
     out = []
     for n, ((i, sq), filler) in enumerate(zip(table.squares, table.fillers)):
         j = table.gens.members[i]
+        # inline, not `arrows.filler_triangles`: one more call per filler measurably slows the bijection check
         if not composite_equals(filler, j.f, sq.top):
             out.append(f"filler {n} breaks the top triangle")
         if not composite_equals(table.target.f, filler, sq.bottom):
@@ -246,9 +249,7 @@ def enumerate_algebra_structures(
 def _algebra_structures(step: OneStepFactorization) -> list[AlgebraStructure]:
     """Every algebra structure on one built step, in enumerate_maps order."""
     arrow = step.arrow
-    sq = Square(
-        source=ArrowObj(step.left), target=arrow, top=identity_map(arrow.dom), bottom=step.right
-    )
+    sq = square_fixing_domain(step.left, arrow, step.right)
     return [AlgebraStructure(target=arrow, structure=p, step=step) for p in _fillers(sq)]
 
 

@@ -1,4 +1,14 @@
-"""Arrows as objects, commuting squares between them, generating sets."""
+"""Arrows as objects, commuting squares between them, generating sets.
+
+Two shapes of square carry the structure of a natural weak factorisation
+system. For an arrow f factored as Rf ∘ Lf, the square (1, Rf): Lf → f has
+the identity of f's domain on top, and its diagonal fillers are the algebra
+structures on f; the square (Lf, 1): f → Rf has the identity of f's
+codomain below, and its fillers are the coalgebra structures.
+`square_fixing_domain` and `square_fixing_codomain` build these shapes, and
+every square the laws, rules and runs build with an identity side comes
+from them. `filler_triangles` says which of a filler's two triangles hold.
+"""
 
 from __future__ import annotations
 
@@ -76,6 +86,27 @@ def validate_square(sq: Square) -> list[str]:
 
 def identity_square(f: ArrowObj) -> Square:
     return Square(source=f, target=f, top=identity_map(f.dom), bottom=identity_map(f.cod))
+
+
+def square_fixing_domain(f: PresheafMap | ArrowObj, g: PresheafMap | ArrowObj, bottom: PresheafMap) -> Square:
+    """The square f → g with the identity of f's domain on top."""
+    f = as_arrow(f)
+    return Square(source=f, target=as_arrow(g), top=identity_map(f.dom), bottom=bottom)
+
+
+def square_fixing_codomain(f: PresheafMap | ArrowObj, g: PresheafMap | ArrowObj, top: PresheafMap) -> Square:
+    """The square f → g with the identity of f's codomain below."""
+    f = as_arrow(f)
+    return Square(source=f, target=as_arrow(g), top=top, bottom=identity_map(f.cod))
+
+
+def filler_triangles(sq: Square, d: PresheafMap) -> tuple[bool, bool]:
+    """Whether d fills sq: (d ∘ j == top, g ∘ d == bottom) for sq: j → g.
+
+    Both triangles are checked in place with `composite_equals`, each on
+    its own, so a caller can say which one fails.
+    """
+    return composite_equals(d, sq.source.f, sq.top), composite_equals(sq.target.f, d, sq.bottom)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,6 @@ class UnknownCatalogKey(EngineError):
         )
 
 
-CATEGORY_KEYS = ("terminal", "delta<=1", "delta<=2")
-GENS_KEYS = ("point", "codiagonal", "horns<=1", "horns<=2")
-
 _ALIASES = {
     "delta≤1": "delta<=1",
     "delta≤2": "delta<=2",
@@ -38,7 +35,7 @@ _ALIASES = {
 
 
 def keys() -> tuple[str, ...]:
-    return CATEGORY_KEYS + GENS_KEYS
+    return tuple(_ENTRIES)
 
 
 def _canon(key: str) -> str:
@@ -212,23 +209,25 @@ def horn_gens(truncation: int) -> GeneratingSet:
     return GeneratingSet(members=members, name=f"horns<={truncation}")
 
 
+# every catalog key, in `keys()` order, with its kind (the `CatalogEntry` field
+# that holds what the builder returns) and its builder
+_ENTRIES = {
+    "terminal": ("category", terminal_category),
+    "delta<=1": ("category", lambda: simplex_truncation(1)),
+    "delta<=2": ("category", lambda: simplex_truncation(2)),
+    "point": ("gens", point_gens),
+    "codiagonal": ("gens", codiagonal_gens),
+    "horns<=1": ("gens", lambda: horn_gens(1)),
+    "horns<=2": ("gens", lambda: horn_gens(2)),
+}
+
+
 def get(key: str) -> CatalogEntry:
     canon = _canon(key)
-    if canon == "terminal":
-        return CatalogEntry(canon, "category", category=terminal_category())
-    if canon == "delta<=1":
-        return CatalogEntry(canon, "category", category=simplex_truncation(1))
-    if canon == "delta<=2":
-        return CatalogEntry(canon, "category", category=simplex_truncation(2))
-    if canon == "point":
-        return CatalogEntry(canon, "gens", gens=point_gens())
-    if canon == "codiagonal":
-        return CatalogEntry(canon, "gens", gens=codiagonal_gens())
-    if canon == "horns<=1":
-        return CatalogEntry(canon, "gens", gens=horn_gens(1))
-    if canon == "horns<=2":
-        return CatalogEntry(canon, "gens", gens=horn_gens(2))
-    raise UnknownCatalogKey(key)
+    if canon not in _ENTRIES:
+        raise UnknownCatalogKey(key)
+    kind, build = _ENTRIES[canon]
+    return CatalogEntry(canon, kind, **{kind: build()})
 
 
 def get_category(key: str) -> FinCategory:

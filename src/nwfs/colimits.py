@@ -23,6 +23,7 @@ from .core import (
     Presheaf,
     PresheafMap,
     _same,
+    compose_maps,
     identity_map,
     presheaf,
 )
@@ -250,6 +251,20 @@ def pushout(f: PresheafMap, g: PresheafMap) -> Cocone:
     return attach(f.target, [(f, g)])
 
 
+def chain_composites(links: Sequence[PresheafMap], last: Presheaf) -> list[PresheafMap]:
+    """Composites of the chain `links`, which ends at `last`, into its end.
+
+    Entry i runs from stage i to the end; the list has one more entry than
+    `links`, the identity on `last`. One backward sweep composes each link
+    once.
+    """
+    out = [identity_map(last)]
+    for link in reversed(links):
+        out.append(compose_maps(out[-1], link))
+    out.reverse()
+    return out
+
+
 def chain_colimit(steps: Sequence[PresheafMap], start: Presheaf | None = None) -> Cocone:
     """Colimit of a finite chain X0 -> X1 -> ... -> Xn, one leg per stage.
 
@@ -272,11 +287,7 @@ def chain_colimit(steps: Sequence[PresheafMap], start: Presheaf | None = None) -
     last = stages[-1]
     base = last.base
     # to_last[i] holds the components of the composite Xi -> Xn
-    to_last = [{a: {x: x for x in last.carrier[a]} for a in base.objects}]
-    for m in reversed(steps):
-        after = to_last[-1]
-        to_last.append({a: {x: after[a][y] for x, y in m.components[a].items()} for a in base.objects})
-    to_last.reverse()
+    to_last = [leg.components for leg in chain_composites(steps, last)]
     rank: dict[str, dict[int, int]] = {a: {} for a in base.objects}
     for X, into in zip(stages, to_last):
         for a in base.objects:

@@ -28,9 +28,9 @@ import json
 from json.encoder import encode_basestring
 from typing import Any, Mapping
 
-from . import catalog
+from . import catalog, laws, rules
 from .algebras import check_bijection, extract_algebra, fillers_from_algebra
-from .arrows import ArrowObj, GeneratingSet, Square, square_commutes
+from .arrows import ArrowObj, GeneratingSet, Square, filler_triangles, square_commutes
 from .core import (
     EngineError,
     FinCategory,
@@ -755,8 +755,6 @@ def _validate_compare_cert(doc, problems) -> None:
 
 
 def rule_from_token(token: str):
-    from . import rules
-
     builders = {
         "graph": rules.graph_rule,
         "cograph": rules.cograph_rule,
@@ -786,8 +784,6 @@ def sample_from_spec(spec, most: int | None) -> tuple[list, dict]:
     work stays bounded by the certificate. With `most` None no rule reads
     the sample: only its shape is checked, and it comes back empty.
     """
-    from . import laws
-
     if not isinstance(spec, dict):
         raise InputError("/sample", "missing or not an object")
     kind = spec.get("kind")
@@ -823,8 +819,6 @@ def sample_from_spec(spec, most: int | None) -> tuple[list, dict]:
 
 
 def _validate_laws_cert(doc, problems) -> None:
-    from . import laws
-
     tokens = doc.get("rules")
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise InputError("/rules", "expected a list of rule tokens")
@@ -856,10 +850,12 @@ def _validate_filler_cert(doc, problems) -> None:
     label = doc["gen_arrow"].get("label")
     gen_arrow = ArrowObj(gen, label=label if isinstance(label, str) else None)
     _check_document(doc, filler_certificate(cat, gen_arrow, target, top, bottom, filler), problems)
-    _check(problems, square_commutes(Square(ArrowObj(gen), ArrowObj(target), top, bottom)), "/top", "the problem square does not commute")
+    square = Square(ArrowObj(gen), ArrowObj(target), top, bottom)
+    _check(problems, square_commutes(square), "/top", "the problem square does not commute")
     # the maps were loaded between the presheaves each triangle names
-    _check(problems, composite_equals(filler, gen, top), "/filler", "upper triangle fails")
-    _check(problems, composite_equals(target, filler, bottom), "/filler", "lower triangle fails")
+    upper, lower = filler_triangles(square, filler)
+    _check(problems, upper, "/filler", "upper triangle fails")
+    _check(problems, lower, "/filler", "lower triangle fails")
 
 
 _VALIDATORS = {

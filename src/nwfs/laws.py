@@ -17,6 +17,12 @@ which no law reads, are left unbuilt, and so is each projection that no
 rule asks for. The graph rule's maps between products, its functor on
 squares and its multiplication, are f × g by offset arithmetic, so
 `on_square` reads no projection and builds no composite with one.
+
+The counit, unit, (co)associativity and distributivity laws feed the
+functor squares with one identity side: the identity of the domain on top,
+as in the algebra square (1, Rf): Lf → f, or of the codomain below, as in
+the coalgebra square (Lf, 1): f → Rf. They are built by
+`arrows.square_fixing_domain` and `arrows.square_fixing_codomain`.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .arrows import ArrowObj, Square, as_arrow, identity_square
+from .arrows import ArrowObj, as_arrow, identity_square, square_fixing_codomain, square_fixing_domain
 from .catalog import representable, terminal_category
 from .colimits import coproduct, quotient
 from .core import (
@@ -151,14 +157,7 @@ def _evaluate_rule(rule: FactorizationRule, arrow: ArrowObj) -> list[LawCheck]:
         record_composite("counit-arrow", lambda: left_of_left.right, lambda: sigma)
         record_composite(
             "counit-functor",
-            lambda: rule.on_square(
-                Square(
-                    source=as_arrow(triple.left),
-                    target=as_arrow(f),
-                    top=identity_map(f.source),
-                    bottom=triple.right,
-                )
-            ),
+            lambda: rule.on_square(square_fixing_domain(triple.left, f, triple.right)),
             lambda: sigma,
         )
         record_composite("comult-square", lambda: sigma, lambda: triple.left, lambda: left_of_left.left)
@@ -166,17 +165,7 @@ def _evaluate_rule(rule: FactorizationRule, arrow: ArrowObj) -> list[LawCheck]:
             "comult-coassoc",
             lambda: rule.comult(triple.left),
             lambda: sigma,
-            lambda: compose_maps(
-                rule.on_square(
-                    Square(
-                        source=as_arrow(triple.left),
-                        target=as_arrow(left_of_left.left),
-                        top=identity_map(f.source),
-                        bottom=sigma,
-                    )
-                ),
-                sigma,
-            ),
+            lambda: compose_maps(rule.on_square(square_fixing_domain(triple.left, left_of_left.left, sigma)), sigma),
         )
 
     if rule.mult is not None:
@@ -186,31 +175,14 @@ def _evaluate_rule(rule: FactorizationRule, arrow: ArrowObj) -> list[LawCheck]:
         record_composite(
             "unit-functor",
             lambda: pi,
-            lambda: rule.on_square(
-                Square(
-                    source=as_arrow(f),
-                    target=as_arrow(triple.right),
-                    top=triple.left,
-                    bottom=identity_map(f.target),
-                )
-            ),
+            lambda: rule.on_square(square_fixing_codomain(f, triple.right, triple.left)),
         )
         record_composite("mult-square", lambda: triple.right, lambda: pi, lambda: right_of_right.right)
         record_composite(
             "mult-assoc",
             lambda: pi,
             lambda: rule.mult(triple.right),
-            lambda: compose_maps(
-                pi,
-                rule.on_square(
-                    Square(
-                        source=as_arrow(right_of_right.right),
-                        target=as_arrow(triple.right),
-                        top=pi,
-                        bottom=identity_map(f.target),
-                    )
-                ),
-            ),
+            lambda: compose_maps(pi, rule.on_square(square_fixing_codomain(right_of_right.right, triple.right, pi))),
         )
 
     if rule.comult is not None and rule.mult is not None:
@@ -243,23 +215,9 @@ def _distributivity_rhs(
     """
     combined_right = compose_maps(triple.right, left_of_left.right)
     combined_left = compose_maps(right_of_right.left, triple.left)
-    widen = rule.on_square(
-        Square(
-            source=as_arrow(triple.right),
-            target=as_arrow(combined_right),
-            top=sigma,
-            bottom=identity_map(f.target),
-        )
-    )
+    widen = rule.on_square(square_fixing_codomain(triple.right, combined_right, sigma))
     cross = interchange(rule, rule, rule, rule, f)
-    squash = rule.on_square(
-        Square(
-            source=as_arrow(combined_left),
-            target=as_arrow(triple.left),
-            top=identity_map(f.source),
-            bottom=pi,
-        )
-    )
+    squash = rule.on_square(square_fixing_domain(combined_left, triple.left, pi))
     return compose_maps(
         squash,
         compose_maps(

@@ -12,6 +12,13 @@ half instead, and `interchange` produces the canonical comparison between
 the two ways of stacking four rules. All of it is computed elementwise on
 finite carriers, nothing is symbolic.
 
+A coalgebra's section is a filler of the square (Lf, 1): f → Rf, and an
+algebra's retraction a filler of (1, Rf): Lf → f; their validators check
+the two triangles with `arrows.filler_triangles`. These squares, the
+whiskered unit squares of `interchange` and the reshapings in
+`compose_coalgebras` all have one identity side and are built by
+`arrows.square_fixing_domain` and `arrows.square_fixing_codomain`.
+
 Binary products number their pairs lexicographically: at object a the pair
 (x, y) is element i·|Y_a| + j, where i and j are the positions of x and y in
 the sorted carriers, so every action is offset arithmetic. A product is
@@ -36,7 +43,15 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .arrows import ArrowObj, Square, as_arrow, validate_square
+from .arrows import (
+    ArrowObj,
+    Square,
+    as_arrow,
+    filler_triangles,
+    square_fixing_codomain,
+    square_fixing_domain,
+    validate_square,
+)
 from .colimits import Cocone, coproduct, induce
 from .core import (
     IncompatibleInput,
@@ -45,7 +60,6 @@ from .core import (
     PresheafMap,
     _same,
     compose_maps,
-    composite_equals,
     identity_map,
 )
 
@@ -414,22 +428,8 @@ def interchange(
     c_left, b_right = C.factor(fd.left), B.factor(fd.right)
     cd_right = compose_maps(fd.right, c_left.right)
     bd_left = compose_maps(b_right.left, fd.left)
-    top = C.on_square(
-        Square(
-            source=as_arrow(fd.left),
-            target=as_arrow(bd_left),
-            top=identity_map(f.source),
-            bottom=b_right.left,
-        )
-    )
-    bottom = B.on_square(
-        Square(
-            source=as_arrow(cd_right),
-            target=as_arrow(fd.right),
-            top=c_left.right,
-            bottom=identity_map(f.target),
-        )
-    )
+    top = C.on_square(square_fixing_domain(fd.left, bd_left, b_right.left))
+    bottom = B.on_square(square_fixing_codomain(cd_right, fd.right, c_left.right))
     return A.on_square(
         Square(
             source=as_arrow(B.factor(cd_right).left),
@@ -457,23 +457,19 @@ class RuleAlgebra:
 
 
 def validate_rule_coalgebra(rule: FactorizationRule, co: RuleCoalgebra) -> list[str]:
-    out = []
+    """A coalgebra's section fills the square (Lf, 1): f → Rf."""
     triple = rule.factor(co.arrow.f)
-    if not composite_equals(co.component, co.arrow.f, triple.left):
-        out.append("section does not extend the left half")
-    if not composite_equals(triple.right, co.component, identity_of=co.arrow.cod):
-        out.append("section is not a section of the right half")
-    return out
+    triangles = filler_triangles(square_fixing_codomain(co.arrow, triple.right, triple.left), co.component)
+    messages = ("section does not extend the left half", "section is not a section of the right half")
+    return [m for m, holds in zip(messages, triangles) if not holds]
 
 
 def validate_rule_algebra(rule: FactorizationRule, al: RuleAlgebra) -> list[str]:
-    out = []
+    """An algebra's retraction fills the square (1, Rf): Lf → f."""
     triple = rule.factor(al.arrow.f)
-    if not composite_equals(al.component, triple.left, identity_of=al.arrow.dom):
-        out.append("retraction does not retract the left half")
-    if not composite_equals(al.arrow.f, al.component, triple.right):
-        out.append("retraction does not cover the right half")
-    return out
+    triangles = filler_triangles(square_fixing_domain(triple.left, al.arrow, triple.right), al.component)
+    messages = ("retraction does not retract the left half", "retraction does not cover the right half")
+    return [m for m, holds in zip(messages, triangles) if not holds]
 
 
 def canonical_lift(
@@ -498,9 +494,10 @@ def canonical_lift(
     if problems:
         raise IncompatibleInput(f"canonical_lift: {problems[0]}")
     lift = compose_maps(p.component, compose_maps(rule.on_square(sq), s.component))
-    if not composite_equals(lift, s.arrow.f, sq.top):
+    upper, lower = filler_triangles(sq, lift)
+    if not upper:
         raise InternalCheckFailed("canonical_lift: lift breaks the top triangle")
-    if not composite_equals(p.arrow.f, lift, sq.bottom):
+    if not lower:
         raise InternalCheckFailed("canonical_lift: lift breaks the bottom triangle")
     return lift
 
@@ -526,29 +523,9 @@ def compose_coalgebras(
     triple_f = rule.factor(f)
     triple_gf = rule.factor(gf)
     over_right = compose_maps(g, triple_f.right)
-    widen = rule.on_square(
-        Square(
-            source=as_arrow(g),
-            target=as_arrow(over_right),
-            top=first.component,
-            bottom=identity_map(g.target),
-        )
-    )
-    absorb = rule.on_square(
-        Square(
-            source=as_arrow(over_right),
-            target=as_arrow(triple_gf.right),
-            top=rule.on_square(
-                Square(
-                    source=as_arrow(f),
-                    target=as_arrow(gf),
-                    top=identity_map(f.source),
-                    bottom=g,
-                )
-            ),
-            bottom=identity_map(g.target),
-        )
-    )
+    widen = rule.on_square(square_fixing_codomain(g, over_right, first.component))
+    reshape = rule.on_square(square_fixing_domain(f, gf, g))
+    absorb = rule.on_square(square_fixing_codomain(over_right, triple_gf.right, reshape))
     component = compose_maps(
         rule.mult(gf), compose_maps(absorb, compose_maps(widen, second.component))
     )

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .arrows import ArrowObj, GeneratingSet, Square, as_arrow
-from .colimits import Cocone, chain_colimit, coequalizer, induce
+from .arrows import ArrowObj, GeneratingSet, as_arrow, square_fixing_codomain
+from .colimits import Cocone, chain_colimit, chain_composites, coequalizer, induce
 from .core import (
     IncompatibleInput,
     Presheaf,
@@ -154,20 +154,6 @@ class SequenceState:
         }
 
 
-def chain_composites(links, last: Presheaf) -> list[PresheafMap]:
-    """Composites of the chain `links`, which ends at `last`, into its end.
-
-    Entry i runs from stage i to the end; the list has one more entry than
-    `links`, the identity on `last`. One backward sweep composes each link
-    once.
-    """
-    out = [identity_map(last)]
-    for link in reversed(links):
-        out.append(compose_maps(out[-1], link))
-    out.reverse()
-    return out
-
-
 def _carry(
     gens: GeneratingSet,
     top: PresheafMap,
@@ -178,7 +164,7 @@ def _carry(
 
     `top` runs between their domains, and the identity of D is the bottom.
     """
-    square = Square(source_step.arrow, target_step.arrow, top, identity_map(target_step.arrow.cod))
+    square = square_fixing_codomain(source_step.arrow, target_step.arrow, top)
     return onestep_on_square(gens, square, source_step=source_step, target_step=target_step)
 
 

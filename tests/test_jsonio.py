@@ -264,6 +264,36 @@ def test_filler_certificate_round_trip():
     assert validate_certificate(stray) == ["/filler: component at unknown object '1'"]
 
 
+def test_filler_certificate_names_the_upper_triangle_alone():
+    # codiagonal 2 -> 1 against [0, 0, 1]: 3 -> 2; the filler [0] misses the top [0, 1]
+    cert = reload(
+        filler_certificate(
+            terminal_category(),
+            get_gens("codiagonal").members[0],
+            set_map(3, 2, [0, 0, 1]),
+            set_map(2, 3, [0, 1]),
+            set_map(1, 2, [0]),
+            set_map(1, 3, [0]),
+        )
+    )
+    assert validate_certificate(cert) == ["/filler: upper triangle fails"]
+
+
+def test_filler_certificate_names_the_lower_triangle_alone():
+    # the point against the identity on 2: the filler [1] misses the bottom [0]
+    cert = reload(
+        filler_certificate(
+            terminal_category(),
+            POINT.members[0],
+            set_map(2, 2, [0, 1]),
+            set_map(0, 2, []),
+            set_map(1, 2, [0]),
+            set_map(1, 2, [1]),
+        )
+    )
+    assert validate_certificate(cert) == ["/filler: lower triangle fails"]
+
+
 def test_first_difference_tells_booleans_from_numbers_on_either_side():
     assert _first_difference({"ok": [True, False], "n": 1}, {"ok": [True, False], "n": 1}, "") is None
     assert _first_difference({"ok": 1}, {"ok": True}, "") == "/ok: recorded 1, expected True"

@@ -3,10 +3,11 @@ import dataclasses
 import pytest
 
 from conftest import set_map
-from nwfs.arrows import Square, as_arrow
+from nwfs.arrows import Square, as_arrow, square_fixing_codomain, square_fixing_domain, validate_square
 from nwfs.catalog import get_category, representable
 from nwfs.core import (
     IncompatibleInput,
+    InternalCheckFailed,
     PresheafMap,
     compose_maps,
     identity_map,
@@ -186,6 +187,86 @@ def test_canonical_lift_rejects_a_foreign_square():
     sq = Square(source=other, target=al.arrow, top=set_map(2, 2, [0, 0]), bottom=set_map(2, 1, [0, 0]))
     with pytest.raises(IncompatibleInput):
         canonical_lift(GRAPH, co, al, sq)
+
+
+def graph_section(f: PresheafMap, pairs) -> RuleCoalgebra:
+    """A graph-rule section candidate: codomain element y goes to the pair pairs[y]."""
+    prod = product_presheaf(f.source, f.target)
+    comps = {y: prod.index("0", *pair) for y, pair in enumerate(pairs)}
+    return RuleCoalgebra(arrow=as_arrow(f), component=PresheafMap(f.target, prod.apex, {"0": comps}))
+
+
+def graph_retraction(g: PresheafMap, pick) -> RuleAlgebra:
+    """A graph-rule retraction candidate: the pair (x, y) goes to pick(x, y)."""
+    prod = product_presheaf(g.source, g.target)
+    comps = {
+        prod.index("0", x, y): pick(x, y) for x in g.source.carrier["0"] for y in g.target.carrier["0"]
+    }
+    return RuleAlgebra(arrow=as_arrow(g), component=PresheafMap(prod.apex, g.source, {"0": comps}))
+
+
+def test_rule_coalgebra_reports_the_one_broken_triangle():
+    assert validate_rule_coalgebra(GRAPH, graph_section(set_map(1, 2, [0]), [(0, 0), (0, 1)])) == []
+    # the section at 0 should be the pair (0, 0), the left half's value
+    shifted = graph_section(set_map(2, 2, [0, 1]), [(1, 0), (1, 1)])
+    assert validate_rule_coalgebra(GRAPH, shifted) == ["section does not extend the left half"]
+    # 1 goes to a pair over 0, which the right half sends back to 0
+    collapsed = graph_section(set_map(1, 2, [0]), [(0, 0), (0, 0)])
+    assert validate_rule_coalgebra(GRAPH, collapsed) == ["section is not a section of the right half"]
+
+
+def test_rule_algebra_reports_the_one_broken_triangle():
+    assert validate_rule_algebra(GRAPH, graph_retraction(set_map(2, 1, [0, 0]), lambda x, y: x)) == []
+    # every pair goes to 0, so the left half's pair (1, 0) is not sent back to 1
+    constant = graph_retraction(set_map(2, 1, [0, 0]), lambda x, y: 0)
+    assert validate_rule_algebra(GRAPH, constant) == ["retraction does not retract the left half"]
+    # over the identity on 2 the pair (0, 1) must go to 1, and it goes to 0
+    first = graph_retraction(set_map(2, 2, [0, 1]), lambda x, y: x)
+    assert validate_rule_algebra(GRAPH, first) == ["retraction does not cover the right half"]
+
+
+def lift_with_constant_functor(co: RuleCoalgebra, al: RuleAlgebra, sq: Square, x: int, y: int):
+    """`canonical_lift` for the graph rule with `on_square` sending everything to the pair (x, y)."""
+    g = al.arrow.f
+    apex = co.component.target
+    target = product_presheaf(g.source, g.target)
+    constant = PresheafMap(apex, al.component.source, {"0": dict.fromkeys(apex.carrier["0"], target.index("0", x, y))})
+    return canonical_lift(dataclasses.replace(GRAPH, on_square=lambda _: constant), co, al, sq)
+
+
+def test_canonical_lift_checks_the_top_triangle():
+    co = graph_section(set_map(1, 2, [0]), [(0, 0), (0, 1)])
+    al = graph_retraction(set_map(2, 1, [0, 0]), lambda x, y: x)
+    sq = Square(source=co.arrow, target=al.arrow, top=set_map(1, 2, [1]), bottom=set_map(2, 1, [0, 0]))
+    # a functor constant at (1, 0) gives the lift [1, 1], which fills the square
+    assert maps_equal(lift_with_constant_functor(co, al, sq, 1, 0), set_map(2, 2, [1, 1]))
+    # the lift is constantly 0 where the top asks for 1; g has one point, so the bottom holds
+    with pytest.raises(InternalCheckFailed, match="lift breaks the top triangle"):
+        lift_with_constant_functor(co, al, sq, 0, 0)
+
+
+def test_canonical_lift_checks_the_bottom_triangle():
+    co = graph_section(set_map(1, 2, [0]), [(0, 0), (0, 1)])
+    al = graph_retraction(set_map(2, 2, [0, 1]), lambda x, y: y)
+    sq = Square(source=co.arrow, target=al.arrow, top=set_map(1, 2, [1]), bottom=set_map(2, 2, [1, 0]))
+    # the lift is constantly 1: it agrees with the top but not with the bottom
+    with pytest.raises(InternalCheckFailed, match="lift breaks the bottom triangle"):
+        lift_with_constant_functor(co, al, sq, 1, 1)
+
+
+def test_identity_sided_squares_fit_every_builtin_rule():
+    for rule in (GRAPH, COGRAPH, TLEFT, TRIGHT):
+        for arrow in exhaustive_arrows(3):
+            f = arrow.f
+            triple = rule.factor(f)
+            algebra_square = square_fixing_domain(triple.left, arrow, triple.right)
+            assert validate_square(algebra_square) == [], (rule.name, arrow.label)
+            assert algebra_square.top.source is triple.left.source
+            assert maps_equal(algebra_square.top, identity_map(f.source))
+            coalgebra_square = square_fixing_codomain(arrow, triple.right, triple.left)
+            assert validate_square(coalgebra_square) == [], (rule.name, arrow.label)
+            assert coalgebra_square.bottom.source is f.target
+            assert maps_equal(coalgebra_square.bottom, identity_map(f.target))
 
 
 def test_compose_coalgebras_lands_on_the_composite():

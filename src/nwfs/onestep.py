@@ -10,9 +10,11 @@ bottom halves.
 The construction is functorial in g: a commuting square g -> g2 induces a map
 between the two middle objects, computed on colimit representatives and
 re-checked for well-definedness during cocone induction. Each cell goes to
-the cell of the pasted square, which is looked up by its key; that key is
-the source square's cached key with its values relabelled, so no composite
-map is built per cell.
+the cell of the pasted square, which is looked up by its key. A square's key
+holds its top's and its bottom's values in the generator's carrier order, so
+pasting sends each object's segment of values through the square's row at
+that object and the key stays in place: no composite map is built and
+nothing is sorted per cell.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .arrows import (
     GeneratingSet,
     Square,
     generating_squares,
-    square_key,
     validate_square,
 )
 from .colimits import Cocone, attach, induce
@@ -64,9 +65,14 @@ class OneStepFactorization:
         return self.cocone.legs[0]
 
     @cached_property
-    def square_keys(self) -> tuple[tuple, ...]:
-        """`square_key` of each square, in square order."""
-        return tuple(square_key(i, sq) for i, sq in self.squares)
+    def square_keys(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+        """Each square as (generator index, top values, bottom values), in square order.
+
+        A side's values are its map's values on the generator's domain (top)
+        or codomain (bottom), object by object in carrier order; the
+        generator's sizes cut them into one segment per object.
+        """
+        return tuple((i, _values(sq.top), _values(sq.bottom)) for i, sq in self.squares)
 
     @cached_property
     def square_index(self) -> dict[tuple, int]:
@@ -108,21 +114,29 @@ def onestep_on_square(
         if source_step.gens != gens or target_step.gens != gens:
             raise IncompatibleInput("onestep_on_square: steps built from a different generating set")
 
-    # every square of the source step starts where sq.top and sq.bottom do,
-    # and pasting lands where the target step's squares end
-    if not (_same(source_step.arrow.dom, sq.top.source) and _same(source_step.arrow.cod, sq.bottom.source)):
+    if not _same(source_step.arrow.f, sq.source.f):
         raise IncompatibleInput("onestep_on_square: source_step does not factor the square's source arrow")
-    if not (_same(target_step.arrow.dom, sq.top.target) and _same(target_step.arrow.cod, sq.bottom.target)):
+    if not _same(target_step.arrow.f, sq.target.f):
         raise IncompatibleInput("onestep_on_square: target_step does not factor the square's target arrow")
 
     # Pasting composes each square's top and bottom with sq.top and
-    # sq.bottom. That only relabels values, so the pasted square's key is
-    # the source key relabelled: its keys and their sorted order stay put.
-    top, bottom = sq.top.components, sq.bottom.components
+    # sq.bottom, which relabels their values in place: the pasted square's
+    # key is the source key with each object's segment sent through sq's
+    # row at that object. rows[i] holds those rows and segments for
+    # generator i's domain and codomain, at the objects where they have
+    # elements.
+    rows = [(_segments(sq.top, j.dom), _segments(sq.bottom, j.cod)) for j in gens.members]
     index = target_step.square_index
     cell_targets = []
-    for i, top_key, bottom_key in source_step.square_keys:
-        n = index.get((i, _relabel(top_key, top), _relabel(bottom_key, bottom)))
+    for i, top_values, bottom_values in source_step.square_keys:
+        top_rows, bottom_rows = rows[i]
+        top_pasted: list[int] = []
+        for row, part in top_rows:
+            top_pasted.extend(map(row.__getitem__, top_values[part]))
+        bottom_pasted: list[int] = []
+        for row, part in bottom_rows:
+            bottom_pasted.extend(map(row.__getitem__, bottom_values[part]))
+        n = index.get((i, tuple(top_pasted), tuple(bottom_pasted)))
         if n is None:
             raise InternalCheckFailed("onestep_on_square: pasted square missing from the target step")
         cell_targets.append(target_step.cell_leg(n))
@@ -130,10 +144,21 @@ def onestep_on_square(
     return induce(source_step.cocone, [compose_maps(target_step.left, sq.top)] + cell_targets, target_step.mid)
 
 
-def _relabel(key: tuple, after: dict) -> tuple:
-    """The `components_key` of `after` composed with the map whose key is `key`."""
-    out = []
-    for a, items in key:
-        at = after[a]
-        out.append((a, tuple([(x, at[y]) for x, y in items])))
+def _values(f: PresheafMap) -> tuple[int, ...]:
+    """f's values on its source's elements, object by object in carrier order."""
+    out: list[int] = []
+    carrier, components = f.source.carrier, f.components
+    for a in f.source.base.objects:
+        out.extend(map(components[a].__getitem__, carrier[a]))
     return tuple(out)
+
+
+def _segments(f: PresheafMap, X: Presheaf) -> list[tuple[dict, slice]]:
+    """f's row and the slice of a flat value tuple on X, at each object where X has elements."""
+    out, start = [], 0
+    for a in X.base.objects:
+        size = len(X.carrier[a])
+        if size:
+            out.append((f.components[a], slice(start, start + size)))
+            start += size
+    return out

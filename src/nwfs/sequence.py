@@ -18,7 +18,12 @@ of the current stage is coequalized against the folds below it: after a
 successor stage that is the previous fold alone, after a limit stage every
 fold in the chain. The pair leaves the colimit of the step middles carrying
 those folds; one map goes through the folds and the links up to the current
-stage, the other applies the step functor to those links.
+stage, the other applies the step functor to those links. The step functor
+takes composites to composites, so it is applied once per link: the links
+of that colimit between adjacent folds are the second maps of the pairs
+already taken, only a gap across a limit stage is carried afresh, and the
+second map is one carry from the last fold up to the current stage after
+the colimit's own composites.
 """
 
 from __future__ import annotations
@@ -213,7 +218,8 @@ def _free_step(run: SequenceState, ordinal: str) -> SequenceState:
     limit stage it is every fold in the chain. The step middles carrying
     those folds form a chain of their own, and both maps of the pair leave
     its colimit: one through the folds and up to the current stage, the
-    other through the step functor applied to the links into it.
+    other through the step functor, applied once to each link of that chain
+    and once from its last member up to the current stage.
     """
     last = run.stages[-1]
     top = last.index
@@ -226,20 +232,24 @@ def _free_step(run: SequenceState, ordinal: str) -> SequenceState:
     step = build_onestep(run.gens, ArrowObj(last.right))
 
     # to_top[i - low] is connect(i, top), from one backward sweep
-    low = below[0]
+    low, high = below[0], below[-1]
     to_top = chain_composites(run.links[low:top], last.mid)
-    # stages right under an earlier limit have no fold, so consecutive
-    # members of `below` are not always adjacent
-    web = chain_colimit(
-        [_carry(run.gens, run.connect(i, j), run.step_of(i), run.step_of(j)) for i, j in zip(below, below[1:])],
-        start=run.step_of(low).mid,
-    )
+    # The step functor on the links between consecutive folds. Adjacent
+    # folds i, i + 1 were carried when stage i + 2 was built: that pair's
+    # second map. Stages right under an earlier limit have no fold, so the
+    # gap across each limit is carried here.
+    web_links = [
+        run.pairs[j][1] if j == i + 1 else _carry(run.gens, run.connect(i, j), run.step_of(i), run.step_of(j))
+        for i, j in zip(below, below[1:])
+    ]
+    web = chain_colimit(web_links, start=run.step_of(low).mid)
     first = induce(
         web,
         [compose_maps(step.left, compose_maps(to_top[i + 1 - low], run.folds[i])) for i in below],
         step.mid,
     )
-    second = induce(web, [_carry(run.gens, to_top[i - low], run.step_of(i), step) for i in below], step.mid)
+    up = _carry(run.gens, to_top[high - low], run.step_of(high), step)
+    second = induce(web, chain_composites(web_links + [up], step.mid)[:-1], step.mid)
     coeq = coequalizer(first, second)
     fold = coeq.legs[0]
     link = compose_maps(fold, step.left)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 
 from conftest import finset, set_map, set_maps
-from test_hom_search import reflexive_graphs
-from nwfs.arrows import Square, as_arrow, enumerate_squares, generating_squares, identity_square, square_key
-from nwfs.catalog import get_gens
+from test_hom_search import PIECES, reflexive_graphs
+from nwfs.arrows import Square, as_arrow, enumerate_squares, generating_squares, identity_square
+from nwfs.catalog import get_gens, terminal_presheaf
 from nwfs.colimits import Cocone, coequalizer, coproduct, induce
 from nwfs.core import (
     IncompatibleInput,
@@ -23,6 +23,7 @@ from nwfs.onestep import build_onestep, onestep_on_square
 POINT = get_gens("point")
 CODIAG = get_gens("codiagonal")
 HORNS = get_gens("horns<=1")
+HORNS2 = get_gens("horns<=2")
 
 
 def test_generating_squares_counts_for_point():
@@ -198,6 +199,25 @@ def graph_maps(draw):
     return maps[draw(st.integers(0, len(maps) - 1))]
 
 
+@st.composite
+def delta2_maps(draw):
+    """A map over delta<=2 between two small pieces, drawn from all maps between them."""
+    X = draw(st.sampled_from(PIECES))
+    Y = draw(st.sampled_from(PIECES + (terminal_presheaf(X.base),)))
+    maps = enumerate_maps(X, Y)
+    assume(maps)
+    return maps[draw(st.integers(0, len(maps) - 1))]
+
+
+@given(st.one_of(st.tuples(st.just(HORNS), graph_maps()), st.tuples(st.just(HORNS2), delta2_maps())))
+@settings(max_examples=60, deadline=None)
+def test_square_index_holds_one_key_per_square(case):
+    gens, g = case
+    step = build_onestep(gens, as_arrow(g))
+    assert len(step.square_keys) == len(step.squares)
+    assert [step.square_index[key] for key in step.square_keys] == list(range(len(step.squares)))
+
+
 @given(
     st.one_of(
         st.tuples(st.sampled_from([POINT, CODIAG]), set_maps_with_ids()),
@@ -220,16 +240,21 @@ def test_onestep_matches_the_staged_construction(case):
 
 
 def pasted_onestep(sq, source_step, target_step):
-    """The step on a square by composing every source square with it, kept as the reference."""
+    """The step on a square by composing every source square with it, kept as the reference.
+
+    Each pasted square is found by a search over the target step's squares
+    for the same generator and equal top and bottom components, so the
+    reference does not read the step's square keys.
+    """
     cell_targets = []
     for i, s in source_step.squares:
-        pasted = Square(
-            source=s.source,
-            target=sq.target,
-            top=compose_maps(sq.top, s.top),
-            bottom=compose_maps(sq.bottom, s.bottom),
-        )
-        cell_targets.append(target_step.cell_leg(target_step.square_index[square_key(i, pasted)]))
+        top, bottom = compose_maps(sq.top, s.top), compose_maps(sq.bottom, s.bottom)
+        (n,) = [
+            n
+            for n, (k, t) in enumerate(target_step.squares)
+            if k == i and t.top.components == top.components and t.bottom.components == bottom.components
+        ]
+        cell_targets.append(target_step.cell_leg(n))
     return induce(source_step.cocone, [compose_maps(target_step.left, sq.top)] + cell_targets, target_step.mid)
 
 
@@ -271,3 +296,12 @@ def test_on_square_rejects_a_step_of_another_arrow():
         onestep_on_square(POINT, sq, source_step=sf, target_step=sf)
     with pytest.raises(IncompatibleInput, match="target_step"):
         onestep_on_square(POINT, sq, source_step=sf, target_step=sh)
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_on_square_rejects_a_step_of_another_arrow_with_the_same_ends(side):
+    g = as_arrow(set_map(3, 2, [0, 0, 1]))
+    other = build_onestep(CODIAG, as_arrow(set_map(3, 2, [1, 1, 0])))
+    steps = {f"{side}_step": other}
+    with pytest.raises(IncompatibleInput, match=f"{side}_step does not factor the square's {side} arrow"):
+        onestep_on_square(CODIAG, identity_square(g), **steps)

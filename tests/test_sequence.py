@@ -3,16 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_set_map, set_map, set_maps
-from nwfs.arrows import Square, as_arrow
+from conftest import edge_to_point, random_set_map, set_map, set_maps
+from nwfs import sequence
+from nwfs.arrows import ArrowObj, Square, as_arrow
 from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
-from nwfs.colimits import chain_colimit
+from nwfs.colimits import chain_colimit, chain_composites, coequalizer, induce
 from nwfs.core import IncompatibleInput, PresheafMap, compose_maps, identity_map, is_iso, maps_equal
 from nwfs.onestep import build_onestep, onestep_on_square
 from nwfs.sequence import (
     FREE,
     PLAIN,
     OrdinalBudget,
+    Stage,
     build_comparison,
     run_free,
     run_plain,
@@ -221,3 +223,80 @@ def test_work_counters_are_deterministic():
     b = run_free(POINT, g).work
     assert a == b
     assert set(a) == {"stages", "steps_built", "squares", "elements"}
+
+
+def web_free_step(run, ordinal):
+    """The free step that carries every link of the web and every leg of the second map, kept as the reference."""
+    last = run.stages[-1]
+    top = last.index
+    if last.kind == "limit":
+        below = [i for i in range(top) if run.folds[i] is not None]
+    else:
+        below = [top - 1]
+    step = build_onestep(run.gens, ArrowObj(last.right))
+    low = below[0]
+    to_top = chain_composites(run.links[low:top], last.mid)
+    web = chain_colimit(
+        [sequence._carry(run.gens, run.connect(i, j), run.step_of(i), run.step_of(j)) for i, j in zip(below, below[1:])],
+        start=run.step_of(low).mid,
+    )
+    first = induce(
+        web,
+        [compose_maps(step.left, compose_maps(to_top[i + 1 - low], run.folds[i])) for i in below],
+        step.mid,
+    )
+    second = induce(web, [sequence._carry(run.gens, to_top[i - low], run.step_of(i), step) for i in below], step.mid)
+    coeq = coequalizer(first, second)
+    fold = coeq.legs[0]
+    link = compose_maps(fold, step.left)
+    stage = Stage(
+        index=top + 1,
+        ordinal=ordinal,
+        kind="successor",
+        mid=coeq.apex,
+        left=compose_maps(link, last.left),
+        right=induce(coeq, [step.right], run.arrow.cod),
+    )
+    return run.extended(stage, link=link, step=step, fold=fold, pair=(first, second))
+
+
+def free_step_cases():
+    rng = random.Random(1801)
+    cases = [
+        (gens, random_set_map(rng, max_size=4, min_source=1), budget)
+        for budget in ((2, 3), (3, 2))
+        for gens in (POINT, CODIAG)
+        for _ in range(3)
+    ]
+    return cases + [(get_gens("horns<=1"), edge_to_point(), (2, 2)), (get_gens("horns<=1"), edge_to_point(), (2, 3))]
+
+
+@pytest.mark.parametrize("gens, g, budget", free_step_cases())
+def test_free_step_matches_the_web_that_carries_every_link(monkeypatch, gens, g, budget):
+    got = run_free(gens, g, OrdinalBudget(*budget), stop_at_convergence=False)
+    with monkeypatch.context() as m:
+        m.setattr(sequence, "_free_step", web_free_step)
+        want = run_free(gens, g, OrdinalBudget(*budget), stop_at_convergence=False)
+    assert sum(s.kind == "limit" for s in got.stages) == budget[1] - 1
+    assert len(got.stages) == len(want.stages)
+    for n, (a, b) in enumerate(zip(got.stages, want.stages)):
+        assert a == b, f"stage {n}"
+    assert got.links == want.links
+    assert got.folds == want.folds
+    assert got.pairs == want.pairs
+
+
+def test_free_step_carries_each_link_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return onestep_on_square(*args, **kwargs)
+
+    monkeypatch.setattr(sequence, "onestep_on_square", counted)
+    state = run_free(POINT, set_map(2, 3, [1, 1]), OrdinalBudget(4, 3), stop_at_convergence=False)
+    kinds = [s.kind for s in state.stages]
+    assert kinds.count("successor") == 11 and kinds.count("limit") == 2
+    # one carry per successor stage, up to it from the fold below; the
+    # stage after ω·2 also carries its web across ω
+    assert len(calls) == 11 + 1

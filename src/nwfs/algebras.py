@@ -27,16 +27,17 @@ from .arrows import (
     GeneratingSet,
     Square,
     as_arrow,
-    components_key,
     generating_squares,
     square_fixing_domain,
     square_key,
+    values,
 )
 from .colimits import induce
 from .core import (
     IncompatibleInput,
     InternalCheckFailed,
     PresheafMap,
+    _same,
     compose_maps,
     composite_equals,
     enumerate_maps,
@@ -90,7 +91,10 @@ class LiftingTable:
         }
 
     def lookup(self, gen_index: int, sq: Square) -> PresheafMap:
-        if components_key(sq.target.f) != components_key(self.target.f):
+        # keys are exact only among maps with one source, so the generator is checked
+        if not 0 <= gen_index < len(self.gens.members) or not _same(sq.source.f, self.gens.members[gen_index].f):
+            raise IncompatibleInput("lookup: square does not start at the generator it is looked up under")
+        if not _same(sq.target.f, self.target.f):
             raise IncompatibleInput("lookup: square lands in a different arrow")
         filler = self._index.get(square_key(gen_index, sq))
         if filler is None:
@@ -297,7 +301,7 @@ def check_bijection(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> Bijection
     if len(algebras) != len(tables):
         problems.append(f"{len(algebras)} algebras against {len(tables)} tables")
 
-    positions = [{components_key(f): k for k, f in enumerate(s)} for s in sets]
+    positions = [{values(f): k for k, f in enumerate(s)} for s in sets]
     hit = set()
     settled = set()
     for n, alg in enumerate(algebras):
@@ -342,7 +346,7 @@ def _table_number(
         return None
     m = 0
     for s, position, f in zip(sets, positions, fillers):
-        k = position.get(components_key(f))
+        k = position.get(values(f))
         if k is None:
             return None
         m = m * len(s) + k

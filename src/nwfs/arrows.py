@@ -8,6 +8,12 @@ codomain below, and its fillers are the coalgebra structures.
 `square_fixing_domain` and `square_fixing_codomain` build these shapes, and
 every square the laws, rules and runs build with an identity side comes
 from them. `filler_triangles` says which of a filler's two triangles hold.
+
+This module also owns the row layout of a map: its values on its source's
+elements, object by object in carrier order. `values` gives that row as the
+map's key, `segments` cuts a key into one slice per object, and
+`square_key` keys a square by its two sides; the one-step factorisation
+and the lifting tables find squares and fillers by these keys only.
 """
 
 from __future__ import annotations
@@ -164,13 +170,30 @@ def generating_squares(gens: GeneratingSet, g: ArrowObj) -> list[tuple[int, Squa
     return out
 
 
-def components_key(f: PresheafMap) -> tuple:
-    """Hashable fingerprint of a map's components, for square lookup tables."""
-    return tuple(
-        (a, tuple(sorted(f.components[a].items())))
-        for a in sorted(f.components)
-    )
+def values(f: PresheafMap) -> tuple[int, ...]:
+    """f's key: its values on its source's elements, object by object in carrier order.
+
+    Exact among maps with the same source, the only maps it is compared
+    across; nothing is sorted.
+    """
+    out: list[int] = []
+    carrier, components = f.source.carrier, f.components
+    for a in f.source.base.objects:
+        out.extend(map(components[a].__getitem__, carrier[a]))
+    return tuple(out)
 
 
-def square_key(i: int, sq: Square) -> tuple:
-    return (i, components_key(sq.top), components_key(sq.bottom))
+def segments(f: PresheafMap, X: Presheaf) -> list[tuple[dict, slice]]:
+    """f's row and the slice of a key out of X, at each object where X has elements."""
+    out, start = [], 0
+    for a in X.base.objects:
+        size = len(X.carrier[a])
+        if size:
+            out.append((f.components[a], slice(start, start + size)))
+            start += size
+    return out
+
+
+def square_key(i: int, sq: Square) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """A square out of generator i as (i, top's key, bottom's key)."""
+    return (i, values(sq.top), values(sq.bottom))

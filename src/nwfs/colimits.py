@@ -255,11 +255,13 @@ def chain_composites(links: Sequence[PresheafMap], last: Presheaf) -> list[Presh
     """Composites of the chain `links`, which ends at `last`, into its end.
 
     Entry i runs from stage i to the end; the list has one more entry than
-    `links`, the identity on `last`. One backward sweep composes each link
-    once.
+    `links`, the identity on `last`. The last link is its own entry, and one
+    backward sweep composes each earlier link once.
     """
-    out = [identity_map(last)]
-    for link in reversed(links):
+    if links and not _same(links[-1].target, last):
+        raise IncompatibleInput("chain_composites: the last link does not end at the chain's end")
+    out = [identity_map(last), *links[-1:]]
+    for link in reversed(links[:-1]):
         out.append(compose_maps(out[-1], link))
     out.reverse()
     return out

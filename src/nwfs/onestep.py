@@ -10,11 +10,10 @@ bottom halves.
 The construction is functorial in g: a commuting square g -> g2 induces a map
 between the two middle objects, computed on colimit representatives and
 re-checked for well-definedness during cocone induction. Each cell goes to
-the cell of the pasted square, which is looked up by its key. A square's key
-holds its top's and its bottom's values in the generator's carrier order, so
-pasting sends each object's segment of values through the square's row at
-that object and the key stays in place: no composite map is built and
-nothing is sorted per cell.
+the cell of the pasted square, found by `arrows.square_key`. Pasting sends
+each object's segment of a side's key (`arrows.segments`) through the
+square's row at that object, so the pasted key is built in place: no
+composite map is built and nothing is sorted per cell.
 """
 
 from __future__ import annotations
@@ -27,6 +26,8 @@ from .arrows import (
     GeneratingSet,
     Square,
     generating_squares,
+    segments,
+    square_key,
     validate_square,
 )
 from .colimits import Cocone, attach, induce
@@ -66,13 +67,8 @@ class OneStepFactorization:
 
     @cached_property
     def square_keys(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-        """Each square as (generator index, top values, bottom values), in square order.
-
-        A side's values are its map's values on the generator's domain (top)
-        or codomain (bottom), object by object in carrier order; the
-        generator's sizes cut them into one segment per object.
-        """
-        return tuple((i, _values(sq.top), _values(sq.bottom)) for i, sq in self.squares)
+        """Each square's `square_key`, in square order."""
+        return tuple(square_key(i, sq) for i, sq in self.squares)
 
     @cached_property
     def square_index(self) -> dict[tuple, int]:
@@ -125,7 +121,7 @@ def onestep_on_square(
     # row at that object. rows[i] holds those rows and segments for
     # generator i's domain and codomain, at the objects where they have
     # elements.
-    rows = [(_segments(sq.top, j.dom), _segments(sq.bottom, j.cod)) for j in gens.members]
+    rows = [(segments(sq.top, j.dom), segments(sq.bottom, j.cod)) for j in gens.members]
     index = target_step.square_index
     cell_targets = []
     for i, top_values, bottom_values in source_step.square_keys:
@@ -142,23 +138,3 @@ def onestep_on_square(
         cell_targets.append(target_step.cell_leg(n))
 
     return induce(source_step.cocone, [compose_maps(target_step.left, sq.top)] + cell_targets, target_step.mid)
-
-
-def _values(f: PresheafMap) -> tuple[int, ...]:
-    """f's values on its source's elements, object by object in carrier order."""
-    out: list[int] = []
-    carrier, components = f.source.carrier, f.components
-    for a in f.source.base.objects:
-        out.extend(map(components[a].__getitem__, carrier[a]))
-    return tuple(out)
-
-
-def _segments(f: PresheafMap, X: Presheaf) -> list[tuple[dict, slice]]:
-    """f's row and the slice of a flat value tuple on X, at each object where X has elements."""
-    out, start = [], 0
-    for a in X.base.objects:
-        size = len(X.carrier[a])
-        if size:
-            out.append((f.components[a], slice(start, start + size)))
-            start += size
-    return out

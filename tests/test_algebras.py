@@ -2,9 +2,12 @@ import itertools
 import math
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import finset, random_set_map, random_surjection, set_map
+from conftest import edge_to_point, finset, random_set_map, random_surjection, set_map
+from test_onestep import SPARSE_GENS, set_maps_with_ids
 from nwfs import algebras, arrows
 from nwfs.algebras import (
     AlgebraStructure,
@@ -21,7 +24,7 @@ from nwfs.algebras import (
     validate_algebra,
     validate_table,
 )
-from nwfs.arrows import as_arrow, components_key, generating_squares
+from nwfs.arrows import as_arrow, generating_squares
 from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
 from nwfs.core import (
     IncompatibleInput,
@@ -250,6 +253,24 @@ def test_lookup_rejects_foreign_squares():
         table.lookup(i, sq)
 
 
+def test_lookup_rejects_a_square_under_another_generator():
+    """The two horns of Δ[1] share their domain, so their squares' sides can agree."""
+    g = edge_to_point()
+    table = enumerate_lifting_tables(HORNS1, g)[0]
+    squares = generating_squares(HORNS1, as_arrow(g))
+    assert [i for i, _ in squares] == [0, 0, 1, 1]
+    for n, (i, sq) in enumerate(squares):
+        assert table.lookup(i, sq) is table.fillers[n]
+        for wrong in (1 - i, 2, -1):
+            with pytest.raises(IncompatibleInput):
+                table.lookup(wrong, sq)
+
+
+def sorted_items_key(f: PresheafMap) -> tuple:
+    """A map's components as sorted items, a fingerprint independent of the engine's keys."""
+    return tuple((a, tuple(sorted(f.components[a].items()))) for a in sorted(f.components))
+
+
 def two_loop_check_bijection(gens, g):
     """Reference: the bijection check that sends every table round trip too.
 
@@ -274,11 +295,11 @@ def two_loop_check_bijection(gens, g):
         problems.append(f"{len(found)} algebras against {len(tables)} tables")
 
     step = found[0].step if found else None
-    table_keys = {tuple(components_key(f) for f in t.fillers): n for n, t in enumerate(tables)}
+    table_keys = {tuple(sorted_items_key(f) for f in t.fillers): n for n, t in enumerate(tables)}
     hit = set()
     for n, alg in enumerate(found):
         t = algebras.fillers_from_algebra(alg)
-        m = table_keys.get(tuple(components_key(f) for f in t.fillers))
+        m = table_keys.get(tuple(sorted_items_key(f) for f in t.fillers))
         if m is None:
             problems.append(f"algebra {n} maps to a table outside the enumeration")
             continue
@@ -343,6 +364,15 @@ def test_bijection_matches_the_two_loop_check_on_set_maps():
         for gens in (POINT, CODIAG):
             report = assert_matches_two_loop_check(gens, g)
             assert report.ok, report.problems
+
+
+@given(st.tuples(st.sampled_from([POINT, CODIAG, SPARSE_GENS]), set_maps_with_ids(max_size=4)))
+@example((POINT, PresheafMap(finset([3, 7, 8]), finset([5, 9]), {"0": {3: 5, 7: 5, 8: 9}})))
+@settings(max_examples=60, deadline=None)
+def test_bijection_matches_the_two_loop_check_on_sparse_ids(case):
+    # keys follow carrier order, so ids that are not 0..n-1 are where a key slip shows
+    report = assert_matches_two_loop_check(*case)
+    assert report.ok, report.problems
 
 
 @pytest.mark.parametrize("perm", [(1, 2, 0), (0, 2, 1), (0, 1, 2)], ids=["3-cycle", "loop+2-cycle", "3-loops"])

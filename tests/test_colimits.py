@@ -5,12 +5,23 @@ from hypothesis import given, settings
 from conftest import finset, parallel_pairs, set_map, set_maps
 from test_hom_search import reflexive_graphs
 from nwfs.catalog import get_category, representable
-from nwfs.colimits import attach, chain_colimit, coequalizer, coproduct, induce, initial, pushout, quotient
+from nwfs.colimits import (
+    attach,
+    chain_colimit,
+    chain_composites,
+    coequalizer,
+    coproduct,
+    induce,
+    initial,
+    pushout,
+    quotient,
+)
 from nwfs.core import (
     IncompatibleInput,
     PresheafMap,
     compose_maps,
     enumerate_maps,
+    identity_map,
     is_injective,
     is_iso,
     is_surjective,
@@ -206,6 +217,31 @@ def test_chain_colimit_matches_the_quotient_of_the_coproduct(steps):
     for got, want in zip(cone.legs, legs):
         assert got.source is want.source
         assert got.components == want.components
+
+
+@given(st.one_of(set_chains(), graph_chains()))
+@settings(max_examples=60, deadline=None)
+def test_chain_composites_match_a_fold_of_compose_maps(steps):
+    last = steps[-1].target
+    got = chain_composites(steps, last)
+    assert len(got) == len(steps) + 1
+    for i, composite in enumerate(got):
+        want = identity_map(last)
+        for link in reversed(steps[i:]):
+            want = compose_maps(want, link)
+        assert composite.source is want.source and composite.target is last
+        assert composite.components == want.components
+    assert got[-2] is steps[-1]
+
+
+def test_chain_composites_of_no_links_is_the_identity():
+    (only,) = chain_composites([], finset([2, 5]))
+    assert only.components == {"0": {2: 2, 5: 5}}
+
+
+def test_chain_composites_reject_a_chain_that_ends_elsewhere():
+    with pytest.raises(IncompatibleInput):
+        chain_composites([set_map(2, 2, [0, 1]), set_map(2, 3, [0, 1])], finset(2))
 
 
 def quotient_of_coproduct_attach(X, spans):

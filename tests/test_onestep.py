@@ -4,7 +4,15 @@ from hypothesis import assume, given, settings
 
 from conftest import finset, set_map, set_maps
 from test_hom_search import PIECES, reflexive_graphs
-from nwfs.arrows import Square, as_arrow, enumerate_squares, generating_squares, identity_square
+from nwfs.arrows import (
+    ArrowObj,
+    GeneratingSet,
+    Square,
+    as_arrow,
+    enumerate_squares,
+    generating_squares,
+    identity_square,
+)
 from nwfs.catalog import get_gens, terminal_presheaf
 from nwfs.colimits import Cocone, coequalizer, coproduct, induce
 from nwfs.core import (
@@ -24,6 +32,14 @@ POINT = get_gens("point")
 CODIAG = get_gens("codiagonal")
 HORNS = get_gens("horns<=1")
 HORNS2 = get_gens("horns<=2")
+# point and codiagonal again, with ids that are not 0..n-1: square keys are rows
+# of maps out of the generators, so a generator's carriers are what a key reads
+SPARSE_GENS = GeneratingSet(
+    members=(
+        ArrowObj(PresheafMap(finset([]), finset([7]), {"0": {}})),
+        ArrowObj(PresheafMap(finset([4, 9]), finset([6]), {"0": {4: 6, 9: 6}})),
+    )
+)
 
 
 def test_generating_squares_counts_for_point():
@@ -269,7 +285,7 @@ def squares_between(draw, arrows):
 
 @given(
     st.one_of(
-        st.tuples(st.sampled_from([POINT, CODIAG]), squares_between(set_maps_with_ids(max_size=3))),
+        st.tuples(st.sampled_from([POINT, CODIAG, SPARSE_GENS]), squares_between(set_maps_with_ids(max_size=3))),
         st.tuples(st.just(HORNS), squares_between(graph_maps())),
     )
 )

@@ -39,6 +39,8 @@ def _read_json(path: str, what: str):
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise InputError(f"/{what}", f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"/{what}", f"{path} is not UTF-8 text") from None
     try:
         return json.loads(raw)
     except json.JSONDecodeError as err:
@@ -72,7 +74,10 @@ def _resolve_inputs(args) -> tuple[FinCategory, GeneratingSet, PresheafMap]:
 def _emit(cert: dict, args, text: str) -> None:
     payload = jsonio.pretty_json(cert)
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        try:
+            Path(args.out).write_text(payload, encoding="utf-8")
+        except OSError as err:
+            raise InputError("/out", f"cannot write {args.out}: {err}") from None
     if args.format == "json":
         sys.stdout.write(payload)
     else:

@@ -19,10 +19,13 @@ reported. The validator also rechecks the equations any run must satisfy,
 whoever built it. Values are compared as JSON, so `1`, `1.0` and `true`
 differ. All serialization is deterministic (sorted keys, fixed list orders,
 no clocks), which is what makes byte-identical reruns possible.
+Certificates are written by `pretty_json` as the stdlib's indented dump,
+byte for byte, with json's C encoder doing the work of every flat container.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from json.encoder import encode_basestring
@@ -294,32 +297,73 @@ def pretty_json(doc: Any) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)` and a newline.
 
     An indent makes json fall back to its pure-Python encoder, so the layout
-    is written here instead: a container of scalars goes through the C
-    encoder in one call, with the newline and indent in its item separator,
-    and only nested containers are walked in Python.
+    is written here instead. A flat container, one whose values are all
+    plain scalars, is written by one call to the C encoder of its depth,
+    whose item separator holds the newline and indent of that depth. Only
+    the nested containers are walked in Python, and all the text is joined
+    once at the end.
     """
-    return _pretty(doc, "\n") + "\n"
+    parts: list[str] = []
+    _write(doc, 0, parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _pretty(doc: Any, newline: str) -> str:
-    """`doc` laid out as `pretty_json` does, its closing bracket after `newline`."""
+# exact types, so that the flat test runs in C; a container holding a
+# subclass (an IntEnum, say) is walked instead, and written the same
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _layout(depth: int) -> tuple[json.JSONEncoder, str, str, str]:
+    """How containers at `depth` are written.
+
+    The encoder of its flat containers, the newline that closes a container
+    there, the one that opens its first item and the separator before each
+    later item.
+    """
+    newline = "\n" + "  " * depth
     inner = newline + "  "
+    # a flat container holds no container, so it cannot hold itself
+    encoder = json.JSONEncoder(
+        sort_keys=True, ensure_ascii=False, check_circular=False, separators=("," + inner, ": ")
+    )
+    return encoder, newline, inner, "," + inner
+
+
+def _write(doc: Any, depth: int, parts: list[str]) -> None:
+    """Append `doc`'s text, laid out as `pretty_json` does at `depth`, to `parts`."""
+    encoder, newline, inner, sep = _layout(depth)
     if isinstance(doc, dict):
-        if not any(isinstance(v, _NESTED) for v in doc.values()):
-            flat = json.dumps(doc, sort_keys=True, ensure_ascii=False, separators=("," + inner, ": "))
-            return flat if not doc else "{" + inner + flat[1:-1] + newline + "}"
-        # json sorts the items before it turns their keys into strings
-        body = [_json_key(k) + ": " + _pretty(v, inner) for k, v in sorted(doc.items())]
-        return "{" + inner + ("," + inner).join(body) + newline + "}"
-    if isinstance(doc, (list, tuple)):
-        if not any(isinstance(v, _NESTED) for v in doc):
-            flat = json.dumps(doc, ensure_ascii=False, separators=("," + inner, ": "))
-            return flat if not doc else "[" + inner + flat[1:-1] + newline + "]"
-        return "[" + inner + ("," + inner).join([_pretty(v, inner) for v in doc]) + newline + "]"
-    return json.dumps(doc, ensure_ascii=False)
-
-
-_NESTED = (dict, list, tuple)
+        if not _SCALAR_TYPES.issuperset(map(type, doc.values())):
+            # json sorts the items before it turns their keys into strings
+            lead = "{" + inner
+            for key, value in sorted(doc.items()):
+                parts.append(lead + _json_key(key) + ": ")
+                _write(value, depth + 1, parts)
+                lead = sep
+            parts.append(newline + "}")
+            return
+    elif isinstance(doc, (list, tuple)):
+        if not _SCALAR_TYPES.issuperset(map(type, doc)):
+            lead = "[" + inner
+            for value in doc:
+                parts.append(lead)
+                _write(value, depth + 1, parts)
+                lead = sep
+            parts.append(newline + "]")
+            return
+    else:
+        parts.append(encoder.encode(doc))
+        return
+    # a flat container: one C call, then its brackets on lines of their own
+    flat = encoder.encode(doc)
+    if doc:
+        parts.append(flat[0] + inner)
+        parts.append(flat[1:-1])
+        parts.append(newline + flat[-1])
+    else:
+        parts.append(flat)
 
 
 def _json_key(key: Any) -> str:
@@ -537,6 +581,9 @@ def _recorded_seed(doc: dict) -> int | None:
     if seed is not None and not _is_int(seed):
         raise InputError("/seed", f"expected an integer or null, got {type(seed).__name__}")
     return seed
+
+
+_NESTED = (dict, list, tuple)
 
 
 def _plain(doc: Any) -> bool:
@@ -800,7 +847,9 @@ def sample_from_spec(spec, most: int | None) -> tuple[list, dict]:
         count, seed = spec.get("count"), spec.get("seed")
         if not _is_int(count) or not _is_int(seed):
             raise InputError("/sample", "seeded samples need integer count and seed")
-        size = max(count, 0)
+        if count < 0:
+            raise InputError("/sample/count", "expected a non-negative integer")
+        size = count
         build = lambda: laws.sample_arrows(base, count, seed)
         # `nwfs laws` names a catalog category by its key
         written = {

@@ -185,6 +185,27 @@ def test_input_nested_too_deeply_exits_four(tmp_path, capsys):
     assert "deep.json is nested too deeply to read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["validate", "RAW"], "certificate"),
+        (["factorize", "--category", "terminal", "--gens", "point", "--map", "RAW"], "map"),
+    ],
+)
+def test_input_that_is_not_utf8_exits_four(tmp_path, capsys, argv, what):
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe")
+    assert main([str(raw) if a == "RAW" else a for a in argv]) == 4
+    assert f"error: /{what}: {raw} is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_out_that_cannot_be_written_exits_four(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "laws.json" if where == "missing directory" else tmp_path
+    assert main(["laws", "--max-total", "1", "--out", str(out)]) == 4
+    assert f"error: /out: cannot write {out}: " in capsys.readouterr().err
+
+
 def test_text_format_prints_a_stage_table(map_file):
     res = cli(
         "factorize", "--category", "terminal", "--gens", "point",
@@ -259,6 +280,7 @@ def test_validate_reports_enumeration_problems_that_are_not_a_list(tmp_path, map
         {"kind": "exhaustive", "max_total": True},
         {"kind": "seeded", "category": "delta<=1", "count": True, "seed": 12},
         {"kind": "seeded", "category": "delta<=1", "count": 4, "seed": False},
+        {"kind": "seeded", "category": "delta<=1", "count": -1, "seed": 12},
     ],
 )
 def test_validate_rejects_booleans_in_the_laws_sample(tmp_path, capsys, sample):
@@ -694,6 +716,13 @@ def test_laws_writes_no_sample_spec_the_validator_rejects(tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", str(out)]) == 3
     assert "problem: /sample/max_total: expected a non-negative integer" in capsys.readouterr().out
+
+    assert main(["laws", "--samples", "-1", "--category", "terminal", "--out", str(out)]) == 4
+    assert "/sample/count: expected a non-negative integer" in capsys.readouterr().err
+    doc["sample"] = {"kind": "seeded", "category": "terminal", "count": -1, "seed": 0}
+    out.write_text(json.dumps(doc))
+    assert main(["validate", str(out)]) == 3
+    assert "problem: /sample/count: expected a non-negative integer" in capsys.readouterr().out
 
 
 def test_laws_on_a_category_file_keeps_its_bytes(tmp_path):

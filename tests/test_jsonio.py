@@ -1,5 +1,7 @@
 import copy
 import json
+from collections import OrderedDict
+from enum import IntEnum
 
 import hypothesis.strategies as st
 import pytest
@@ -318,28 +320,83 @@ def test_validator_rejects_unknown_schema():
     assert validate_certificate(["not", "an", "object"]) != []
 
 
+# brackets, quotes, separators, escapes and non-ASCII text, which a writer
+# that splits or joins encoded text could get wrong
+_tricky = st.sampled_from('[]{}",: \n\t\\\x00é→𝔸')
+_text = lambda size: st.text(alphabet=st.one_of(_tricky, st.characters(codec="utf-8")), max_size=size)
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-(10**6), 10**6),
     st.floats(allow_nan=False),
-    st.text(alphabet=st.characters(codec="utf-8"), max_size=6),
+    _text(6),
+    # empty containers as leaves reach every depth, each its own encoder
+    st.builds(list),
+    st.builds(dict),
+    st.builds(tuple),
 )
 _json_docs = st.recursive(
     _scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
         # all keys of one object share a type, or json cannot sort them;
         # int keys sort as ints but are written as strings ("10" before "9")
-        st.dictionaries(st.text(alphabet=st.characters(codec="utf-8"), max_size=4), children, max_size=4),
+        st.dictionaries(_text(4), children, max_size=4),
         st.dictionaries(st.integers(-20, 20), children, max_size=4),
+        st.dictionaries(st.floats(allow_nan=False), children, max_size=4),
+        st.dictionaries(st.booleans(), children, max_size=2),
+        st.dictionaries(st.none(), children, max_size=1),
     ),
     max_leaves=30,
 )
 
 
+def _indented_dump(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
 @given(_json_docs)
 @settings(max_examples=300, deadline=None)
 def test_pretty_json_is_the_indented_json_dump(doc):
-    assert pretty_json(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert pretty_json(doc) == _indented_dump(doc)
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 10
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        OrderedDict([("b", 1), ("a", 2)]),
+        OrderedDict([("b", [1, OrderedDict([("z", None), ("y", [])])]), ("a", {})]),
+        [_Level.LOW, _Level.HIGH],
+        {"level": _Level.HIGH, "levels": {_Level.HIGH: [_Level.LOW], _Level.LOW: 0}},
+        [[[[]]], {"a": {"b": {"c": [{}]}}}],
+    ],
+    ids=["ordered-dict-flat", "ordered-dict-nested", "int-enum-values", "int-enum-keys", "deep-empties"],
+)
+def test_pretty_json_writes_subclasses_and_empties_as_json_does(doc):
+    assert pretty_json(doc) == _indented_dump(doc)
+
+
+@pytest.mark.parametrize("doc", [{1, 2}, [1, {2}], {"a": [0, {"b": {3}}]}])
+def test_pretty_json_rejects_what_json_cannot_write(doc):
+    with pytest.raises(TypeError):
+        _indented_dump(doc)
+    with pytest.raises(TypeError):
+        pretty_json(doc)
+
+
+def test_pretty_json_writes_a_compare_certificate_as_json_does():
+    base = get_category("delta<=1")
+    edge = representable(base, "1")
+    g = PresheafMap(edge, terminal_presheaf(base), {a: dict.fromkeys(edge.carrier[a], 0) for a in base.objects})
+    budget = OrdinalBudget(2, 1)
+    free = run_free(get_gens("horns<=1"), g, budget=budget, stop_at_convergence=False)
+    plain = run_plain(get_gens("horns<=1"), g, budget=budget, stop_at_convergence=False)
+    cert = compare_certificate(free, plain, build_comparison(free, plain))
+    assert pretty_json(cert) == _indented_dump(cert)
 

@@ -155,16 +155,14 @@ def fillers_from_algebra(alg: AlgebraStructure) -> LiftingTable:
     return table
 
 
-def algebra_from_fillers(
-    table: LiftingTable, step: OneStepFactorization | None = None
-) -> AlgebraStructure:
-    """Induce the structure map from a full table of fillers.
+def algebra_from_fillers(table: LiftingTable, step: OneStepFactorization) -> AlgebraStructure:
+    """Induce the structure map from a full table of fillers over `step`.
 
-    Well-definedness over the pushout comes from the top triangles, which is
-    re-checked during induction.
+    `step` must factor the table's arrow. Well-definedness over the pushout
+    comes from the top triangles, which is re-checked during induction.
     """
-    if step is None:
-        step = build_onestep(table.gens, table.target)
+    if not _same(step.arrow.f, table.target.f):
+        raise IncompatibleInput("algebra_from_fillers: the step does not factor the table's arrow")
     if len(step.squares) != len(table.squares):
         raise IncompatibleInput("table does not cover the generating squares of its arrow")
     C = table.target.dom
@@ -179,30 +177,30 @@ def algebra_from_fillers(
 def _fillers(sq: Square) -> list[PresheafMap]:
     """Every diagonal filler of one square, in enumerate_maps order.
 
-    The filler is pinned to the top along the square's source arrow, and
-    each element of the source arrow's codomain may only go to the fibre of
-    g over the bottom's value there. The Yoneda-ordered search roots at
-    generating elements and checks the pins and fibres of every element it
-    forces from them, so it walks the fillers rather than all maps.
+    One restriction says where each element of the source arrow's codomain
+    may go. Where the source arrow's domain lands, the only value is the
+    top's there, and two elements of the domain that land together with
+    different tops leave no filler. Everywhere else it is the fibre of g
+    over the bottom's value. The Yoneda-ordered search roots at generating
+    elements and checks the restriction of every element it forces from
+    them, so it walks the fillers rather than all maps.
     """
     j, g = sq.source, sq.target
     base = g.f.source.base
-    pinned: dict[tuple[str, int], int] = {}
+    allowed: dict[tuple[str, int], tuple[int, ...]] = {}
     for a in base.objects:
         for x in j.dom.carrier[a]:
             spot = (a, j.f.components[a][x])
-            want = sq.top.components[a][x]
-            if pinned.get(spot, want) != want:
+            want = (sq.top.components[a][x],)
+            if allowed.setdefault(spot, want) != want:
                 return []
-            pinned[spot] = want
-    allowed = {
-        (a, u): tuple(
-            c for c in g.dom.carrier[a] if g.f.components[a][c] == sq.bottom.components[a][u]
-        )
-        for a in base.objects
-        for u in j.cod.carrier[a]
-    }
-    return enumerate_maps(j.cod, g.dom, pinned=pinned, allowed=allowed)
+    for a in base.objects:
+        over = g.f.components[a]
+        for u in j.cod.carrier[a]:
+            if (a, u) not in allowed:
+                y = sq.bottom.components[a][u]
+                allowed[a, u] = tuple(c for c in g.dom.carrier[a] if over[c] == y)
+    return enumerate_maps(j.cod, g.dom, allowed=allowed)
 
 
 def square_filler_sets(

@@ -48,10 +48,8 @@ class ArrowObj:
         return self.f.target
 
 
-def as_arrow(f: PresheafMap | ArrowObj, label: str | None = None) -> ArrowObj:
-    if isinstance(f, ArrowObj):
-        return f
-    return ArrowObj(f=f, label=label)
+def as_arrow(f: PresheafMap | ArrowObj) -> ArrowObj:
+    return f if isinstance(f, ArrowObj) else ArrowObj(f)
 
 
 @dataclass(frozen=True)

@@ -49,26 +49,20 @@ def _read_json(path: str, what: str):
         raise InputError(f"/{what}", f"{path} is nested too deeply to read") from None
 
 
-def _resolve_category(value: str) -> FinCategory:
-    try:
-        return catalog.get_category(value)
-    except catalog.UnknownCatalogKey:
-        return jsonio.load_category(_read_json(value, "category"), "/category")
-
-
-def _is_catalog_key(value: str) -> bool:
+def _catalog_or_file(value: str, what: str):
+    """`value` itself when it is a catalog key, else the JSON document in the file it names."""
     try:
         catalog.get(value)
     except catalog.UnknownCatalogKey:
-        return False
-    return True
+        return _read_json(value, what)
+    return value
 
 
 def _resolve_inputs(args) -> tuple[FinCategory, GeneratingSet, PresheafMap]:
     """The category, generating set and arrow; the map is always a JSON file."""
-    cat = _resolve_category(args.category)
-    gens_doc = args.gens if _is_catalog_key(args.gens) else _read_json(args.gens, "gens")
-    return cat, jsonio.load_gens(gens_doc, "/gens", cat), jsonio.load_map(_read_json(args.map, "map"), "/map", cat)
+    cat = jsonio.load_category(_catalog_or_file(args.category, "category"), "/category")
+    gens = jsonio.load_gens(_catalog_or_file(args.gens, "gens"), "/gens", cat)
+    return cat, gens, jsonio.load_map(_read_json(args.map, "map"), "/map", cat)
 
 
 def _emit(cert: dict, args, text: str) -> None:
@@ -152,13 +146,9 @@ def cmd_compare(args) -> int:
 
 def cmd_laws(args) -> int:
     tokens = [t.strip() for t in args.rules.split(",") if t.strip()]
-    try:
-        rules_ = [jsonio.rule_from_token(t) for t in tokens]
-    except InputError as err:
-        raise InputError("/rules", err.message) from None
+    rules_ = jsonio.rules_from_tokens(tokens)
     if args.samples is not None:
-        key = args.category or "delta<=1"
-        category = key if _is_catalog_key(key) else _read_json(key, "category")
+        category = _catalog_or_file(args.category or "delta<=1", "category")
         raw = {"kind": "seeded", "category": category, "count": args.samples, "seed": args.seed or 0}
     else:
         raw = {"kind": "exhaustive", "max_total": args.max_total}

@@ -267,24 +267,23 @@ def chain_composites(links: Sequence[PresheafMap], last: Presheaf) -> list[Presh
     return out
 
 
-def chain_colimit(steps: Sequence[PresheafMap], start: Presheaf | None = None) -> Cocone:
-    """Colimit of a finite chain X0 -> X1 -> ... -> Xn, one leg per stage.
+def chain_colimit(steps: Sequence[PresheafMap], start: Presheaf) -> Cocone:
+    """Colimit of a finite chain start = X0 -> X1 -> ... -> Xn, one leg per stage.
 
-    A finite chain's colimit is its last stage Xn, and leg i is the composite
+    Step i runs from Xi to Xi+1, so step 0 must start at `start`. A finite
+    chain's colimit is its last stage Xn, and leg i is the composite
     Xi -> Xn. The apex is Xn renumbered in order of first appearance: stage
-    by stage, and in carrier order within a stage. That is the numbering the
-    quotient of the coproduct of all stages would give, whose classes are
-    ranked by their least member. With no steps the chain is the single
-    presheaf `start` and the colimit is that presheaf with an identity leg.
+    by stage, and in carrier order within a stage. That is the numbering
+    the quotient of the coproduct of all stages would give, whose classes
+    are ranked by their least member. With no steps the colimit is `start`
+    itself, with an identity leg.
     """
     if not steps:
-        if start is None:
-            raise IncompatibleInput("chain_colimit of an empty chain needs its single object")
         return Cocone(apex=start, legs=(identity_map(start),))
-    stages = [steps[0].source]
+    stages = [start]
     for i, m in enumerate(steps):
         if not _same(m.source, stages[-1]):
-            raise IncompatibleInput(f"chain_colimit: step {i} does not start where step {i - 1} ended")
+            raise IncompatibleInput(f"chain_colimit: step {i} does not start where the chain before it ends")
         stages.append(m.target)
     last = stages[-1]
     base = last.base

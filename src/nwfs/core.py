@@ -10,7 +10,6 @@ CLI can surface them and tests can assert emptiness.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -410,35 +409,29 @@ def enumerate_maps(
     X: Presheaf,
     Y: Presheaf,
     *,
-    pinned: Mapping[tuple[str, int], int] | None = None,
     allowed: Mapping[tuple[str, int], Sequence[int]] | None = None,
 ) -> list[PresheafMap]:
-    """All natural transformations X -> Y, in a fixed order.
+    """All natural transformations X -> Y, in lexicographic order by value.
 
-    Outputs appear in lexicographic order of their assignment vectors. The
-    variables are the elements of X ordered by object id then element id,
-    and each ranks its values by their position among its candidates: the
-    pin, else its `allowed` entry, else the carrier of Y at its object,
-    which ascends.
+    The variables are the elements of X ordered by object id then element
+    id, and the maps appear in lexicographic order of the values they
+    assign to them. `allowed`, keyed by (object id, element id), restricts
+    an element to the values its entry lists; the order of an entry does
+    not matter, and an entry with one value pins the element.
 
     The search runs in Yoneda order. A map is fixed by where it sends a set
     of generating elements, so the search picks a root element (objects
     with the most morphisms into them first) and then visits, breadth
     first, every element the non-identity actions reach from it. A reached
     element is forced: its only candidate is the action of Y on its
-    parent's value, which must still pass its pin or `allowed` entry. Every
+    parent's value, which must still lie in its `allowed` entry. Every
     other naturality constraint is checked as soon as both elements it
     mentions are assigned. The search keeps its own stack, so its depth
     does not grow with X, and the maps it finds are sorted into the output
     order.
-
-    `pinned` forces single values for chosen source elements and `allowed`
-    restricts the candidate set for others; both are keyed by (object id,
-    element id). Pins win over restrictions.
     """
     if not _same(X.base, Y.base):
         raise IncompatibleInput("enumerate_maps: presheaves live over different bases")
-    pinned = pinned or {}
     allowed = allowed or {}
     base = X.base
     if not any(X.carrier[a] for a in base.objects):
@@ -497,22 +490,11 @@ def enumerate_maps(
                     else:
                         checks[u if step[u] >= step[w] else w].append((u, w, act_y))
 
-            key = (c, x)
-            if key in pinned:
-                candidates: Sequence[int] = (pinned[key],)
-            else:
-                candidates = allowed.get(key, Y.carrier[c])
             forced = []
             for w in order[start + 1 :]:
-                key = elements[w]
-                if key in pinned:
-                    keep: set[int] | None = {pinned[key]}
-                elif key in allowed:
-                    keep = set(allowed[key])
-                else:
-                    keep = None
-                forced.append((w, *parent[w], keep, checks[w]))
-            plan.append((root, candidates, checks[root], forced))
+                keep = allowed.get(elements[w])
+                forced.append((w, *parent[w], None if keep is None else set(keep), checks[w]))
+            plan.append((root, allowed.get((c, x), Y.carrier[c]), checks[root], forced))
 
     vals: list = [None] * n
 
@@ -555,25 +537,8 @@ def enumerate_maps(
         else:
             b -= 1
 
-    # Sort into output order. Carriers ascend, so a value ranks as itself,
-    # except under an `allowed` entry that lists its values out of order.
-    remap: list[tuple[int, dict[int, int]]] = []
-    for v, key in enumerate(elements):
-        seq = allowed.get(key)
-        if seq is not None and key not in pinned and not _ascending(seq):
-            remap.append((v, {y: i for i, y in enumerate(seq)}))
-    if remap:
-
-        def rank_key(row: tuple[int, ...]) -> list[int]:
-            ranked = list(row)
-            for v, ranks in remap:
-                ranked[v] = ranks[row[v]]
-            return ranked
-
-        found.sort(key=rank_key)
-    else:
-        found.sort()
-
+    # a row holds the values in variable order, so rows sort into output order
+    found.sort()
     layout = [(a, X.carrier[a], first[a], first[a] + len(X.carrier[a])) for a in base.objects]
     out = []
     for row in found:
@@ -582,7 +547,3 @@ def enumerate_maps(
             comps[a] = dict(zip(elts, row[lo:hi]))
         out.append(PresheafMap(X, Y, comps))
     return out
-
-
-def _ascending(seq: Sequence[int]) -> bool:
-    return all(map(operator.lt, seq, seq[1:]))

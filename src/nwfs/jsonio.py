@@ -822,14 +822,20 @@ def rule_from_token(token: str):
     raise InputError("/rules", f"unknown rule token {token!r}")
 
 
-def sample_from_spec(spec, most: int | None) -> tuple[list, dict]:
+def rules_from_tokens(tokens: list[str]) -> list:
+    """The rules a law check names; a check of no rules would hold vacuously."""
+    if not tokens:
+        raise InputError("/rules", "expected at least one rule")
+    return [rule_from_token(t) for t in tokens]
+
+
+def sample_from_spec(spec, most: int) -> tuple[list, dict]:
     """The sample a laws spec names, and the spec the engine writes for it.
 
     `nwfs laws` builds its spec from its flags and reads it here, so it
     writes only specs the validator accepts. A sample of more than `most`
     arrows is reported at /sample without being built, so the validator's
-    work stays bounded by the certificate. With `most` None no rule reads
-    the sample: only its shape is checked, and it comes back empty.
+    work stays bounded by the certificate.
     """
     if not isinstance(spec, dict):
         raise InputError("/sample", "missing or not an object")
@@ -838,7 +844,7 @@ def sample_from_spec(spec, most: int | None) -> tuple[list, dict]:
         max_total = spec.get("max_total")
         if not _is_int(max_total) or max_total < 0:
             raise InputError("/sample/max_total", "expected a non-negative integer")
-        size = None if most is None else laws.exhaustive_size(max_total, most)
+        size = laws.exhaustive_size(max_total, most)
         build = lambda: laws.exhaustive_arrows(max_total)
         written = {"kind": kind, "max_total": max_total}
     elif kind == "seeded":
@@ -847,8 +853,8 @@ def sample_from_spec(spec, most: int | None) -> tuple[list, dict]:
         count, seed = spec.get("count"), spec.get("seed")
         if not _is_int(count) or not _is_int(seed):
             raise InputError("/sample", "seeded samples need integer count and seed")
-        if count < 0:
-            raise InputError("/sample/count", "expected a non-negative integer")
+        if count < 1:
+            raise InputError("/sample/count", "expected a positive integer")
         size = count
         build = lambda: laws.sample_arrows(base, count, seed)
         # `nwfs laws` names a catalog category by its key
@@ -860,8 +866,6 @@ def sample_from_spec(spec, most: int | None) -> tuple[list, dict]:
         }
     else:
         raise InputError("/sample/kind", f"unknown kind {kind!r}")
-    if most is None:
-        return [], written
     if size > most:
         raise InputError("/sample", f"names more than {most} arrows, too many for the recorded checks")
     return build(), written
@@ -871,13 +875,12 @@ def _validate_laws_cert(doc, problems) -> None:
     tokens = doc.get("rules")
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise InputError("/rules", "expected a list of rule tokens")
-    rules_ = [rule_from_token(t) for t in tokens]
+    rules_ = rules_from_tokens(tokens)
     seed = _recorded_seed(doc)
     recorded = doc.get("checks")
     # every rule records at least `factors` and `functor-id` on every arrow
     listed = len(recorded) if isinstance(recorded, list) else 0
-    most = listed // (2 * len(rules_)) if rules_ else None
-    sample, spec = sample_from_spec(doc.get("sample"), most)
+    sample, spec = sample_from_spec(doc.get("sample"), listed // (2 * len(rules_)))
     report = laws.check_laws(rules_, sample)
     _check_document(doc, laws_certificate(report, tokens, spec, seed), problems)
 

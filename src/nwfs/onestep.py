@@ -88,28 +88,21 @@ def build_onestep(gens: GeneratingSet, g: ArrowObj) -> OneStepFactorization:
 
 
 def onestep_on_square(
-    gens: GeneratingSet,
-    sq: Square,
-    source_step: OneStepFactorization | None = None,
-    target_step: OneStepFactorization | None = None,
+    sq: Square, source_step: OneStepFactorization, target_step: OneStepFactorization
 ) -> PresheafMap:
     """Functorial action of the step on a square between factored arrows.
 
-    Sends the copy of g's domain via the square's top half and each cell to
-    the cell of the pasted square. Precomputed steps for either arrow can be
-    passed in to avoid refactoring them.
+    `source_step` and `target_step` factor the square's source and target
+    against one generating set. The map sends the copy of the source's
+    domain via the square's top half and each cell to the cell of the
+    pasted square.
     """
     problems = validate_square(sq)
     if problems:
         raise IncompatibleInput(f"onestep_on_square: {problems[0]}")
-    if source_step is None:
-        source_step = build_onestep(gens, sq.source)
-    if target_step is None:
-        target_step = build_onestep(gens, sq.target)
-    if source_step.gens is not gens or target_step.gens is not gens:
-        if source_step.gens != gens or target_step.gens != gens:
-            raise IncompatibleInput("onestep_on_square: steps built from a different generating set")
-
+    gens = source_step.gens
+    if not _same(gens, target_step.gens):
+        raise IncompatibleInput("onestep_on_square: steps built from different generating sets")
     if not _same(source_step.arrow.f, sq.source.f):
         raise IncompatibleInput("onestep_on_square: source_step does not factor the square's source arrow")
     if not _same(target_step.arrow.f, sq.target.f):

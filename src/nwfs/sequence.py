@@ -163,18 +163,13 @@ class SequenceState:
         }
 
 
-def _carry(
-    gens: GeneratingSet,
-    top: PresheafMap,
-    source_step: OneStepFactorization,
-    target_step: OneStepFactorization,
-) -> PresheafMap:
+def _carry(top: PresheafMap, source_step: OneStepFactorization, target_step: OneStepFactorization) -> PresheafMap:
     """The step functor on the square between two factored right halves.
 
     `top` runs between their domains, and the identity of D is the bottom.
     """
     square = square_fixing_codomain(source_step.arrow, target_step.arrow, top)
-    return onestep_on_square(gens, square, source_step=source_step, target_step=target_step)
+    return onestep_on_square(square, source_step, target_step)
 
 
 def _ordinal_label(block: int, offset: int) -> str:
@@ -252,7 +247,7 @@ def _free_step(run: SequenceState, ordinal: str) -> SequenceState:
     # Functoriality gives the second map's targets as `up` after the web's
     # own composites, so its agreement check holds by construction; the
     # tests compare the run with a web that carries every link and leg.
-    up = _carry(run.gens, to_top[high - low], run.step_of(high), step)
+    up = _carry(to_top[high - low], run.step_of(high), step)
     second = induce(web, chain_composites(web_links + [up], step.mid)[:-1], step.mid)
     coeq = coequalizer(first, second)
     fold = coeq.legs[0]
@@ -380,7 +375,7 @@ def build_comparison(free: SequenceState, plain: SequenceState) -> ComparisonRep
             chain = Cocone(ps.mid, tuple(plain.connect_all(n)[:n]))
             maps.append(induce(chain, [compose_maps(into_free[i], maps[i]) for i in range(n)], fs.mid))
             continue
-        carried = _carry(free.gens, maps[n - 1], plain.step_of(n - 1), free.step_of(n - 1))
+        carried = _carry(maps[n - 1], plain.step_of(n - 1), free.step_of(n - 1))
         fold = free.folds[n - 1]
         maps.append(carried if fold is None else compose_maps(fold, carried))
 

@@ -121,15 +121,14 @@ def test_acceptance_03_successor_coequalizes_the_two_canonical_maps():
             s1 = build_onestep(gens, as_arrow(state.stages[1].right))
             assert maps_equal(first, s1.left)
             expected = onestep_on_square(
-                gens,
                 Square(
                     source=as_arrow(g),
                     target=as_arrow(state.stages[1].right),
                     top=state.links[0],
                     bottom=identity_map(g.target),
                 ),
-                source_step=s0,
-                target_step=s1,
+                s0,
+                s1,
             )
             assert maps_equal(second, expected)
     print(f"criterion 03: ok, {len(corpus)} arrows, both generating sets")

@@ -146,6 +146,16 @@ def test_round_trip_algebra_to_table_and_back():
     assert maps_equal(back.structure, alg.structure)
 
 
+def test_algebra_from_fillers_rejects_the_step_of_another_arrow():
+    # the same domain and codomain, and as many squares, but another arrow
+    f, g = set_map(2, 2, [0, 1]), set_map(2, 2, [1, 0])
+    table = enumerate_lifting_tables(POINT, f)[0]
+    step = build_onestep(POINT, as_arrow(g))
+    assert len(step.squares) == len(table.squares)
+    with pytest.raises(IncompatibleInput, match="does not factor the table's arrow"):
+        algebra_from_fillers(table, step)
+
+
 def test_enumerations_are_deterministic():
     g = set_map(2, 2, [0, 0])
     first = enumerate_lifting_tables(POINT, g)
@@ -294,7 +304,7 @@ def two_loop_check_bijection(gens, g):
     if len(found) != len(tables):
         problems.append(f"{len(found)} algebras against {len(tables)} tables")
 
-    step = found[0].step if found else None
+    step = found[0].step if found else build_onestep(gens, arrow)
     table_keys = {tuple(sorted_items_key(f) for f in t.fillers): n for n, t in enumerate(tables)}
     hit = set()
     for n, alg in enumerate(found):
@@ -396,8 +406,8 @@ def test_a_moved_algebra_round_trip_is_reported_alike(monkeypatch):
     elsewhere = honest.algebras[3].structure
     real = algebras.algebra_from_fillers
 
-    def moving(table, step=None):
-        alg = real(table, step=step)
+    def moving(table, step):
+        alg = real(table, step)
         if components_of(table.fillers) == moved:
             return AlgebraStructure(target=alg.target, structure=elsewhere, step=alg.step)
         return alg

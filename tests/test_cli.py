@@ -216,6 +216,27 @@ def test_text_format_prints_a_stage_table(map_file):
     assert "0" in res.stdout
 
 
+@pytest.mark.parametrize(
+    "category, gens, problem",
+    [
+        ("terminal", "point", None),
+        ("category.json", "gens.json", None),
+        ("point", "point", "/category: unknown catalog key 'point'"),
+        ("terminal", "terminal", "/gens: unknown catalog key 'terminal'"),
+        ("missing.json", "point", "/category: cannot read "),
+        ("terminal", "missing.json", "/gens: cannot read "),
+    ],
+)
+def test_category_and_gens_are_catalog_keys_or_files(tmp_path, map_file, capsys, category, gens, problem):
+    (tmp_path / "category.json").write_text(json.dumps(category_doc(get_category("terminal"))))
+    (tmp_path / "gens.json").write_text(json.dumps({"arrows": ["point"]}))
+    argv = ["factorize", "--category", category, "--gens", gens, "--map", str(map_file), "--format", "json"]
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == (0 if problem is None else 4)
+    if problem is not None:
+        assert f"error: {problem}" in capsys.readouterr().err
+
+
 def _honest_factorize_cert(tmp_path, map_file):
     out = tmp_path / "cert.json"
     assert main([
@@ -281,6 +302,7 @@ def test_validate_reports_enumeration_problems_that_are_not_a_list(tmp_path, map
         {"kind": "seeded", "category": "delta<=1", "count": True, "seed": 12},
         {"kind": "seeded", "category": "delta<=1", "count": 4, "seed": False},
         {"kind": "seeded", "category": "delta<=1", "count": -1, "seed": 12},
+        {"kind": "seeded", "category": "delta<=1", "count": 0, "seed": 12},
     ],
 )
 def test_validate_rejects_booleans_in_the_laws_sample(tmp_path, capsys, sample):
@@ -619,17 +641,20 @@ def test_validate_bounds_a_laws_sample_by_the_recorded_checks(tmp_path, capsys, 
 
 
 def test_validate_builds_no_sample_that_no_rule_reads(tmp_path, capsys):
+    # a law check of no rules would hold vacuously, so neither side takes one
     out = tmp_path / "laws.json"
-    assert main(["laws", "--rules", ",", "--max-total", "2", "--out", str(out)]) == 0
+    assert main(["laws", "--rules", ",", "--max-total", "2", "--out", str(out)]) == 4
+    assert not out.exists()
+    assert "/rules: expected at least one rule" in capsys.readouterr().err
+    assert main(["laws", "--rules", "graph", "--max-total", "2", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["rules"] == [] and doc["checks"] == []
+    doc["rules"], doc["checks"] = [], []
+    # the sample is never built: the rules are rejected first
     doc["sample"]["max_total"] = 10**9
     out.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["validate", str(out)]) == 0
-    doc["sample"]["max_total"] = -1
-    out.write_text(json.dumps(doc))
     assert main(["validate", str(out)]) == 3
+    assert capsys.readouterr().out.splitlines() == ["problem: /rules: expected at least one rule", "1 problem(s) found"]
 
 
 @pytest.mark.parametrize(
@@ -717,12 +742,13 @@ def test_laws_writes_no_sample_spec_the_validator_rejects(tmp_path, capsys):
     assert main(["validate", str(out)]) == 3
     assert "problem: /sample/max_total: expected a non-negative integer" in capsys.readouterr().out
 
-    assert main(["laws", "--samples", "-1", "--category", "terminal", "--out", str(out)]) == 4
-    assert "/sample/count: expected a non-negative integer" in capsys.readouterr().err
-    doc["sample"] = {"kind": "seeded", "category": "terminal", "count": -1, "seed": 0}
-    out.write_text(json.dumps(doc))
-    assert main(["validate", str(out)]) == 3
-    assert "problem: /sample/count: expected a non-negative integer" in capsys.readouterr().out
+    for count in ("-1", "0"):
+        assert main(["laws", "--samples", count, "--category", "terminal", "--out", str(out)]) == 4
+        assert "/sample/count: expected a positive integer" in capsys.readouterr().err
+        doc["sample"] = {"kind": "seeded", "category": "terminal", "count": int(count), "seed": 0}
+        out.write_text(json.dumps(doc))
+        assert main(["validate", str(out)]) == 3
+        assert "problem: /sample/count: expected a positive integer" in capsys.readouterr().out
 
 
 def test_laws_on_a_category_file_keeps_its_bytes(tmp_path):

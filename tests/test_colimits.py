@@ -152,16 +152,25 @@ def test_pushout_of_disjoint_corners_is_a_coproduct():
 
 def test_chain_colimit_stabilizing_chain():
     steps = [set_map(2, 3, [0, 1]), set_map(3, 3, [0, 1, 2]), set_map(3, 3, [0, 1, 2])]
-    cone = chain_colimit(steps)
+    cone = chain_colimit(steps, steps[0].source)
     assert cone.apex.sizes == {"0": 3}
     for i, leg in enumerate(cone.legs[:-1]):
         assert maps_equal(leg, compose_maps(cone.legs[i + 1], steps[i]))
     assert is_iso(cone.legs[-1])
 
 
+def test_chain_colimit_starts_at_its_start():
+    steps = [set_map(2, 3, [0, 1]), set_map(3, 3, [0, 1, 2])]
+    with pytest.raises(IncompatibleInput, match="step 0 does not start"):
+        chain_colimit(steps, finset(3))
+    start = finset(2)
+    cone = chain_colimit([], start)
+    assert cone.apex is start and maps_equal(cone.legs[0], identity_map(start))
+
+
 def test_chain_colimit_with_collapsing_links():
     steps = [set_map(3, 2, [0, 0, 1]), set_map(2, 1, [0, 0])]
-    cone = chain_colimit(steps)
+    cone = chain_colimit(steps, steps[0].source)
     assert cone.apex.sizes == {"0": 1}
     assert all(is_surjective(leg) for leg in cone.legs)
 
@@ -209,7 +218,7 @@ def graph_chains(draw, max_steps: int = 3):
 @given(st.one_of(set_chains(), graph_chains()))
 @settings(max_examples=80, deadline=None)
 def test_chain_colimit_matches_the_quotient_of_the_coproduct(steps):
-    cone = chain_colimit(steps)
+    cone = chain_colimit(steps, steps[0].source)
     apex, legs = quotient_of_coproduct(steps)
     assert dict(cone.apex.carrier) == dict(apex.carrier)
     assert {m: dict(act) for m, act in cone.apex.action.items()} == {m: dict(act) for m, act in apex.action.items()}

@@ -106,11 +106,14 @@ def test_enumerate_maps_is_lexicographic():
 
 
 def test_enumerate_maps_respects_pins_and_allowed():
-    out = enumerate_maps(finset(2), finset(3), pinned={("0", 0): 2})
+    # a pin is an allowed entry with one value
+    out = enumerate_maps(finset(2), finset(3), allowed={("0", 0): (2,)})
     assert all(m.components["0"][0] == 2 for m in out)
     assert len(out) == 3
     out = enumerate_maps(finset(2), finset(3), allowed={("0", 1): (0, 1)})
     assert len(out) == 6
+    out = enumerate_maps(finset(2), finset(3), allowed={("0", 0): (2,), ("0", 1): (1, 0)})
+    assert [(m.components["0"][0], m.components["0"][1]) for m in out] == [(2, 0), (2, 1)]
 
 
 def test_enumerate_maps_honours_naturality():

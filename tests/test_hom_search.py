@@ -1,11 +1,10 @@
 """enumerate_maps against a brute-force oracle, element for element and in order.
 
 The oracle lists every function X -> Y that sends each element to one of
-its candidates (its pin, else its allowed values, else all of Y at its
-object), which is the set of all functions filtered by the pins and allowed
-sets. It keeps the natural ones and orders them lexicographically over the
-(object id, element id) variables by candidate rank. It shares no code with
-the search.
+its candidates (its allowed values, else all of Y at its object), which is
+the set of all functions filtered by the allowed sets. It keeps the natural
+ones and orders them lexicographically by value over the (object id,
+element id) variables. It shares no code with the search.
 """
 
 import itertools
@@ -31,17 +30,11 @@ PART_LISTS = tuple(
 )
 
 
-def oracle(X: Presheaf, Y: Presheaf, pinned: dict, allowed: dict) -> list[dict]:
+def oracle(X: Presheaf, Y: Presheaf, allowed: dict) -> list[dict]:
     base = X.base
     variables = [(a, x) for a in sorted(base.objects) for x in X.carrier[a]]
-
-    def candidates(v):
-        if v in pinned:
-            return [pinned[v]]
-        return list(allowed.get(v, Y.carrier[v[0]]))
-
     found = []
-    for values in itertools.product(*(candidates(v) for v in variables)):
+    for values in itertools.product(*(allowed.get(v, Y.carrier[v[0]]) for v in variables)):
         f = {a: {} for a in base.objects}
         for (a, x), y in zip(variables, values):
             f[a][x] = y
@@ -51,13 +44,13 @@ def oracle(X: Presheaf, Y: Presheaf, pinned: dict, allowed: dict) -> list[dict]:
             for x in X.carrier[m.cod]
         ):
             found.append(f)
-    return sorted(found, key=lambda f: [candidates((a, x)).index(f[a][x]) for a, x in variables])
+    return sorted(found, key=lambda f: [f[a][x] for a, x in variables])
 
 
-def assert_matches_oracle(X, Y, pinned, allowed):
-    got = enumerate_maps(X, Y, pinned=pinned, allowed=allowed)
+def assert_matches_oracle(X, Y, allowed):
+    got = enumerate_maps(X, Y, allowed=allowed)
     assert all(f.source is X and f.target is Y for f in got)
-    assert [f.components for f in got] == oracle(X, Y, pinned, allowed)
+    assert [f.components for f in got] == oracle(X, Y, allowed)
 
 
 @st.composite
@@ -107,11 +100,12 @@ def relabelled_coproducts(draw, parts):
 
 @st.composite
 def constraints(draw, X: Presheaf, Y: Presheaf):
-    """Random pins and allowed sets, then pins until the oracle's search is small.
+    """Random allowed sets, then pins until the oracle's search is small.
 
-    Most pins and allowed sets agree with one map the search reports, and
-    the extra pins all do, so that constrained draws often keep some
-    solutions; allowed sets come in random order, so most do not ascend.
+    A pin is an allowed set with one value. Most pins and allowed sets
+    agree with one map the search reports, and the extra pins all do, so
+    that constrained draws often keep some solutions; allowed sets come in
+    random order, so most do not ascend.
     """
     maps = enumerate_maps(X, Y)
     ref = draw(st.sampled_from(maps)).components if maps else None
@@ -122,31 +116,29 @@ def constraints(draw, X: Presheaf, Y: Presheaf):
             return ref[v[0]][v[1]]
         return draw(st.sampled_from(Y.carrier[v[0]]))
 
-    pinned, allowed = {}, {}
+    allowed = {}
     if draw(st.booleans()):
         for v in variables:
             # about three constrained variables per draw
-            kind = draw(st.sampled_from(("free",) * len(variables) + ("pin", "allowed", "both")))
-            if kind in ("allowed", "both"):
+            kind = draw(st.sampled_from(("free",) * len(variables) + ("pin", "allowed")))
+            if kind == "allowed":
                 order = draw(st.permutations(Y.carrier[v[0]]))
                 order = order[: draw(st.integers(0, len(order)))]
                 y = value(v)
                 if y not in order:
                     order.insert(draw(st.integers(0, len(order))), y)
                 allowed[v] = tuple(order)
-            if kind in ("pin", "both"):
-                pinned[v] = value(v)
+            elif kind == "pin":
+                allowed[v] = (value(v),)
 
     def size():
-        return math.prod(
-            1 if v in pinned else len(allowed.get(v, Y.carrier[v[0]])) for v in variables
-        )
+        return math.prod(len(allowed.get(v, Y.carrier[v[0]])) for v in variables)
 
     for v in draw(st.permutations(variables)):
         if size() <= MAX_FUNCTIONS:
             break
-        pinned[v] = value(v, mostly=False)
-    return pinned, allowed
+        allowed[v] = (value(v, mostly=False),)
+    return allowed
 
 
 @settings(max_examples=80, deadline=None)
@@ -155,8 +147,7 @@ def test_graph_maps_match_the_oracle(data):
     X = data.draw(reflexive_graphs(min_vertices=0, max_vertices=3, max_edges=3))
     Y = data.draw(reflexive_graphs(min_vertices=1, max_vertices=3, max_edges=4))
     assert validate(X) == [] and validate(Y) == []
-    pinned, allowed = data.draw(constraints(X, Y))
-    assert_matches_oracle(X, Y, pinned, allowed)
+    assert_matches_oracle(X, Y, data.draw(constraints(X, Y)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -165,16 +156,19 @@ def test_delta2_maps_match_the_oracle(data):
     X = data.draw(relabelled_coproducts(data.draw(st.sampled_from(PART_LISTS))))
     Y = data.draw(relabelled_coproducts(data.draw(st.sampled_from(PART_LISTS))))
     assert validate(X) == [] and validate(Y) == []
-    pinned, allowed = data.draw(constraints(X, Y))
-    assert_matches_oracle(X, Y, pinned, allowed)
+    assert_matches_oracle(X, Y, data.draw(constraints(X, Y)))
 
 
-def test_descending_allowed_order_is_kept():
+def test_allowed_order_does_not_matter():
     X, Y = finset(2), finset(3)
-    allowed = {("0", 0): (2, 0)}
-    got = [(f.components["0"][0], f.components["0"][1]) for f in enumerate_maps(X, Y, allowed=allowed)]
-    assert got == [(2, 0), (2, 1), (2, 2), (0, 0), (0, 1), (0, 2)]
-    assert_matches_oracle(X, Y, {}, allowed)
+
+    def listed(allowed):
+        return [(f.components["0"][0], f.components["0"][1]) for f in enumerate_maps(X, Y, allowed=allowed)]
+
+    shuffled = listed({("0", 0): (2, 0), ("0", 1): (1, 2, 0)})
+    assert shuffled == listed({("0", 0): (0, 2), ("0", 1): (0, 1, 2)})
+    assert shuffled == [(0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2)]
+    assert_matches_oracle(X, Y, {("0", 0): (2, 0)})
 
 
 def test_search_depth_does_not_grow_with_the_source():

@@ -100,7 +100,7 @@ def test_step_cocone_is_jointly_surjective(g):
 def test_identity_square_induces_identity():
     g = as_arrow(set_map(3, 2, [0, 1, 0]))
     step = build_onestep(CODIAG, g)
-    induced = onestep_on_square(CODIAG, identity_square(g), source_step=step, target_step=step)
+    induced = onestep_on_square(identity_square(g), step, step)
     assert maps_equal(induced, identity_map(step.mid))
 
 
@@ -111,13 +111,12 @@ def test_on_square_is_functorial():
     sq1 = Square(source=f, target=g, top=set_map(2, 3, [1, 0]), bottom=set_map(2, 2, [0, 1]))
     sq2 = Square(source=g, target=h, top=set_map(3, 3, [0, 0, 1]), bottom=set_map(2, 3, [0, 1]))
     sf, sg, sh = (build_onestep(POINT, a) for a in (f, g, h))
-    one = onestep_on_square(POINT, sq1, source_step=sf, target_step=sg)
-    two = onestep_on_square(POINT, sq2, source_step=sg, target_step=sh)
+    one = onestep_on_square(sq1, sf, sg)
+    two = onestep_on_square(sq2, sg, sh)
     both = onestep_on_square(
-        POINT,
         Square(source=f, target=h, top=compose_maps(sq2.top, sq1.top), bottom=compose_maps(sq2.bottom, sq1.bottom)),
-        source_step=sf,
-        target_step=sh,
+        sf,
+        sh,
     )
     assert maps_equal(both, compose_maps(two, one))
 
@@ -127,7 +126,7 @@ def test_on_square_commutes_with_the_step_halves():
     g = as_arrow(set_map(3, 2, [0, 0, 1]))
     sq = Square(source=f, target=g, top=set_map(2, 3, [0, 0]), bottom=set_map(2, 2, [0, 1]))
     sf, sg = build_onestep(POINT, f), build_onestep(POINT, g)
-    induced = onestep_on_square(POINT, sq, source_step=sf, target_step=sg)
+    induced = onestep_on_square(sq, sf, sg)
     assert maps_equal(compose_maps(induced, sf.left), compose_maps(sg.left, sq.top))
     assert maps_equal(compose_maps(sg.right, induced), compose_maps(sq.bottom, sf.right))
 
@@ -137,7 +136,7 @@ def test_on_square_rejects_noncommuting_input():
     g = as_arrow(set_map(2, 2, [0, 1]))
     bad = Square(source=f, target=g, top=set_map(1, 2, [0]), bottom=set_map(1, 2, [1]))
     with pytest.raises(IncompatibleInput):
-        onestep_on_square(POINT, bad)
+        onestep_on_square(bad, build_onestep(POINT, f), build_onestep(POINT, g))
 
 
 def test_new_cell_rides_above_the_old_one():
@@ -149,12 +148,7 @@ def test_new_cell_rides_above_the_old_one():
     rho = as_arrow(s0.right)
     s1 = build_onestep(POINT, rho)
     assert s1.mid.sizes == {"0": 2}
-    lift = onestep_on_square(
-        POINT,
-        Square(source=j, target=rho, top=s0.left, bottom=identity_map(j.f.target)),
-        source_step=s0,
-        target_step=s1,
-    )
+    lift = onestep_on_square(Square(source=j, target=rho, top=s0.left, bottom=identity_map(j.f.target)), s0, s1)
     assert lift.components["0"] == {0: 1}
     assert s1.left.components["0"] == {0: 0}
 
@@ -162,8 +156,8 @@ def test_new_cell_rides_above_the_old_one():
 def test_on_square_out_of_the_empty_arrow_is_the_empty_map():
     empty, g = set_map(0, 0, []), set_map(0, 2, [])
     sq = Square(source=as_arrow(empty), target=as_arrow(g), top=empty, bottom=g)
-    target_step = build_onestep(POINT, as_arrow(g))
-    induced = onestep_on_square(POINT, sq, target_step=target_step)
+    target_step = build_onestep(POINT, sq.target)
+    induced = onestep_on_square(sq, build_onestep(POINT, sq.source), target_step)
     assert induced.source.sizes == {"0": 0}
     assert induced.target is target_step.mid
     assert induced.components == {"0": {}}
@@ -293,7 +287,7 @@ def squares_between(draw, arrows):
 def test_on_square_matches_the_composed_pasting(case):
     gens, sq = case
     source_step, target_step = build_onestep(gens, sq.source), build_onestep(gens, sq.target)
-    got = onestep_on_square(gens, sq, source_step=source_step, target_step=target_step)
+    got = onestep_on_square(sq, source_step, target_step)
     want = pasted_onestep(sq, source_step, target_step)
     assert got.source is source_step.mid and got.target is target_step.mid
     assert got.components == want.components
@@ -307,17 +301,24 @@ def test_on_square_rejects_a_step_of_another_arrow():
     # the same domain as g but another codomain
     sh = build_onestep(POINT, as_arrow(set_map(3, 3, [0, 0, 1])))
     with pytest.raises(IncompatibleInput, match="source_step"):
-        onestep_on_square(POINT, sq, source_step=sg, target_step=sg)
+        onestep_on_square(sq, sg, sg)
     with pytest.raises(IncompatibleInput, match="target_step"):
-        onestep_on_square(POINT, sq, source_step=sf, target_step=sf)
+        onestep_on_square(sq, sf, sf)
     with pytest.raises(IncompatibleInput, match="target_step"):
-        onestep_on_square(POINT, sq, source_step=sf, target_step=sh)
+        onestep_on_square(sq, sf, sh)
 
 
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_on_square_rejects_a_step_of_another_arrow_with_the_same_ends(side):
     g = as_arrow(set_map(3, 2, [0, 0, 1]))
-    other = build_onestep(CODIAG, as_arrow(set_map(3, 2, [1, 1, 0])))
-    steps = {f"{side}_step": other}
+    step = build_onestep(CODIAG, g)
+    steps = {"source_step": step, "target_step": step, f"{side}_step": build_onestep(CODIAG, as_arrow(set_map(3, 2, [1, 1, 0])))}
     with pytest.raises(IncompatibleInput, match=f"{side}_step does not factor the square's {side} arrow"):
-        onestep_on_square(CODIAG, identity_square(g), **steps)
+        onestep_on_square(identity_square(g), **steps)
+
+
+def test_on_square_rejects_steps_of_different_generating_sets():
+    # the generating set is read off the steps, so they must share it
+    g = as_arrow(set_map(3, 2, [0, 0, 1]))
+    with pytest.raises(IncompatibleInput, match="different generating sets"):
+        onestep_on_square(identity_square(g), build_onestep(POINT, g), build_onestep(CODIAG, g))

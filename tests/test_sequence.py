@@ -108,15 +108,14 @@ def test_first_coequalizer_pair_is_the_pinned_one():
     first, second = state.pairs[1]
     assert maps_equal(first, s1.left)
     expected_second = onestep_on_square(
-        POINT,
         Square(
             source=as_arrow(g),
             target=as_arrow(state.stages[1].right),
             top=state.links[0],
             bottom=identity_map(g.target),
         ),
-        source_step=s0,
-        target_step=s1,
+        s0,
+        s1,
     )
     assert maps_equal(second, expected_second)
 
@@ -132,7 +131,7 @@ def test_limit_stage_bookkeeping():
     # the link into the limit is an iso, and the limit stage is already
     # numbered as the colimit of the chain up to it
     assert is_iso(state.links[2])
-    chain = chain_colimit(state.links[:3])
+    chain = chain_colimit(state.links[:3], state.stages[0].mid)
     for i in range(4):
         assert maps_equal(chain.legs[i], state.connect(i, 3))
 
@@ -237,7 +236,7 @@ def web_free_step(run, ordinal):
     low = below[0]
     to_top = chain_composites(run.links[low:top], last.mid)
     web = chain_colimit(
-        [sequence._carry(run.gens, run.connect(i, j), run.step_of(i), run.step_of(j)) for i, j in zip(below, below[1:])],
+        [sequence._carry(run.connect(i, j), run.step_of(i), run.step_of(j)) for i, j in zip(below, below[1:])],
         start=run.step_of(low).mid,
     )
     first = induce(
@@ -245,7 +244,7 @@ def web_free_step(run, ordinal):
         [compose_maps(step.left, compose_maps(to_top[i + 1 - low], run.folds[i])) for i in below],
         step.mid,
     )
-    second = induce(web, [sequence._carry(run.gens, to_top[i - low], run.step_of(i), step) for i in below], step.mid)
+    second = induce(web, [sequence._carry(to_top[i - low], run.step_of(i), step) for i in below], step.mid)
     coeq = coequalizer(first, second)
     fold = coeq.legs[0]
     link = compose_maps(fold, step.left)

@@ -150,6 +150,8 @@ def cmd_laws(args) -> int:
     if args.samples is not None:
         category = _catalog_or_file(args.category or "delta<=1", "category")
         raw = {"kind": "seeded", "category": category, "count": args.samples, "seed": args.seed or 0}
+    elif args.category is not None:
+        raise InputError("/category", "--category names the base category of a seeded sample, so it needs --samples")
     else:
         raw = {"kind": "exhaustive", "max_total": args.max_total}
     # no recorded checks bound the sample the writer builds

@@ -7,8 +7,13 @@ union-find congruence closure on the touched elements only: merging two
 elements propagates along every base morphism into the element's object
 until saturation, which is exactly what makes the apex a presheaf again.
 An element no pair reaches never enters the union-find and is numbered by
-its position. `attach` quotients X alone, and only by the pairs a
-non-injective v forces; the glued cells are numbered by offset.
+its position, and an object where nothing merged and whose carrier is
+already 0..n-1 is carried over unchanged (identity projection, copied
+action). `attach` makes one `quotient` call, of X alone and by the pairs a
+non-injective v forces, and fills the quotient's freshly built action
+dicts with the glued cells. Every span of one v gets its cell from a
+template worked out once per v: rows of offsets and partners per object,
+and the positions each morphism's fresh entries are read from.
 """
 
 from __future__ import annotations
@@ -80,7 +85,11 @@ def quotient(X: Presheaf, pairs: Iterable[tuple[str, int, int]]) -> Cocone:
     Each pair (a, u, v) identifies elements u and v at object a. The single
     leg of the returned cocone is the projection X -> X/~. Classes are
     numbered by their least member, which is their first in X's sorted
-    carrier; only the elements the pairs reach enter a union-find.
+    carrier; only the elements the pairs reach enter a union-find. An
+    object where nothing merged and whose carrier is already 0..n-1 is
+    kept as it is: the projection there is the identity, and a morphism
+    between two such objects keeps its action, copied. The apex shares no
+    dict with X, so a caller may write into its actions.
     """
     base = X.base
     uf = {a: UnionFind() for a in base.objects}
@@ -98,10 +107,18 @@ def quotient(X: Presheaf, pairs: Iterable[tuple[str, int, int]]) -> Cocone:
 
     proj: dict[str, dict[int, int]] = {}
     carrier: dict[str, tuple[int, ...]] = {}
+    kept: set[str] = set()
     for a in base.objects:
-        touched, find = uf[a].parent, uf[a].find
+        xs, classes = X.carrier[a], uf[a]
+        # a sorted carrier of distinct ids is 0..n-1 when its ends are
+        if not classes.merges and (not xs or (xs[0] == 0 and xs[-1] == len(xs) - 1)):
+            proj[a] = dict(zip(xs, xs))
+            carrier[a] = xs
+            kept.add(a)
+            continue
+        touched, find = classes.parent, classes.find
         comp, first, k = {}, {}, 0
-        for x in X.carrier[a]:
+        for x in xs:
             if x in touched:
                 c = first.setdefault(find(x), k)
                 if c == k:
@@ -116,8 +133,12 @@ def quotient(X: Presheaf, pairs: Iterable[tuple[str, int, int]]) -> Cocone:
     # constructor would only copy
     action = {}
     for m in base.morphisms:
-        on_cod, on_dom, act = proj[m.cod], proj[m.dom], X.action[m.name]
-        action[m.name] = {on_cod[x]: on_dom[act[x]] for x in X.carrier[m.cod]}
+        act = X.action[m.name]
+        if m.cod in kept and m.dom in kept:
+            action[m.name] = dict(act)
+        else:
+            on_cod, on_dom = proj[m.cod], proj[m.dom]
+            action[m.name] = {on_cod[x]: on_dom[act[x]] for x in X.carrier[m.cod]}
     apex = Presheaf(base=base, carrier=carrier, action=action)
     return Cocone(apex=apex, legs=(PresheafMap(X, apex, proj),))
 
@@ -175,6 +196,43 @@ def coequalizer(f: PresheafMap, g: PresheafMap) -> Cocone:
     return quotient(f.target, pairs)
 
 
+def _cell_template(v: PresheafMap) -> tuple:
+    """What gluing a copy of B along v: A -> B needs, whatever u is.
+
+    Returns (hits, fresh, merges, writes). Per object a:
+    - `hits[a]`: (position in B's carrier, A-element) for each element of
+      B in v's image, with the first A-element over it in A's carrier order;
+    - `fresh[a]`: the positions of the other elements of B, in carrier
+      order, so the r-th of them becomes apex element offset + r;
+    - `merges[a]`: the pairs (first, other) of A-elements that v sends to
+      one element.
+    `writes` lists, for each morphism m that acts on a fresh element, m's
+    name, codomain and domain and the (cod position, dom position) of each
+    fresh element and its image under m.
+    """
+    A, B = v.source, v.target
+    base = B.base
+    hits, fresh, merges, image, position = {}, {}, {}, {}, {}
+    for a in base.objects:
+        vc, first, same = v.components[a], {}, []
+        for x in A.carrier[a]:
+            x0 = first.setdefault(vc[x], x)
+            if x0 != x:
+                same.append((x0, x))
+        at = position[a] = {b: p for p, b in enumerate(B.carrier[a])}
+        hits[a] = [(at[b], x0) for b, x0 in first.items()]
+        fresh[a] = [p for p, b in enumerate(B.carrier[a]) if b not in first]
+        merges[a] = same
+        image[a] = first
+    writes = []
+    for m in base.morphisms:
+        act, hit, at = B.action[m.name], image[m.cod], position[m.dom]
+        entries = [(p, at[act[b]]) for p, b in enumerate(B.carrier[m.cod]) if b not in hit]
+        if entries:
+            writes.append((m.name, m.cod, m.dom, entries))
+    return hits, fresh, merges, writes
+
+
 def attach(X: Presheaf, spans: Sequence[tuple[PresheafMap, PresheafMap]]) -> Cocone:
     """X with a copy of B glued along A for every span (u: A -> X, v: A -> B).
 
@@ -192,55 +250,63 @@ def attach(X: Presheaf, spans: Sequence[tuple[PresheafMap, PresheafMap]]) -> Coc
     so the classes of X/~ come first, in X's order; then each span's
     elements of B outside the image of v, span by span and in carrier
     order. Legs come back in the order (from X, from B0, from B1, ...).
+
+    Everything about a cell that depends on v alone is worked out once per
+    distinct v object (`_cell_template`). `quotient` is called once, and the
+    cells are written into the action dicts it builds. A span fills one row
+    per object, in B's carrier order: offset + rank for a fresh element and
+    the class of its u-partner for a hit one. Its leg is the rows, and it
+    writes the action entries of its fresh elements only, reading keys and
+    values from the rows, so an entry shares its ints with the leg.
     """
     for n, (u, v) in enumerate(spans):
         if not _same(u.target, X):
             raise IncompatibleInput(f"attach: span {n} does not land in the presheaf it attaches to")
         if not _same(u.source, v.source):
             raise IncompatibleInput(f"attach: the two maps of span {n} do not share a source")
-    base = X.base
-    # glued[n][a] sends each element of span n's v-image at a to a u-partner
+    objects = X.base.objects
+    templates: dict[int, tuple] = {}
+    cells = []
     pairs: list[tuple[str, int, int]] = []
-    glued: list[dict[str, dict[int, int]]] = []
     for u, v in spans:
-        glued.append({})
-        for a in base.objects:
-            uc, vc, seen = u.components[a], v.components[a], {}
-            for x in u.source.carrier[a]:
-                y = uc[x]
-                first = seen.setdefault(vc[x], y)
-                if first != y:
-                    pairs.append((a, first, y))
-            glued[-1][a] = seen
+        template = templates.get(id(v))
+        if template is None:
+            template = templates[id(v)] = _cell_template(v)
+        _, _, merges, _ = template
+        for a, same in merges.items():
+            uc = u.components[a]
+            for x0, x in same:
+                if uc[x0] != uc[x]:
+                    pairs.append((a, uc[x0], uc[x]))
+        cells.append(template)
     proj = quotient(X, pairs).legs[0]
     Q = proj.target
 
     size = Q.sizes
-    action = {m.name: dict(Q.action[m.name]) for m in base.morphisms}
+    action = Q.action
     cell_legs = []
-    for (_, v), hits in zip(spans, glued):
-        B, into = v.target, {}
-        for a in base.objects:
-            on_x, hit, k = proj.components[a], hits[a], size[a]
-            into[a] = {}
-            for b in B.carrier[a]:
-                x = hit.get(b)
-                if x is None:
-                    into[a][b] = k
-                    k += 1
-                else:
-                    into[a][b] = on_x[x]
+    for (u, v), (hits, fresh, _, writes) in zip(spans, cells):
+        B, rows, into = v.target, {}, {}
+        for a in objects:
+            on_x, uc, carrier = proj.components[a], u.components[a], B.carrier[a]
+            row = [0] * len(carrier)
+            for p, x in hits[a]:
+                row[p] = on_x[uc[x]]
+            k = size[a]
+            for p in fresh[a]:
+                row[p] = k
+                k += 1
             size[a] = k
-        for m in base.morphisms:
-            act, out, hit = B.action[m.name], action[m.name], hits[m.cod]
-            into_cod, into_dom = into[m.cod], into[m.dom]
-            for b in B.carrier[m.cod]:
-                if b not in hit:
-                    out[into_cod[b]] = into_dom[act[b]]
+            rows[a] = row
+            into[a] = dict(zip(carrier, row))
+        for name, cod, dom, entries in writes:
+            out, row_cod, row_dom = action[name], rows[cod], rows[dom]
+            for p, q in entries:
+                out[row_cod[p]] = row_dom[q]
         cell_legs.append((B, into))
     # carriers are ranges and every morphism acts, so the normalising
     # constructor would only copy
-    apex = Presheaf(base=base, carrier={a: tuple(range(size[a])) for a in base.objects}, action=action)
+    apex = Presheaf(base=X.base, carrier={a: tuple(range(size[a])) for a in objects}, action=action)
     legs = [PresheafMap(X, apex, proj.components)]
     legs.extend(PresheafMap(B, apex, into) for B, into in cell_legs)
     return Cocone(apex=apex, legs=tuple(legs))

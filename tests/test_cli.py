@@ -126,6 +126,17 @@ def test_laws_seeded_sampling(tmp_path):
     assert cli("validate", str(out)).returncode == 0
 
 
+@pytest.mark.parametrize("category", ["terminal", "nonexistent.json"])
+def test_laws_rejects_a_category_without_samples(tmp_path, capsys, category):
+    # only a seeded sample has a base category; the exhaustive one would
+    # ignore the flag and report on a sample it never named
+    out = tmp_path / "laws.json"
+    assert main(["laws", "--rules", "graph", "--max-total", "1", "--category", category, "--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "/category:" in err and "--samples" in err
+
+
 def test_fill_solves_a_recorded_square(tmp_path, map_file):
     surj = tmp_path / "s.json"
     surj.write_text(json.dumps({

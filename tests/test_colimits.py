@@ -1,10 +1,12 @@
+import copy
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from conftest import finset, parallel_pairs, set_map, set_maps
 from test_hom_search import reflexive_graphs
-from nwfs.catalog import get_category, representable
+from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
 from nwfs.colimits import (
     attach,
     chain_colimit,
@@ -304,11 +306,81 @@ def graph_spans(draw):
     return X, spans
 
 
-@given(st.one_of(set_spans(), graph_spans()))
-@settings(max_examples=150, deadline=None)
+DELTA2 = get_category("delta<=2")
+HORNS2 = get_gens("horns<=2").members
+# small simplicial sets for the horns to land in
+DELTA2_PIECES = (
+    *(representable(DELTA2, a) for a in DELTA2.objects),
+    terminal_presheaf(DELTA2),
+    *(j.dom for j in HORNS2),
+)
+CODIAGONAL = get_gens("codiagonal").members[0].f
+POINT = get_gens("point").members[0].f
+# an injective v out of the codiagonal's own source object
+TWO_INTO_THREE = PresheafMap(CODIAGONAL.source, finset(3), {"0": {0: 2, 1: 0}})
+
+
+@st.composite
+def horn_spans(draw):
+    """Spans over delta<=2 whose v are horn inclusions, as in a free step.
+
+    X is a coproduct of one or two small simplicial sets. Each v is one of
+    the catalog's horn inclusions, the very object, so spans of one
+    generator share their v.
+    """
+    X = coproduct(draw(st.lists(st.sampled_from(DELTA2_PIECES), min_size=1, max_size=2))).apex
+    spans = []
+    for _ in range(draw(st.integers(1, 4))):
+        v = draw(st.sampled_from(HORNS2)).f
+        us = enumerate_maps(v.source, X)
+        if us:
+            spans.append((draw(st.sampled_from(us)), v))
+    return X, spans
+
+
+@st.composite
+def shared_set_spans(draw):
+    """Spans into a set whose v is the non-injective codiagonal 2 -> 1, an
+    injection 2 -> 3 out of the same source object, or the point 0 -> 1,
+    each one object shared by every span that uses it."""
+    X = finset(random_ids(draw, draw(st.integers(1, 4))))
+    spans = []
+    for _ in range(draw(st.integers(1, 4))):
+        v = draw(st.sampled_from([CODIAGONAL, TWO_INTO_THREE, POINT]))
+        u = PresheafMap(v.source, X, {"0": {x: draw(st.sampled_from(X.carrier["0"])) for x in v.source.carrier["0"]}})
+        spans.append((u, v))
+    return X, spans
+
+
+@st.composite
+def equal_but_distinct_v(draw):
+    """Two spans whose v are equal in value but are distinct objects."""
+    X, spans = draw(st.one_of(set_spans(), graph_spans(), horn_spans().filter(lambda case: case[1])))
+    u, v = spans[0]
+    twin = PresheafMap(v.source, v.target, {a: dict(c) for a, c in v.components.items()})
+    assert twin == v and twin is not v
+    other = draw(st.sampled_from(enumerate_maps(v.source, X)))
+    return X, [(u, v), (other, twin)]
+
+
+ATTACH_CASES = st.one_of(set_spans(), graph_spans(), horn_spans(), shared_set_spans(), equal_but_distinct_v())
+
+
+def snapshot(X):
+    return copy.deepcopy((dict(X.carrier), {m: dict(act) for m, act in X.action.items()}))
+
+
+@given(ATTACH_CASES)
+@settings(max_examples=250, deadline=None)
 def test_attach_matches_the_quotient_of_the_coproduct(case):
     X, spans = case
+    before = snapshot(X)
     cone = attach(X, spans)
+    # attach writes its cells into the quotient's action dicts, so those
+    # must be the quotient's own
+    assert snapshot(X) == before
+    for m, act in cone.apex.action.items():
+        assert act is not X.action[m]
     apex, legs = quotient_of_coproduct_attach(X, spans)
     assert validate(cone.apex) == []
     assert dict(cone.apex.carrier) == dict(apex.carrier)
@@ -318,6 +390,32 @@ def test_attach_matches_the_quotient_of_the_coproduct(case):
         assert got.source is want.source and got.target is cone.apex
         assert got.components == want.components
         assert validate(got) == []
+
+
+@st.composite
+def sparse_or_dense(draw):
+    """A set or reflexive graph with random ids, or the same renumbered 0..n-1."""
+    X = finset(random_ids(draw, draw(st.integers(0, 5)))) if draw(st.booleans()) else draw(reflexive_graphs(0, 3, 3))
+    return coproduct([X]).apex if draw(st.booleans()) else X
+
+
+@given(sparse_or_dense())
+@settings(max_examples=100, deadline=None)
+def test_quotient_by_pairs_that_merge_nothing_numbers_by_position(X):
+    # the numbering quotient keeps as the identity on a 0..n-1 carrier
+    before = snapshot(X)
+    for pairs in ([], [(a, x, x) for a in X.base.objects for x in X.carrier[a][:1]]):
+        cone = quotient(X, pairs)
+        (leg,) = cone.legs
+        oracle = closure_oracle(X, pairs)
+        for a in X.base.objects:
+            assert cone.apex.carrier[a] == tuple(range(len(X.carrier[a])))
+            assert leg.components[a] == {x: i for i, x in enumerate(X.carrier[a])}
+            assert oracle[a] == {frozenset([x]) for x in X.carrier[a]}
+        assert validate(cone.apex) == [] and validate(leg) == []
+        assert snapshot(X) == before
+        for m, act in cone.apex.action.items():
+            assert act is not X.action[m]
 
 
 def test_induce_rejects_disagreeing_targets():

@@ -21,6 +21,10 @@ differ. All serialization is deterministic (sorted keys, fixed list orders,
 no clocks), which is what makes byte-identical reruns possible.
 Certificates are written by `pretty_json` as the stdlib's indented dump,
 byte for byte, with json's C encoder doing the work of every flat container.
+
+A run document is built with one memo, so an engine object it holds twice
+(a plain step's mid is the next stage's) is one sub-document, built and
+written once; a certificate dict may share sub-dicts, so edit a reloaded copy.
 """
 
 from __future__ import annotations
@@ -238,28 +242,47 @@ def load_gens(doc: Any, path: str, ambient: FinCategory) -> GeneratingSet:
 # dumping
 
 
-def components_doc(f: PresheafMap | Mapping[str, Mapping[int, int]]) -> dict:
+# `str(i)` for element ids 0, 1, ..., the ids the engine numbers; a row grows
+# it by less than twice its own length, so one sparse input id cannot
+_KEYS: list[str] = []
+
+
+def _row_doc(row: Mapping[int, int]) -> dict[str, int]:
+    """`{str(x): row[x]}` in key order; a row with a bool, negative or sparse key calls `str` itself."""
+    keys = sorted(row)
+    if keys and not ({int}.issuperset(map(type, keys)) and keys[0] >= 0 and keys[-1] < len(_KEYS) + 2 * len(keys)):
+        return {str(x): row[x] for x in keys}
+    if keys and keys[-1] >= len(_KEYS):
+        _KEYS.extend(map(str, range(len(_KEYS), keys[-1] + 1)))
+    return {_KEYS[x]: row[x] for x in keys}
+
+
+def _memoized(memo: dict | None, obj: Any, build) -> Any:
+    """`build(obj)`, once per object in `memo`; each entry holds its object, so its id stays its own."""
+    if memo is None:
+        return build(obj)
+    hit = memo.get(id(obj))
+    if hit is None:
+        hit = memo[id(obj)] = (obj, build(obj))
+    return hit[1]
+
+
+def components_doc(f: PresheafMap | Mapping[str, Mapping[int, int]], memo: dict | None = None) -> dict:
     comps = f.components if isinstance(f, PresheafMap) else f
-    return {a: {str(x): y for x, y in sorted(comps[a].items())} for a in sorted(comps)}
+    return _memoized(memo, comps, lambda c: {a: _row_doc(c[a]) for a in sorted(c)})
 
 
-def presheaf_doc(X: Presheaf, category: Any = None) -> dict:
-    doc: dict[str, Any] = {
+def presheaf_doc(X: Presheaf, memo: dict | None = None) -> dict:
+    return _memoized(memo, X, lambda X: {
         "sets": {a: list(X.carrier[a]) for a in sorted(X.base.objects)},
-        "actions": {
-            m.name: {str(x): y for x, y in sorted(X.action[m.name].items())}
-            for m in sorted(X.base.morphisms, key=lambda m: m.name)
-        },
-    }
-    if category is not None:
-        doc["category"] = category
-    return doc
+        "actions": {m.name: _row_doc(X.action[m.name]) for m in sorted(X.base.morphisms, key=lambda m: m.name)},
+    })
 
 
-def map_doc(f: PresheafMap, category: Any = None, label: str | None = None) -> dict:
+def map_doc(f: PresheafMap, label: str | None = None) -> dict:
     doc = {
-        "source": presheaf_doc(f.source, category),
-        "target": presheaf_doc(f.target, category),
+        "source": presheaf_doc(f.source),
+        "target": presheaf_doc(f.target),
         "components": components_doc(f),
     }
     if label is not None:
@@ -301,10 +324,11 @@ def pretty_json(doc: Any) -> str:
     plain scalars, is written by one call to the C encoder of its depth,
     whose item separator holds the newline and indent of that depth. Only
     the nested containers are walked in Python, and all the text is joined
-    once at the end.
+    once at the end. A nested container met again at the same depth (a
+    shared sub-document) is walked once, then written as that walk's text.
     """
     parts: list[str] = []
-    _write(doc, 0, parts)
+    _write(doc, 0, parts, {})
     parts.append("\n")
     return "".join(parts)
 
@@ -331,39 +355,53 @@ def _layout(depth: int) -> tuple[json.JSONEncoder, str, str, str]:
     return encoder, newline, inner, "," + inner
 
 
-def _write(doc: Any, depth: int, parts: list[str]) -> None:
-    """Append `doc`'s text, laid out as `pretty_json` does at `depth`, to `parts`."""
+def _write(doc: Any, depth: int, parts: list[str], written: dict) -> None:
+    """Append `doc`'s text, laid out as `pretty_json` does at `depth`, to `parts`.
+
+    `written` holds each nested container written so far, by id and depth, and its slice of `parts`.
+    """
     encoder, newline, inner, sep = _layout(depth)
     if isinstance(doc, dict):
-        if not _SCALAR_TYPES.issuperset(map(type, doc.values())):
-            # json sorts the items before it turns their keys into strings
-            lead = "{" + inner
-            for key, value in sorted(doc.items()):
-                parts.append(lead + _json_key(key) + ": ")
-                _write(value, depth + 1, parts)
-                lead = sep
-            parts.append(newline + "}")
-            return
+        flat = _SCALAR_TYPES.issuperset(map(type, doc.values()))
     elif isinstance(doc, (list, tuple)):
-        if not _SCALAR_TYPES.issuperset(map(type, doc)):
-            lead = "[" + inner
-            for value in doc:
-                parts.append(lead)
-                _write(value, depth + 1, parts)
-                lead = sep
-            parts.append(newline + "]")
-            return
+        flat = _SCALAR_TYPES.issuperset(map(type, doc))
     else:
         parts.append(encoder.encode(doc))
         return
-    # a flat container: one C call, then its brackets on lines of their own
-    flat = encoder.encode(doc)
-    if doc:
-        parts.append(flat[0] + inner)
-        parts.append(flat[1:-1])
-        parts.append(newline + flat[-1])
+    if flat:
+        # one C call, then its brackets on lines of their own
+        text = encoder.encode(doc)
+        if doc:
+            parts.append(text[0] + inner)
+            parts.append(text[1:-1])
+            parts.append(newline + text[-1])
+        else:
+            parts.append(text)
+        return
+    slot = (id(doc), depth)
+    hit = written.get(slot)
+    if hit is not None:
+        # the joined text is a slice of one part from now on
+        written[slot] = (doc, len(parts), len(parts) + 1)
+        parts.append("".join(parts[hit[1] : hit[2]]))
+        return
+    start = len(parts)
+    if isinstance(doc, dict):
+        # json sorts the items before it turns their keys into strings
+        lead = "{" + inner
+        for key, value in sorted(doc.items()):
+            parts.append(lead + _json_key(key) + ": ")
+            _write(value, depth + 1, parts, written)
+            lead = sep
+        parts.append(newline + "}")
     else:
-        parts.append(flat)
+        lead = "[" + inner
+        for value in doc:
+            parts.append(lead)
+            _write(value, depth + 1, parts, written)
+            lead = sep
+        parts.append(newline + "]")
+    written[slot] = (doc, start, len(parts))
 
 
 def _json_key(key: Any) -> str:
@@ -391,39 +429,39 @@ def cells_doc(cell_legs, objects) -> dict:
 # recorded entry with the same builder applied to the replayed run.
 
 
-def stage_doc(s: Stage) -> dict:
+def stage_doc(s: Stage, memo: dict | None = None) -> dict:
     return {
         "index": s.index,
         "ordinal": s.ordinal,
         "kind": s.kind,
-        "mid": presheaf_doc(s.mid),
-        "left": components_doc(s.left),
-        "right": components_doc(s.right),
+        "mid": presheaf_doc(s.mid, memo),
+        "left": components_doc(s.left, memo),
+        "right": components_doc(s.right, memo),
     }
 
 
-def fold_doc(fold: PresheafMap | None) -> dict | None:
-    return None if fold is None else components_doc(fold)
+def fold_doc(fold: PresheafMap | None, memo: dict | None = None) -> dict | None:
+    return None if fold is None else components_doc(fold, memo)
 
 
-def pair_doc(pair: tuple[PresheafMap, PresheafMap] | None) -> dict | None:
-    return None if pair is None else {"first": components_doc(pair[0]), "second": components_doc(pair[1])}
+def pair_doc(pair: tuple[PresheafMap, PresheafMap] | None, memo: dict | None = None) -> dict | None:
+    return None if pair is None else {"first": components_doc(pair[0], memo), "second": components_doc(pair[1], memo)}
 
 
-def step_doc(st: OneStepFactorization | None) -> dict | None:
+def step_doc(st: OneStepFactorization | None, memo: dict | None = None) -> dict | None:
     if st is None:
         return None
     return {
-        "mid": presheaf_doc(st.mid),
-        "left": components_doc(st.left),
-        "right": components_doc(st.right),
+        "mid": presheaf_doc(st.mid, memo),
+        "left": components_doc(st.left, memo),
+        "right": components_doc(st.right, memo),
         "cells": cells_doc(st.cocone.legs[1:], st.mid.base.objects),
         "squares": [
             {
                 "gen": i,
-                "top": components_doc(sq.top),
-                "bottom": components_doc(sq.bottom),
-                "cell_leg": components_doc(st.cell_leg(n)),
+                "top": components_doc(sq.top, memo),
+                "bottom": components_doc(sq.bottom, memo),
+                "cell_leg": components_doc(st.cell_leg(n), memo),
             }
             for n, (i, sq) in enumerate(st.squares)
         ],
@@ -435,16 +473,17 @@ def budget_doc(budget: OrdinalBudget) -> dict:
 
 
 def sequence_body(state: SequenceState) -> dict:
+    memo: dict = {}
     return {
         "mode": state.mode,
         "budget": budget_doc(state.budget),
         "converged_at": state.converged_at,
         "exhausted": state.exhausted,
-        "stages": [stage_doc(s) for s in state.stages],
-        "links": [components_doc(m) for m in state.links],
-        "folds": [fold_doc(m) for m in state.folds],
-        "pairs": [pair_doc(p) for p in state.pairs],
-        "steps": [step_doc(st) for st in state.steps],
+        "stages": [stage_doc(s, memo) for s in state.stages],
+        "links": [components_doc(m, memo) for m in state.links],
+        "folds": [fold_doc(m, memo) for m in state.folds],
+        "pairs": [pair_doc(p, memo) for p in state.pairs],
+        "steps": [step_doc(st, memo) for st in state.steps],
         "cardinalities": [dict(sorted(c.items())) for c in state.cardinalities],
     }
 
@@ -644,13 +683,14 @@ def _entries(state: SequenceState, i: int, last: bool) -> list[tuple[str, int, A
     Stage i comes with the step, pair, fold and link of the stage below it;
     the last stage also with its own step, pair and fold, which are null.
     """
+    memo: dict = {}
     below = [] if i == 0 else [
-        ("steps", i - 1, step_doc(state.steps[i - 1])),
-        ("pairs", i - 1, pair_doc(state.pairs[i - 1])),
-        ("folds", i - 1, fold_doc(state.folds[i - 1])),
-        ("links", i - 1, components_doc(state.links[i - 1])),
+        ("steps", i - 1, step_doc(state.steps[i - 1], memo)),
+        ("pairs", i - 1, pair_doc(state.pairs[i - 1], memo)),
+        ("folds", i - 1, fold_doc(state.folds[i - 1], memo)),
+        ("links", i - 1, components_doc(state.links[i - 1], memo)),
     ]
-    here = [("stages", i, stage_doc(state.stages[i])), ("cardinalities", i, state.stages[i].mid.sizes)]
+    here = [("stages", i, stage_doc(state.stages[i], memo)), ("cardinalities", i, state.stages[i].mid.sizes)]
     return below + here + [(key, i, None) for key in ("steps", "pairs", "folds") if last]
 
 

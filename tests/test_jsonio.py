@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import set_map
+from nwfs import jsonio
 from nwfs.algebras import check_bijection, enumerate_lifting_tables
 from nwfs.arrows import as_arrow, generating_squares
 from nwfs.catalog import get_category, get_gens, representable, terminal_category, terminal_presheaf
-from nwfs.core import PresheafMap, maps_equal, validate
+from nwfs.core import Presheaf, PresheafMap, maps_equal, validate
 from nwfs.jsonio import (
     InputError,
     _entries,
@@ -20,6 +21,7 @@ from nwfs.jsonio import (
     canonical_bytes,
     category_doc,
     compare_certificate,
+    components_doc,
     digest,
     enumeration_certificate,
     filler_certificate,
@@ -59,7 +61,8 @@ def test_category_round_trip():
 def test_presheaf_round_trip():
     base = get_category("delta<=1")
     X = representable(base, "1")
-    back = load_presheaf(reload(presheaf_doc(X, category=category_doc(base))), "$", None)
+    # a presheaf that names its own category loads without an ambient one
+    back = load_presheaf(reload({**presheaf_doc(X), "category": category_doc(base)}), "$", None)
     assert back.carrier == X.carrier
     assert back.action == X.action
 
@@ -214,6 +217,47 @@ def test_compare_certificate_validates_and_catches_tampering():
     assert validate_certificate(bent) != []
 
 
+def _horns_compare_certificate():
+    base = get_category("delta<=1")
+    edge = representable(base, "1")
+    g = PresheafMap(edge, terminal_presheaf(base), {a: dict.fromkeys(edge.carrier[a], 0) for a in base.objects})
+    budget = OrdinalBudget(2, 1)
+    free = run_free(get_gens("horns<=1"), g, budget=budget, stop_at_convergence=False)
+    plain = run_plain(get_gens("horns<=1"), g, budget=budget, stop_at_convergence=False)
+    return compare_certificate(free, plain, build_comparison(free, plain))
+
+
+def test_plain_run_documents_share_a_step_with_the_next_stage():
+    # a plain step's mid and right are the next stage's, and built once
+    plain = _horns_compare_certificate()["plain"]
+    for i, step in enumerate(plain["steps"][:-1]):
+        stage = plain["stages"][i + 1]
+        assert step["mid"] is stage["mid"] and step["right"] is stage["right"]
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (
+            lambda cert: cert["plain"]["stages"][1]["mid"]["actions"]["f01_1"].update({"3": 1}),
+            "/plain/stages/1/mid/actions/f01_1/3: recorded 1, expected 2",
+        ),
+        (
+            lambda cert: cert["plain"]["links"][0]["1"].update({"2": 0}),
+            "/plain/links/0/1/2: recorded 0, expected 2",
+        ),
+    ],
+    ids=["stage-mid", "link"],
+)
+def test_validator_names_the_tampered_entry_of_shared_expected_documents(edit, problem):
+    # stage 1's expected mid is the expected mid of step 0, which the
+    # validator compares first and which still holds
+    cert = reload(_horns_compare_certificate())
+    assert validate_certificate(cert) == []
+    edit(cert)
+    assert validate_certificate(cert) == [problem]
+
+
 def test_laws_certificate_validates_and_catches_tampering():
     from nwfs.rules import cograph_rule, graph_rule
 
@@ -360,6 +404,63 @@ def _indented_dump(doc) -> str:
 @settings(max_examples=300, deadline=None)
 def test_pretty_json_is_the_indented_json_dump(doc):
     assert pretty_json(doc) == _indented_dump(doc)
+    # one object three times at one depth and again deeper, as a
+    # certificate shares a sub-document
+    shared = {"a": doc, "b": [doc, {"c": doc}], "d": doc, "e": doc}
+    assert pretty_json(shared) == _indented_dump(shared)
+
+
+_NESTED_ROW = {"x": [1, 2], "y": {"z": 3}}
+_FLAT_ROW = {"0": 1, "1": 2, "10": 0}
+_NESTED_LIST = [[1], {"a": 2}, []]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"p": _NESTED_ROW, "q": _NESTED_ROW},
+        {"p": _NESTED_ROW, "q": {"r": _NESTED_ROW}, "s": [[_NESTED_ROW]]},
+        {"a": _FLAT_ROW, "b": _FLAT_ROW, "c": [_FLAT_ROW, {"d": _FLAT_ROW}]},
+        {"a": _NESTED_LIST, "b": _NESTED_LIST, "c": [_NESTED_LIST, _NESTED_LIST]},
+    ],
+    ids=["dict-same-depth", "dict-other-depths", "flat-row", "list"],
+)
+def test_pretty_json_writes_shared_containers_as_json_does(doc):
+    assert pretty_json(doc) == _indented_dump(doc)
+
+
+def _old_rows_doc(rows):
+    return {a: {str(x): y for x, y in sorted(rows[a].items())} for a in sorted(rows)}
+
+
+_ROWS = st.dictionaries(st.integers(-50, 50) | st.integers(0, 10**9), st.integers(-5, 5), max_size=12)
+
+
+@given(st.dictionaries(st.sampled_from("01"), _ROWS), st.dictionaries(st.integers(0, 200), st.integers(-5, 5), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_row_documents_write_ids_as_str_does(rows, past):
+    # negative, sparse and empty rows, and ids past the strings cached so far
+    top = len(jsonio._KEYS)
+    rows["2"] = {top + k: v for k, v in past.items()}
+    assert components_doc(rows) == _old_rows_doc(rows)
+    X = Presheaf(terminal_category(), {"0": tuple(sorted(rows["2"]))}, {"id0": rows["2"]})
+    assert presheaf_doc(X) == {"sets": {"0": list(X.carrier["0"])}, "actions": _old_rows_doc(X.action)}
+
+
+def test_row_documents_write_boolean_keys_as_str_does():
+    rows = {"0": {True: 1, 2: 0, 3: 3}, "1": {False: 0, 1: 1}}
+    assert components_doc(rows) == _old_rows_doc(rows) == {"0": {"True": 1, "2": 0, "3": 3}, "1": {"False": 0, "1": 1}}
+
+
+def test_a_memo_writes_each_object_once():
+    f = set_map(3, 2, [1, 0, 0])
+    memo: dict = {}
+    doc = components_doc(f, memo)
+    assert components_doc(f, memo) is doc and components_doc(f.components, memo) is doc
+    assert presheaf_doc(f.source, memo) is presheaf_doc(f.source, memo)
+    # an equal object is another object
+    assert components_doc(dict(f.components), memo) is not doc
+    assert components_doc(f) is not doc and components_doc(f) == doc
 
 
 class _Level(IntEnum):
@@ -391,12 +492,6 @@ def test_pretty_json_rejects_what_json_cannot_write(doc):
 
 
 def test_pretty_json_writes_a_compare_certificate_as_json_does():
-    base = get_category("delta<=1")
-    edge = representable(base, "1")
-    g = PresheafMap(edge, terminal_presheaf(base), {a: dict.fromkeys(edge.carrier[a], 0) for a in base.objects})
-    budget = OrdinalBudget(2, 1)
-    free = run_free(get_gens("horns<=1"), g, budget=budget, stop_at_convergence=False)
-    plain = run_plain(get_gens("horns<=1"), g, budget=budget, stop_at_convergence=False)
-    cert = compare_certificate(free, plain, build_comparison(free, plain))
+    cert = _horns_compare_certificate()
     assert pretty_json(cert) == _indented_dump(cert)
 

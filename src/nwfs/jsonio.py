@@ -242,23 +242,8 @@ def load_gens(doc: Any, path: str, ambient: FinCategory) -> GeneratingSet:
 # dumping
 
 
-# `str(i)` for element ids 0, 1, ..., the ids the engine numbers; a row grows
-# it by less than twice its own length, so one sparse input id cannot
-_KEYS: list[str] = []
-
-
-def _row_doc(row: Mapping[int, int]) -> dict[str, int]:
-    """`{str(x): row[x]}` in key order; a row with a bool, negative or sparse key calls `str` itself."""
-    keys = sorted(row)
-    if keys and not ({int}.issuperset(map(type, keys)) and keys[0] >= 0 and keys[-1] < len(_KEYS) + 2 * len(keys)):
-        return {str(x): row[x] for x in keys}
-    if keys and keys[-1] >= len(_KEYS):
-        _KEYS.extend(map(str, range(len(_KEYS), keys[-1] + 1)))
-    return {_KEYS[x]: row[x] for x in keys}
-
-
 def _memoized(memo: dict | None, obj: Any, build) -> Any:
-    """`build(obj)`, once per object in `memo`; each entry holds its object, so its id stays its own."""
+    """`build(obj)`, once per object in `memo`; an entry holds its object, so its id is not reused."""
     if memo is None:
         return build(obj)
     hit = memo.get(id(obj))
@@ -269,13 +254,16 @@ def _memoized(memo: dict | None, obj: Any, build) -> Any:
 
 def components_doc(f: PresheafMap | Mapping[str, Mapping[int, int]], memo: dict | None = None) -> dict:
     comps = f.components if isinstance(f, PresheafMap) else f
-    return _memoized(memo, comps, lambda c: {a: _row_doc(c[a]) for a in sorted(c)})
+    return _memoized(memo, comps, lambda c: {a: {str(x): y for x, y in sorted(c[a].items())} for a in sorted(c)})
 
 
 def presheaf_doc(X: Presheaf, memo: dict | None = None) -> dict:
     return _memoized(memo, X, lambda X: {
         "sets": {a: list(X.carrier[a]) for a in sorted(X.base.objects)},
-        "actions": {m.name: _row_doc(X.action[m.name]) for m in sorted(X.base.morphisms, key=lambda m: m.name)},
+        "actions": {
+            m.name: {str(x): y for x, y in sorted(X.action[m.name].items())}
+            for m in sorted(X.base.morphisms, key=lambda m: m.name)
+        },
     })
 
 
@@ -378,15 +366,11 @@ def _write(doc: Any, depth: int, parts: list[str], written: dict) -> None:
         else:
             parts.append(text)
         return
-    slot = (id(doc), depth)
-    hit = written.get(slot)
-    if hit is not None:
-        # the joined text is a slice of one part from now on
-        written[slot] = (doc, len(parts), len(parts) + 1)
-        parts.append("".join(parts[hit[1] : hit[2]]))
-        return
     start = len(parts)
-    if isinstance(doc, dict):
+    hit = written.get((id(doc), depth))
+    if hit is not None:
+        parts.append("".join(parts[hit[1] : hit[2]]))
+    elif isinstance(doc, dict):
         # json sorts the items before it turns their keys into strings
         lead = "{" + inner
         for key, value in sorted(doc.items()):
@@ -401,7 +385,7 @@ def _write(doc: Any, depth: int, parts: list[str], written: dict) -> None:
             _write(value, depth + 1, parts, written)
             lead = sep
         parts.append(newline + "]")
-    written[slot] = (doc, start, len(parts))
+    written[id(doc), depth] = (doc, start, len(parts))
 
 
 def _json_key(key: Any) -> str:
@@ -429,7 +413,7 @@ def cells_doc(cell_legs, objects) -> dict:
 # recorded entry with the same builder applied to the replayed run.
 
 
-def stage_doc(s: Stage, memo: dict | None = None) -> dict:
+def stage_doc(s: Stage, memo: dict) -> dict:
     return {
         "index": s.index,
         "ordinal": s.ordinal,
@@ -440,15 +424,15 @@ def stage_doc(s: Stage, memo: dict | None = None) -> dict:
     }
 
 
-def fold_doc(fold: PresheafMap | None, memo: dict | None = None) -> dict | None:
+def fold_doc(fold: PresheafMap | None, memo: dict) -> dict | None:
     return None if fold is None else components_doc(fold, memo)
 
 
-def pair_doc(pair: tuple[PresheafMap, PresheafMap] | None, memo: dict | None = None) -> dict | None:
+def pair_doc(pair: tuple[PresheafMap, PresheafMap] | None, memo: dict) -> dict | None:
     return None if pair is None else {"first": components_doc(pair[0], memo), "second": components_doc(pair[1], memo)}
 
 
-def step_doc(st: OneStepFactorization | None, memo: dict | None = None) -> dict | None:
+def step_doc(st: OneStepFactorization | None, memo: dict) -> dict | None:
     if st is None:
         return None
     return {

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import set_map
-from nwfs import jsonio
 from nwfs.algebras import check_bijection, enumerate_lifting_tables
 from nwfs.arrows import as_arrow, generating_squares
 from nwfs.catalog import get_category, get_gens, representable, terminal_category, terminal_presheaf
-from nwfs.core import Presheaf, PresheafMap, maps_equal, validate
+from nwfs.core import PresheafMap, maps_equal, validate
 from nwfs.jsonio import (
     InputError,
     _entries,
@@ -427,29 +426,6 @@ _NESTED_LIST = [[1], {"a": 2}, []]
 )
 def test_pretty_json_writes_shared_containers_as_json_does(doc):
     assert pretty_json(doc) == _indented_dump(doc)
-
-
-def _old_rows_doc(rows):
-    return {a: {str(x): y for x, y in sorted(rows[a].items())} for a in sorted(rows)}
-
-
-_ROWS = st.dictionaries(st.integers(-50, 50) | st.integers(0, 10**9), st.integers(-5, 5), max_size=12)
-
-
-@given(st.dictionaries(st.sampled_from("01"), _ROWS), st.dictionaries(st.integers(0, 200), st.integers(-5, 5), max_size=4))
-@settings(max_examples=200, deadline=None)
-def test_row_documents_write_ids_as_str_does(rows, past):
-    # negative, sparse and empty rows, and ids past the strings cached so far
-    top = len(jsonio._KEYS)
-    rows["2"] = {top + k: v for k, v in past.items()}
-    assert components_doc(rows) == _old_rows_doc(rows)
-    X = Presheaf(terminal_category(), {"0": tuple(sorted(rows["2"]))}, {"id0": rows["2"]})
-    assert presheaf_doc(X) == {"sets": {"0": list(X.carrier["0"])}, "actions": _old_rows_doc(X.action)}
-
-
-def test_row_documents_write_boolean_keys_as_str_does():
-    rows = {"0": {True: 1, 2: 0, 3: 3}, "1": {False: 0, 1: 1}}
-    assert components_doc(rows) == _old_rows_doc(rows) == {"0": {"True": 1, "2": 0, "3": 3}, "1": {"False": 0, "1": 1}}
 
 
 def test_a_memo_writes_each_object_once():

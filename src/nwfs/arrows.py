@@ -9,6 +9,12 @@ codomain below, and its fillers are the coalgebra structures.
 every square the laws, rules and runs build with an identity side comes
 from them. `filler_triangles` says which of a filler's two triangles hold.
 
+`enumerate_squares` is the one square search. A square from j: A → B
+into g: C → D is a top A → C and a bottom B → D that agree along j. The
+bottoms depend on j and D alone, so a `BottomIndex` lists them once, and
+the search joins the tops against it. A run, whose stages all end at D,
+builds one per generator; a single call builds its own.
+
 This module also owns the row layout of a map: its values on its source's
 elements, object by object in carrier order. `values` gives that row as the
 map's key, `segments` cuts a key into one slice per object, and
@@ -25,7 +31,6 @@ from .core import (
     Presheaf,
     PresheafMap,
     _same,
-    compose_maps,
     composite_equals,
     enumerate_maps,
     identity_map,
@@ -68,10 +73,16 @@ class Square:
 
 
 def square_commutes(sq: Square) -> bool:
-    return composite_equals(sq.target.f, sq.top, compose_maps(sq.bottom, sq.source.f))
+    """Whether sq is a commuting square: `validate_square` finds no problem."""
+    return not validate_square(sq)
 
 
 def validate_square(sq: Square) -> list[str]:
+    """What keeps sq from being a commuting square, if anything.
+
+    target ∘ top == bottom ∘ source is checked element by element of the
+    source's domain, without building either composite.
+    """
     out: list[str] = []
     if not _same(sq.top.source, sq.source.dom):
         out.append("top map does not start at the source arrow's domain")
@@ -83,8 +94,13 @@ def validate_square(sq: Square) -> list[str]:
         out.append("bottom map does not end at the target arrow's codomain")
     if out:
         return out
-    if not square_commutes(sq):
-        out.append("square does not commute")
+    g, top, bottom, j = sq.target.f.components, sq.top.components, sq.bottom.components, sq.source.f.components
+    carrier = sq.source.dom.carrier
+    for a in sq.source.dom.base.objects:
+        ga, ta, ba, ja = g[a], top[a], bottom[a], j[a]
+        for x in carrier[a]:
+            if ga[ta[x]] != ba[ja[x]]:
+                return ["square does not commute"]
     return out
 
 
@@ -129,26 +145,39 @@ class GeneratingSet:
                 raise IncompatibleInput("generating set mixes base categories")
 
 
-def enumerate_squares(j: ArrowObj, g: ArrowObj) -> list[Square]:
+class BottomIndex:
+    """The maps from j's codomain to D, listed once and bucketed by their values along j."""
+
+    __slots__ = ("j", "cod", "buckets")
+
+    def __init__(self, j: ArrowObj, D: Presheaf):
+        images = [(a, [j.f.components[a][x] for x in j.dom.carrier[a]]) for a in j.dom.base.objects]
+        buckets: dict[tuple[int, ...], list[PresheafMap]] = {}
+        for bottom in enumerate_maps(j.cod, D):
+            key: list[int] = []
+            for a, ys in images:
+                key.extend(map(bottom.components[a].__getitem__, ys))
+            buckets.setdefault(tuple(key), []).append(bottom)
+        self.j, self.cod, self.buckets = j, D, buckets
+
+
+def enumerate_squares(j: ArrowObj, g: ArrowObj, bottoms: BottomIndex | None = None) -> list[Square]:
     """All commuting squares from j to g.
 
     Ordering is fixed: top maps in enumerate_maps order form the outer loop,
     bottom maps the inner one. A top and a bottom make a square exactly when
     the bottom restricted along j equals g after the top, so the pairs are
-    found by a join on that restriction: each bottom goes into a bucket
-    keyed by its values on the images of j's domain elements, in one pass,
-    and each top reads off the bucket of its values under g. No composite
-    is built and no pair outside the output is tried.
+    found by a join on that restriction: each top reads off the bucket of
+    its values under g in `bottoms`, the `BottomIndex` of j and g's
+    codomain, built here when not given. No composite is built and no
+    pair outside the output is tried.
     """
-    objects = j.dom.base.objects
-    images = [(a, [j.f.components[a][x] for x in j.dom.carrier[a]]) for a in objects]
-    buckets: dict[tuple, list[PresheafMap]] = {}
-    for bottom in enumerate_maps(j.cod, g.cod):
-        key: list[int] = []
-        for a, ys in images:
-            key.extend(map(bottom.components[a].__getitem__, ys))
-        buckets.setdefault(tuple(key), []).append(bottom)
-    reach = [(a, j.dom.carrier[a], g.f.components[a]) for a in objects]
+    if bottoms is None:
+        bottoms = BottomIndex(j, g.cod)
+    elif not (_same(bottoms.j, j) and _same(bottoms.cod, g.cod)):
+        raise IncompatibleInput("enumerate_squares: the bottom index is for another generator or codomain")
+    buckets = bottoms.buckets
+    reach = [(a, j.dom.carrier[a], g.f.components[a]) for a in j.dom.base.objects]
     out = []
     for top in enumerate_maps(j.dom, g.dom):
         key = []
@@ -159,12 +188,17 @@ def enumerate_squares(j: ArrowObj, g: ArrowObj) -> list[Square]:
     return out
 
 
-def generating_squares(gens: GeneratingSet, g: ArrowObj) -> list[tuple[int, Square]]:
-    """Squares from every generator into g, tagged with the generator index."""
+def generating_squares(
+    gens: GeneratingSet, g: ArrowObj, bottoms: tuple[BottomIndex, ...] | None = None
+) -> list[tuple[int, Square]]:
+    """Squares from every generator into g, tagged with the generator index.
+
+    `bottoms`, when given, holds each generator's `BottomIndex` into g's codomain.
+    """
     out: list[tuple[int, Square]] = []
     for i, j in enumerate(gens.members):
-        for sq in enumerate_squares(j, g):
-            out.append((i, sq))
+        squares = enumerate_squares(j, g) if bottoms is None else enumerate_squares(j, g, bottoms[i])
+        out.extend((i, sq) for sq in squares)
     return out
 
 

@@ -97,7 +97,10 @@ def _int_keyed(doc: Any, path: str) -> dict[int, int]:
         try:
             ik = int(k)
         except (TypeError, ValueError):
-            raise InputError(f"{path}/{k}", "key is not an integer element id") from None
+            ik = None
+        # only the decimal form: int() reads "00" and " 0" as 0 too
+        if ik is None or str(ik) != k:
+            raise InputError(f"{path}/{k}", "key is not an integer element id in decimal form")
         if not _is_int(v):
             raise InputError(f"{path}/{k}", "value is not an integer element id")
         out[ik] = v
@@ -176,6 +179,9 @@ def load_presheaf(doc: Any, path: str, ambient: FinCategory | None) -> Presheaf:
             raise InputError(op, f"unknown object {obj!r}")
         if not isinstance(elems, list) or not all(_is_int(e) for e in elems):
             raise InputError(op, "expected a list of integer element ids")
+        if len(set(elems)) != len(elems):
+            i = next(i for i, e in enumerate(elems) if e in elems[:i])
+            raise InputError(f"{op}/{i}", f"element id {elems[i]} repeated")
         carrier[obj] = elems
     actions = {
         mor: _int_keyed(act, f"{path}/actions/{mor}")

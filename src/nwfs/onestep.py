@@ -23,6 +23,7 @@ from functools import cached_property
 
 from .arrows import (
     ArrowObj,
+    BottomIndex,
     GeneratingSet,
     Square,
     generating_squares,
@@ -79,9 +80,9 @@ class OneStepFactorization:
         return self.cocone.legs[n + 1]
 
 
-def build_onestep(gens: GeneratingSet, g: ArrowObj) -> OneStepFactorization:
-    """Factor g once against gens."""
-    squares = tuple(generating_squares(gens, g))
+def build_onestep(gens: GeneratingSet, g: ArrowObj, bottoms: tuple[BottomIndex, ...] | None = None) -> OneStepFactorization:
+    """Factor g once against gens, with `bottoms` as `generating_squares` takes them."""
+    squares = tuple(generating_squares(gens, g, bottoms))
     cocone = attach(g.dom, [(sq.top, gens.members[i].f) for i, sq in squares])
     right = induce(cocone, [g.f] + [sq.bottom for _, sq in squares], g.cod)
     return OneStepFactorization(arrow=g, gens=gens, squares=squares, cocone=cocone, right=right)

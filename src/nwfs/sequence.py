@@ -13,6 +13,11 @@ connecting map is an isomorphism by construction and is excluded from the
 convergence test. `stage_schedule` is the one place that orders the stages;
 the runners and the certificate validator all consume it.
 
+A run lists each generator's square bottoms once, not once per stage: they
+run from the generator's codomain to D, where every stage ends, so they
+depend on the generator and D alone (`arrows.BottomIndex`). They go when
+the run does.
+
 Every free stage after the first is built by one step. The one-step middle
 of the current stage is coequalized against the folds below it: after a
 successor stage that is the previous fold alone, after a limit stage every
@@ -31,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .arrows import ArrowObj, GeneratingSet, as_arrow, square_fixing_codomain
+from .arrows import ArrowObj, BottomIndex, GeneratingSet, as_arrow, square_fixing_codomain
 from .colimits import Cocone, chain_colimit, chain_composites, coequalizer, induce
 from .core import (
     IncompatibleInput,
@@ -179,10 +184,10 @@ def _ordinal_label(block: int, offset: int) -> str:
     return prefix if offset == 0 else f"{prefix}+{offset}"
 
 
-def _first_step(run: SequenceState, ordinal: str) -> SequenceState:
+def _first_step(run: SequenceState, ordinal: str, bottoms: tuple[BottomIndex, ...]) -> SequenceState:
     """Stage 1 (or the stage after a limit in plain mode): apply the step."""
     last = run.stages[-1]
-    step = build_onestep(run.gens, ArrowObj(last.right))
+    step = build_onestep(run.gens, ArrowObj(last.right), bottoms)
     fold = identity_map(step.mid) if run.mode == FREE else None
     stage = Stage(
         index=last.index + 1,
@@ -210,7 +215,7 @@ def _limit_stage(run: SequenceState, block: int) -> SequenceState:
     return run.extended(stage, link=cocone.legs[-1])
 
 
-def _free_step(run: SequenceState, ordinal: str) -> SequenceState:
+def _free_step(run: SequenceState, ordinal: str, bottoms: tuple[BottomIndex, ...]) -> SequenceState:
     """Free-mode stage: coequalize the new step against the folds below it.
 
     After a successor stage the only fold below is the previous one; after a
@@ -229,7 +234,7 @@ def _free_step(run: SequenceState, ordinal: str) -> SequenceState:
         below = [top - 1]
     if not below or run.folds[below[0]] is None:
         raise IncompatibleInput("free step without a fold to coequalize against")
-    step = build_onestep(run.gens, ArrowObj(last.right))
+    step = build_onestep(run.gens, ArrowObj(last.right), bottoms)
 
     # to_top[i - low] is connect(i, top), from one backward sweep
     low, high = below[0], below[-1]
@@ -287,13 +292,14 @@ def stage_schedule(
         links=(), steps=(None,), folds=(None,), pairs=(None,), carries=(None,), converged_at=None,
     )
     yield run
+    bottoms = tuple(BottomIndex(j, arrow.cod) for j in gens.members)
     for block in range(budget.omega_blocks):
         if block > 0:
             run = _limit_stage(run, block)
             yield run
         for taken in range(budget.successors_per_block):
             add = _first_step if mode == PLAIN or run.stages[-1].kind == "zero" else _free_step
-            run = add(run, _ordinal_label(block, taken + 1))
+            run = add(run, _ordinal_label(block, taken + 1), bottoms)
             yield run
 
 

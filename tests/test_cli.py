@@ -786,3 +786,25 @@ def test_validate_rejects_a_filler_generator_index(tmp_path, map_file, capsys, i
     out.write_text(json.dumps(doc))
     assert main(["validate", str(out)]) == 3
     assert capsys.readouterr().out.splitlines() == ["problem: /generator: not expected", "1 problem(s) found"]
+
+
+@pytest.mark.parametrize("key", ["00", " 0", "+0", "0_0"])
+def test_a_map_key_not_written_in_decimal_form_exits_four(tmp_path, capsys, key):
+    # int() reads each of these keys as element 0, which would replace the
+    # value the key "0" gives
+    doc = {**MAP_DOC, "target": {"sets": {"0": [0, 1]}, "actions": {"id0": {"0": 0, "1": 1}}}}
+    doc["components"] = {"0": {"0": 0, key: 1, "1": 1}}
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    argv = ["compare", "--category", "terminal", "--gens", "point", "--map", str(tmp_path / "g.json"), "--out", str(tmp_path / "c.json")]
+    assert main(argv) == 4
+    assert f"error: /map/components/0/{key}: key is not an integer element id in decimal form" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_a_repeated_element_id_exits_four(tmp_path, capsys):
+    doc = {**MAP_DOC, "source": {"sets": {"0": [0, 1, 0]}, "actions": {"id0": {"0": 0, "1": 1}}}}
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    argv = ["compare", "--category", "terminal", "--gens", "point", "--map", str(tmp_path / "g.json"), "--out", str(tmp_path / "c.json")]
+    assert main(argv) == 4
+    assert "error: /map/source/sets/0/2: element id 0 repeated" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()

@@ -25,7 +25,7 @@ from nwfs.algebras import (
     validate_algebra,
     validate_table,
 )
-from nwfs.arrows import ArrowObj, GeneratingSet, enumerate_squares
+from nwfs.arrows import ArrowObj, GeneratingSet, Square, enumerate_squares, square_commutes, validate_square
 from nwfs.catalog import get_gens
 from nwfs.colimits import Cocone, coproduct, induce, pushout
 from nwfs.core import (
@@ -245,6 +245,61 @@ def test_enumerate_squares_matches_the_all_pairs_filter(case):
     got = enumerate_squares(j, g)
     assert all(sq.source is j and sq.target is g for sq in got)
     assert [(sq.top.components, sq.bottom.components) for sq in got] == all_pairs_squares(j, g)
+
+
+# -- square_commutes ---------------------------------------------------------
+
+
+def broken_at(draw, f):
+    """f with one element sent to another value of its target, if any element has one."""
+    spots = [(a, x) for a in f.source.base.objects for x in f.source.carrier[a] if len(f.target.carrier[a]) > 1]
+    if not spots:
+        return f
+    a, x = draw(st.sampled_from(spots))
+    y = draw(st.sampled_from([y for y in f.target.carrier[a] if y != f.components[a][x]]))
+    return PresheafMap(f.source, f.target, {**f.components, a: {**f.components[a], x: y}})
+
+
+@st.composite
+def random_squares(draw):
+    """Squares j -> g: commuting ones or any two sides, then maybe one side broken at one element."""
+    j, g = draw(square_cases())
+    if draw(st.booleans()):
+        squares = enumerate_squares(j, g)
+        assume(squares)
+        sq = draw(st.sampled_from(squares))
+    else:
+        tops, bottoms = enumerate_maps(j.dom, g.dom), enumerate_maps(j.cod, g.cod)
+        assume(tops and bottoms)
+        sq = Square(j, g, draw(st.sampled_from(tops)), draw(st.sampled_from(bottoms)))
+    side = draw(st.sampled_from(["top", "bottom", None]))
+    return sq if side is None else replace(sq, **{side: broken_at(draw, getattr(sq, side))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_squares())
+def test_square_commutes_matches_building_both_composites(sq):
+    want = compose_maps(sq.target.f, sq.top).components == compose_maps(sq.bottom, sq.source.f).components
+    assert square_commutes(sq) is want
+    assert validate_square(sq) == ([] if want else ["square does not commute"])
+
+
+def test_square_commutes_finds_a_square_broken_at_one_element():
+    j = CODIAG.members[0]
+    sq = enumerate_squares(j, ArrowObj(set_map(2, 2, [0, 1])))[1]
+    assert square_commutes(sq)
+    for side in ("top", "bottom"):
+        f = getattr(sq, side)
+        x = max(f.source.carrier["0"])
+        broken = PresheafMap(f.source, f.target, {"0": {**f.components["0"], x: 1 - f.components["0"][x]}})
+        assert not square_commutes(replace(sq, **{side: broken})), side
+
+
+def test_a_square_whose_side_misses_its_arrow_does_not_commute():
+    j = POINT.members[0]
+    sq = replace(enumerate_squares(j, ArrowObj(set_map(1, 2, [0])))[0], target=ArrowObj(set_map(1, 3, [0])))
+    assert not square_commutes(sq)
+    assert validate_square(sq) == ["bottom map does not end at the target arrow's codomain"]
 
 
 # -- induce ------------------------------------------------------------------

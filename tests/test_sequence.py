@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import edge_to_point, random_set_map, set_map, set_maps
-from nwfs import sequence
-from nwfs.arrows import ArrowObj, Square, as_arrow
+from conftest import edge_to_point, finset, random_set_map, set_map, set_maps
+from nwfs import arrows, sequence
+from nwfs.arrows import ArrowObj, BottomIndex, Square, as_arrow, enumerate_squares, generating_squares
 from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
 from nwfs.colimits import chain_colimit, chain_composites, coequalizer, induce
 from nwfs.core import IncompatibleInput, PresheafMap, compose_maps, identity_map, is_iso, maps_equal
@@ -224,7 +225,7 @@ def test_work_counters_are_deterministic():
     assert set(a) == {"stages", "steps_built", "squares", "elements"}
 
 
-def web_free_step(run, ordinal):
+def web_free_step(run, ordinal, bottoms):
     """The free step that carries every link of the web and every leg of the second map, kept as the reference."""
     last = run.stages[-1]
     top = last.index
@@ -299,3 +300,51 @@ def test_free_step_carries_each_link_once(monkeypatch):
     # one carry per successor stage, up to it from the last fold below it;
     # the web after ω·2 reuses the carry across ω that the stage after ω made
     assert len(calls) == 11
+
+
+def run_cases():
+    sparse = PresheafMap(finset([3, 7, 8]), finset([5, 9]), {"0": {3: 5, 7: 5, 8: 9}})
+    return [
+        (POINT, set_map(2, 3, [1, 1])),
+        (POINT, sparse),
+        (CODIAG, set_map(3, 2, [0, 0, 1])),
+        (CODIAG, sparse),
+        (get_gens("horns<=1"), edge_to_point()),
+    ]
+
+
+@pytest.mark.parametrize("gens, g", run_cases())
+@pytest.mark.parametrize("runner", [run_free, run_plain])
+def test_every_step_of_a_run_finds_the_squares_of_its_stage(gens, g, runner):
+    run = runner(gens, g, OrdinalBudget(2, 2), stop_at_convergence=False)
+    assert [s.kind for s in run.stages].count("limit") == 1
+    steps = [(n, step) for n, step in enumerate(run.steps) if step is not None]
+    assert len(steps) == 4
+    for n, step in steps:
+        assert step.squares == tuple(generating_squares(gens, ArrowObj(run.stages[n].right))), f"stage {n}"
+
+
+@pytest.mark.parametrize("gens, g", run_cases())
+def test_a_run_lists_each_generators_bottoms_once(monkeypatch, gens, g):
+    listed = []
+    listing = arrows.enumerate_maps
+    monkeypatch.setattr(arrows, "enumerate_maps", lambda X, Y, **kw: listed.append((X, Y)) or listing(X, Y, **kw))
+    # a bottom runs from a generator's codomain to g's codomain; generators
+    # that share a codomain each list their own
+    cods = {id(j.cod) for j in gens.members}
+    for runner in (run_free, run_plain):
+        for runs in (1, 2):
+            runner(gens, g, OrdinalBudget(2, 2), stop_at_convergence=False)
+            got = Counter(id(X) for X, Y in listed if id(X) in cods and Y is g.target)
+            assert got == Counter(id(j.cod) for j in gens.members for _ in range(runs)), runner.__name__
+        listed.clear()
+
+
+def test_a_bottom_index_rejects_an_arrow_that_ends_elsewhere():
+    j = POINT.members[0]
+    index = BottomIndex(j, finset(2))
+    assert len(enumerate_squares(j, ArrowObj(set_map(1, 2, [0])), index)) == 2
+    with pytest.raises(IncompatibleInput, match="bottom index is for another generator or codomain"):
+        enumerate_squares(j, ArrowObj(set_map(1, 3, [0])), index)
+    with pytest.raises(IncompatibleInput, match="bottom index is for another generator or codomain"):
+        enumerate_squares(CODIAG.members[0], ArrowObj(set_map(1, 2, [0])), index)

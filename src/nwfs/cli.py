@@ -34,16 +34,26 @@ EXIT_INPUT = 4
 DEFAULT_RULES = "graph,cograph,trivial-left,trivial-right"
 
 
-def _read_json(path: str, what: str):
+def _unique_keys(what: str, pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise InputError(f"/{what}", f"key {json.dumps(key)} repeated in one object")
+    return doc
+
+
+def _read_json(path: str, what: str, *, unique_keys: bool = True):
+    """The JSON document in `path`; in an input, unlike a certificate, a repeated key is an error."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
+        return json.loads(raw, object_pairs_hook=partial(_unique_keys, what) if unique_keys else None)
     except OSError as err:
         raise InputError(f"/{what}", f"cannot read {path}: {err}") from None
     except UnicodeDecodeError:
         raise InputError(f"/{what}", f"{path} is not UTF-8 text") from None
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as err:
+    except ValueError as err:
+        # JSONDecodeError, or an integer with more digits than int() reads
         raise InputError(f"/{what}", f"{path} is not valid JSON: {err}") from None
     except RecursionError:
         raise InputError(f"/{what}", f"{path} is nested too deeply to read") from None
@@ -189,7 +199,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_fill(args) -> int:
-    doc = _read_json(args.certificate, "certificate")
+    doc = _read_json(args.certificate, "certificate", unique_keys=False)
     problems, run = jsonio.replay_certificate(doc)
     if problems:
         for p in problems:
@@ -215,7 +225,7 @@ def cmd_fill(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    doc = _read_json(args.certificate, "certificate")
+    doc = _read_json(args.certificate, "certificate", unique_keys=False)
     problems = jsonio.validate_certificate(doc)
     if problems:
         for p in problems:

@@ -16,7 +16,11 @@ once per arrow and dropped before the next. A product's action tables,
 which no law reads, are left unbuilt, and so is each projection that no
 rule asks for. The graph rule's maps between products, its functor on
 squares and its multiplication, are f × g by offset arithmetic, so
-`on_square` reads no projection and builds no composite with one.
+`on_square` reads no projection and builds no composite with one; the
+cograph rule's maps out of sums are offset arithmetic too. Distributivity
+reuses the evaluation's factorisations of f, Lf and Rf and their combined
+parts, so its interchange factors only those two: five factorisations per
+evaluation, not eight.
 
 The counit, unit, (co)associativity and distributivity laws feed the
 functor squares with one identity side: the identity of the domain on top,
@@ -45,7 +49,7 @@ from .core import (
     identity_map,
     presheaf,
 )
-from .rules import FactorizationRule, FactorTriple, interchange, memo_scope
+from .rules import FactorizationRule, interchange, memo_scope
 
 
 @dataclass(frozen=True)
@@ -186,45 +190,32 @@ def _evaluate_rule(rule: FactorizationRule, arrow: ArrowObj) -> list[LawCheck]:
         )
 
     if rule.comult is not None and rule.mult is not None:
-        record_composite(
-            "distributivity",
-            lambda: sigma,
-            lambda: pi,
-            lambda: _distributivity_rhs(rule, f, triple, sigma, pi, left_of_left, right_of_right),
-        )
+
+        def distributivity_rhs() -> PresheafMap:
+            """The long way around the distributivity square.
+
+            Widen the right half along the comultiplication, comultiply the
+            combined right part, cross the interchange, multiply the combined
+            left part, then squash back down along the multiplication. The
+            factorisations of f and of its two halves, and sigma and pi at f,
+            are the ones the other laws built; the interchange reuses them.
+            """
+            combined_right = compose_maps(triple.right, left_of_left.right)
+            combined_left = compose_maps(right_of_right.left, triple.left)
+            widen = rule.on_square(square_fixing_codomain(triple.right, combined_right, sigma))
+            cross = interchange(rule, rule, rule, triple, left_of_left, right_of_right, combined_right, combined_left)
+            squash = rule.on_square(square_fixing_domain(combined_left, triple.left, pi))
+            return compose_maps(
+                squash,
+                compose_maps(
+                    rule.mult(combined_left),
+                    compose_maps(cross, compose_maps(rule.comult(combined_right), widen)),
+                ),
+            )
+
+        record_composite("distributivity", lambda: sigma, lambda: pi, distributivity_rhs)
 
     return checks
-
-
-def _distributivity_rhs(
-    rule: FactorizationRule,
-    f: PresheafMap,
-    triple: FactorTriple,
-    sigma: PresheafMap,
-    pi: PresheafMap,
-    left_of_left: FactorTriple,
-    right_of_right: FactorTriple,
-) -> PresheafMap:
-    """The long way around the distributivity square.
-
-    Widen the right half along the comultiplication, comultiply the combined
-    right part, cross the interchange, multiply the combined left part, then
-    squash back down along the multiplication. The factorisations of f and
-    of its two halves, and sigma and pi at f, are the ones the other laws
-    already built.
-    """
-    combined_right = compose_maps(triple.right, left_of_left.right)
-    combined_left = compose_maps(right_of_right.left, triple.left)
-    widen = rule.on_square(square_fixing_codomain(triple.right, combined_right, sigma))
-    cross = interchange(rule, rule, rule, rule, f)
-    squash = rule.on_square(square_fixing_domain(combined_left, triple.left, pi))
-    return compose_maps(
-        squash,
-        compose_maps(
-            rule.mult(combined_left),
-            compose_maps(cross, compose_maps(rule.comult(combined_right), widen)),
-        ),
-    )
 
 
 def check_laws(rules: Sequence[FactorizationRule], sample: Sequence[ArrowObj]) -> LawReport:

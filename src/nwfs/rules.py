@@ -28,11 +28,16 @@ asked for. A map between two products, f × g, is the same offset
 arithmetic (`ProductData.times`): the graph rule's functor on squares and
 its multiplication are such maps, so `on_square` reads no projection and
 `mult` only the first projection of its target. The law checks read no
-action table. The builtin rules ask for products and binary sums through
-`memo_product` and `memo_sum`. Inside a `memo_scope`, which
-`laws.check_laws` opens for all the rules it checks on one arrow, each is
-built once per pair of operand objects; outside it, as in
-`canonical_lift` or `compose_coalgebras`, every call builds afresh.
+action table. Binary sums number summand 0 first, each summand in carrier
+order, and their legs hold each element's offset plus position. So the
+copair [f, g] lists f's values, then g's, and f + g reads each value off
+the target's legs: the cograph rule's maps are such offset arithmetic
+(`copair`, `plus`), with no leg composite and no `induce`. The builtin
+rules ask for products and binary sums through `memo_product` and
+`memo_sum`. Inside a `memo_scope`, which `laws.check_laws` opens for all
+the rules it checks on one arrow, each is built once per pair of operand
+objects; outside it, as in `canonical_lift` or `compose_coalgebras`, every
+call builds afresh.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .arrows import (
     square_fixing_domain,
     validate_square,
 )
-from .colimits import Cocone, coproduct, induce
+from .colimits import Cocone, coproduct
 from .core import (
     IncompatibleInput,
     InternalCheckFailed,
@@ -233,25 +238,53 @@ def memo_scope() -> Iterator[None]:
         _MEMO.reset(token)
 
 
-def _memo(kind: str, X: Presheaf, Y: Presheaf, build: Callable[[], object]):
+def _memo(kind: str, build: Callable[[Presheaf, Presheaf], object], X: Presheaf, Y: Presheaf):
     memo = _MEMO.get()
     if memo is None:
-        return build()
+        return build(X, Y)
     key = (kind, id(X), id(Y))
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = (X, Y, build())
+        hit = memo[key] = (X, Y, build(X, Y))
     return hit[2]
+
+
+def _binary_sum(X: Presheaf, Y: Presheaf) -> Cocone:
+    return coproduct([X, Y])
 
 
 def memo_product(X: Presheaf, Y: Presheaf) -> ProductData:
     """`product_presheaf(X, Y)`, shared within a `memo_scope`."""
-    return _memo("product", X, Y, lambda: product_presheaf(X, Y))
+    return _memo("product", product_presheaf, X, Y)
 
 
 def memo_sum(X: Presheaf, Y: Presheaf) -> Cocone:
     """`coproduct([X, Y])`, shared within a `memo_scope`."""
-    return _memo("sum", X, Y, lambda: coproduct([X, Y]))
+    return _memo("sum", _binary_sum, X, Y)
+
+
+def copair(cp: Cocone, f: PresheafMap, g: PresheafMap) -> PresheafMap:
+    """The map [f, g] out of the binary sum `cp`: at each object, f's values and then g's."""
+    X, Y = cp.legs[0].source, cp.legs[1].source
+    if not (_same(f.source, X) and _same(g.source, Y) and _same(f.target, g.target)):
+        raise IncompatibleInput("copair: f and g do not run from the two summands to one presheaf")
+    comps = {}
+    for a in X.base.objects:
+        fa, ga = f.components[a], g.components[a]
+        comps[a] = dict(zip(cp.apex.carrier[a], [fa[x] for x in X.carrier[a]] + [ga[y] for y in Y.carrier[a]]))
+    return PresheafMap(cp.apex, f.target, comps)
+
+
+def plus(cp: Cocone, target: Cocone, f: PresheafMap, g: PresheafMap) -> PresheafMap:
+    """The map f + g between binary sums, [inj₀ ∘ f, inj₁ ∘ g], read off `target`'s legs."""
+    (X, Y), (in1, in2) = (leg.source for leg in cp.legs), target.legs
+    if not (_same(f.source, X) and _same(g.source, Y) and _same(f.target, in1.source) and _same(g.target, in2.source)):
+        raise IncompatibleInput("plus: f and g do not run between the summands")
+    comps = {}
+    for a in X.base.objects:
+        fa, ga, ia, ja = f.components[a], g.components[a], in1.components[a], in2.components[a]
+        comps[a] = dict(zip(cp.apex.carrier[a], [ia[fa[x]] for x in X.carrier[a]] + [ja[ga[y]] for y in Y.carrier[a]]))
+    return PresheafMap(cp.apex, target.apex, comps)
 
 
 def graph_rule() -> FactorizationRule:
@@ -289,39 +322,28 @@ def cograph_rule() -> FactorizationRule:
     """Factor through the sum of the endpoints.
 
     The left half is the first injection, the right half folds the arrow
-    with the identity.
+    with the identity, [f, 1]. A square acts as top + bottom, the
+    comultiplication is 1 + inj₁ and the multiplication [1, inj₁].
     """
 
     def factor(f: PresheafMap) -> FactorTriple:
         cp = memo_sum(f.source, f.target)
-        return FactorTriple(
-            left=cp.legs[0],
-            mid=cp.apex,
-            right=induce(cp, [f, identity_map(f.target)], f.target),
-        )
+        return FactorTriple(left=cp.legs[0], mid=cp.apex, right=copair(cp, f, identity_map(f.target)))
 
     def on_square(sq: Square) -> PresheafMap:
         cpf = memo_sum(sq.source.dom, sq.source.cod)
         cpg = memo_sum(sq.target.dom, sq.target.cod)
-        return induce(
-            cpf,
-            [compose_maps(cpg.legs[0], sq.top), compose_maps(cpg.legs[1], sq.bottom)],
-            cpg.apex,
-        )
+        return plus(cpf, cpg, sq.top, sq.bottom)
 
     def comult(f: PresheafMap) -> PresheafMap:
         cpf = memo_sum(f.source, f.target)
         cpm = memo_sum(f.source, cpf.apex)
-        return induce(
-            cpf,
-            [cpm.legs[0], compose_maps(cpm.legs[1], cpf.legs[1])],
-            cpm.apex,
-        )
+        return plus(cpf, cpm, identity_map(f.source), cpf.legs[1])
 
     def mult(f: PresheafMap) -> PresheafMap:
         cpf = memo_sum(f.source, f.target)
         cpr = memo_sum(cpf.apex, f.target)
-        return induce(cpr, [identity_map(cpf.apex), cpf.legs[1]], cpf.apex)
+        return copair(cpr, identity_map(cpf.apex), cpf.legs[1])
 
     return FactorizationRule("cograph", factor, on_square, comult, mult)
 
@@ -414,30 +436,25 @@ def interchange(
     A: FactorizationRule,
     B: FactorizationRule,
     C: FactorizationRule,
-    D: FactorizationRule,
-    f: PresheafMap,
+    fd: FactorTriple,
+    c_left: FactorTriple,
+    b_right: FactorTriple,
+    cd_right: PresheafMap,
+    bd_left: PresheafMap,
 ) -> PresheafMap:
     """The canonical map between the two stackings of four rules at f.
 
     Runs from the middle that (A odot B) tensor (C odot D) assigns f to the
     middle assigned by (A tensor C) odot (B tensor D). It is A applied to a
     square whose halves are C on the left-whiskered unit square and B on the
-    right-whiskered one.
+    right-whiskered one. The caller passes what it built: fd = D.factor(f),
+    c_left = C.factor(fd.left), b_right = B.factor(fd.right), and cd_right =
+    fd.right ∘ c_left.right and bd_left = b_right.left ∘ fd.left.
     """
-    fd = D.factor(f)
-    c_left, b_right = C.factor(fd.left), B.factor(fd.right)
-    cd_right = compose_maps(fd.right, c_left.right)
-    bd_left = compose_maps(b_right.left, fd.left)
     top = C.on_square(square_fixing_domain(fd.left, bd_left, b_right.left))
     bottom = B.on_square(square_fixing_codomain(cd_right, fd.right, c_left.right))
-    return A.on_square(
-        Square(
-            source=as_arrow(B.factor(cd_right).left),
-            target=as_arrow(C.factor(bd_left).right),
-            top=top,
-            bottom=bottom,
-        )
-    )
+    source, target = as_arrow(B.factor(cd_right).left), as_arrow(C.factor(bd_left).right)
+    return A.on_square(Square(source=source, target=target, top=top, bottom=bottom))
 
 
 @dataclass(frozen=True)
@@ -537,19 +554,12 @@ def compose_coalgebras(
 
 
 def _cograph_shift(Y: Presheaf) -> PresheafMap:
-    """Rotate each carrier one step; identity where a carrier is a singleton.
+    """Rotate each carrier one step, which fixes a singleton.
 
     Only safe over bases without nonidentity morphisms, which is where the
     mutant rules are exercised.
     """
-    comps = {}
-    for a in Y.base.objects:
-        xs = Y.carrier[a]
-        if len(xs) < 2:
-            comps[a] = {x: x for x in xs}
-        else:
-            comps[a] = {x: xs[(i + 1) % len(xs)] for i, x in enumerate(xs)}
-    return PresheafMap(Y, Y, comps)
+    return PresheafMap(Y, Y, {a: dict(zip(Y.carrier[a], Y.carrier[a][1:] + Y.carrier[a][:1])) for a in Y.base.objects})
 
 
 MUTANT_COUNT = 6
@@ -594,29 +604,18 @@ def mutant_rule(index: int) -> FactorizationRule:
     def bad_mult_misroute(f: PresheafMap) -> PresheafMap:
         cpf = memo_sum(f.source, f.target)
         cpr = memo_sum(cpf.apex, f.target)
-        folded = induce(cpf, [compose_maps(cpf.legs[1], f), cpf.legs[1]], cpf.apex)
-        return induce(cpr, [folded, cpf.legs[1]], cpf.apex)
+        folded = copair(cpf, compose_maps(cpf.legs[1], f), cpf.legs[1])
+        return copair(cpr, folded, cpf.legs[1])
 
     def bad_comult_misroute(f: PresheafMap) -> PresheafMap:
+        # [inj₁ ∘ inj₀, inj₁ ∘ inj₁] out of the sum is the second injection itself
         cpf = memo_sum(f.source, f.target)
-        cpm = memo_sum(f.source, cpf.apex)
-        return induce(
-            cpf,
-            [
-                compose_maps(cpm.legs[1], cpf.legs[0]),
-                compose_maps(cpm.legs[1], cpf.legs[1]),
-            ],
-            cpm.apex,
-        )
+        return memo_sum(f.source, cpf.apex).legs[1]
 
     def bad_mult_shift(f: PresheafMap) -> PresheafMap:
         cpf = memo_sum(f.source, f.target)
         cpr = memo_sum(cpf.apex, f.target)
-        return induce(
-            cpr,
-            [identity_map(cpf.apex), compose_maps(cpf.legs[1], _cograph_shift(f.target))],
-            cpf.apex,
-        )
+        return copair(cpr, identity_map(cpf.apex), compose_maps(cpf.legs[1], _cograph_shift(f.target)))
 
     if index == 3:
         return replace(rule, name="cograph!mult-misroute", mult=bad_mult_misroute)

@@ -196,6 +196,41 @@ def test_input_nested_too_deeply_exits_four(tmp_path, capsys):
     assert "deep.json is nested too deeply to read" in capsys.readouterr().err
 
 
+def test_an_integer_too_long_to_read_exits_four(tmp_path, capsys):
+    # json.loads raises ValueError, not JSONDecodeError, past int()'s digit limit
+    long = tmp_path / "long.json"
+    long.write_text('{"source": ' + "1" * 5000 + "}")
+    assert main(["validate", str(long)]) == 4
+    assert main(["factorize", "--category", "terminal", "--gens", "point", "--map", str(long)]) == 4
+    assert "long.json is not valid JSON: Exceeds the limit" in capsys.readouterr().err
+
+
+REPEATED_MAP = """{"source": {"sets": {"0": [0, 1]}, "actions": {"id0": {"0": 0, "1": 1}}},
+ "target": {"sets": {"0": [0, 1]}, "actions": {"id0": {"0": 0, "1": 1}}},
+ "components": {"0": {"0": 0, "0": 1, "1": 1}}}"""
+
+
+@pytest.mark.parametrize(
+    "what, key, text",
+    [
+        ("map", "0", REPEATED_MAP),
+        ("category", "objects", '{"objects": ["0"], "objects": ["0", "1"]}'),
+        ("gens", "source", '[{"source": {}, "source": {}}]'),
+    ],
+    ids=["map", "category", "gens"],
+)
+def test_a_repeated_key_in_an_input_exits_four(tmp_path, capsys, what, key, text):
+    # json.loads alone keeps the last value: the map above would be
+    # certified as {"0": 1, "1": 1}
+    (tmp_path / "doc.json").write_text(text)
+    (tmp_path / "map.json").write_text(json.dumps(MAP_DOC))
+    inputs = {"category": "terminal", "gens": "point", "map": str(tmp_path / "map.json"), what: str(tmp_path / "doc.json")}
+    argv = ["compare"] + [a for k, v in inputs.items() for a in (f"--{k}", v)] + ["--out", str(tmp_path / "c.json")]
+    assert main(argv) == 4
+    assert f'error: /{what}: key "{key}" repeated in one object' in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv, what",
     [

@@ -199,3 +199,19 @@ def test_in_place_verdicts_match_building_both_sides(monkeypatch, rules, sample)
     if rules[0].name.endswith("!refuse"):
         raised = [c for c in in_place if c.law in {"functor-id", "counit-functor", "unit-functor"}]
         assert raised and all(c.detail == "evaluation raised: on_square refuses" for c in raised)
+
+
+def test_a_graph_rule_evaluation_factors_five_times():
+    # f, Lf and Rf once each; the distributivity law's interchange factors
+    # only the two combined parts and reuses the other three
+    calls = [0]
+    graph = graph_rule()
+
+    def counted(f):
+        calls[0] += 1
+        return graph.factor(f)
+
+    arrow = sample_arrows(get_category("delta<=1"), 1, 0)[0]
+    checks = evaluate_rule(dataclasses.replace(graph, factor=counted), arrow)
+    assert [c.law for c in checks][-1] == "distributivity" and all(c.ok for c in checks)
+    assert calls[0] == 5

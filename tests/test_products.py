@@ -193,16 +193,17 @@ def test_memo_builds_afresh_outside_any_scope():
 def test_a_repeated_product_inside_an_evaluation_is_the_same_object(monkeypatch):
     """Repeated products inside one evaluation are the same object.
 
-    The memo calls `rules.product_presheaf` and `rules.coproduct` by name, so
-    a wrapper installed on those names sees every build and nothing else.
+    The rules call `rules.memo_product`, and the memo calls
+    `rules.product_presheaf` and `rules.coproduct`, by name, so a wrapper
+    installed on those names sees every request and every build.
     """
     seen: dict[tuple, list] = {}
     builds = {"product": 0, "sum": 0}
-    graph = graph_rule()
 
-    def probe(f):
-        seen.setdefault((id(f.source), id(f.target)), []).append(memo_product(f.source, f.target))
-        return graph.factor(f)
+    def probe(X, Y):
+        prod = memo_product(X, Y)
+        seen.setdefault((id(X), id(Y)), []).append(prod)
+        return prod
 
     def counted(kind, build):
         def wrapper(*args):
@@ -211,10 +212,11 @@ def test_a_repeated_product_inside_an_evaluation_is_the_same_object(monkeypatch)
 
         return wrapper
 
+    monkeypatch.setattr(rules, "memo_product", probe)
     monkeypatch.setattr(rules, "product_presheaf", counted("product", rules.product_presheaf))
     monkeypatch.setattr(rules, "coproduct", counted("sum", rules.coproduct))
     arrow = sample_arrows(get_category("delta<=1"), 1, 0)[0]
-    checks = evaluate_rule(dataclasses.replace(graph, factor=probe), arrow)
+    checks = evaluate_rule(graph_rule(), arrow)
     assert all(c.ok for c in checks)
     assert max(len(found) for found in seen.values()) > 1
     assert all(p is found[0] for found in seen.values() for p in found)

@@ -129,7 +129,10 @@ def test_interchange_connects_the_two_stackings():
     A, B, C, D = GRAPH, TLEFT, TRIGHT, COGRAPH
     lhs = tensor_product(odot_product(A, B), odot_product(C, D)).factor(f)
     rhs = odot_product(tensor_product(A, C), tensor_product(B, D)).factor(f)
-    swap = interchange(A, B, C, D, f)
+    fd = D.factor(f)
+    c_left, b_right = C.factor(fd.left), B.factor(fd.right)
+    cd_right, bd_left = compose_maps(fd.right, c_left.right), compose_maps(b_right.left, fd.left)
+    swap = interchange(A, B, C, fd, c_left, b_right, cd_right, bd_left)
     assert swap.source.carrier == lhs.mid.carrier
     assert swap.target.carrier == rhs.mid.carrier
     assert maps_equal(compose_maps(swap, lhs.left), rhs.left)

@@ -9,7 +9,8 @@ Exit codes: 0 on success (converged run, verified comparison, all laws
 passing, clean validation), 2 when a sequence ran out of budget before
 converging, 3 when a check found a genuine failure (law counterexample,
 bijection mismatch, certificate problem), 4 for unusable input, including
-a command line argparse cannot parse. `--help` exits 0.
+a command line argparse cannot parse, and for a run that ran out of memory.
+`--help` exits 0.
 """
 
 from __future__ import annotations
@@ -311,6 +312,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except EngineError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        hint = "; try a smaller --budget-successors" if hasattr(args, "budget_successors") else ""
+        print(f"error: out of memory{hint}", file=sys.stderr)
         return EXIT_INPUT
 
 

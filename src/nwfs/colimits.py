@@ -4,8 +4,10 @@ All constructions return a `Cocone` whose apex carriers are densely
 renumbered (each carrier is range(n)) in a deterministic order, so repeated
 runs on equal inputs produce identical apexes. Quotients are computed by
 union-find congruence closure on the touched elements only: merging two
-elements propagates along every base morphism into the element's object
-until saturation, which is exactly what makes the apex a presheaf again.
+elements propagates along every generator of the base (`generators`) into
+the element's object until saturation. The input is a presheaf, so its
+actions compose, and closure along the generators is closure along every
+morphism, which is exactly what makes the apex a presheaf again.
 An element no pair reaches never enters the union-find and is numbered by
 its position, and an object where nothing merged and whose carrier is
 already 0..n-1 is carried over unchanged (identity projection, copied
@@ -82,7 +84,9 @@ def initial(base: FinCategory) -> Presheaf:
 def quotient(X: Presheaf, pairs: Iterable[tuple[str, int, int]]) -> Cocone:
     """Quotient X by the presheaf congruence generated by `pairs`.
 
-    Each pair (a, u, v) identifies elements u and v at object a. The single
+    Each pair (a, u, v) identifies elements u and v at object a. A merge
+    propagates along the base's generators only; since X is a presheaf,
+    the congruence they generate is closed under every morphism. The single
     leg of the returned cocone is the projection X -> X/~. Classes are
     numbered by their least member, which is their first in X's sorted
     carrier; only the elements the pairs reach enter a union-find. An
@@ -94,7 +98,7 @@ def quotient(X: Presheaf, pairs: Iterable[tuple[str, int, int]]) -> Cocone:
     base = X.base
     uf = {a: UnionFind() for a in base.objects}
     into: dict[str, list] = {a: [] for a in base.objects}
-    for m in base.nonidentity:
+    for m in base.generators:
         into[m.cod].append(m)
 
     work = list(pairs)

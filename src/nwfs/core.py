@@ -10,6 +10,7 @@ CLI can surface them and tests can assert emptiness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -66,6 +67,33 @@ class FinCategory:
     def nonidentity(self) -> tuple[Morphism, ...]:
         ids = set(self.identity.values())
         return tuple(m for m in self.morphisms if m.name not in ids)
+
+    @cached_property
+    def generators(self) -> tuple[Morphism, ...]:
+        """Non-identity morphisms whose composites give every non-identity one.
+
+        A presheaf's actions along these fix all its others, so naturality
+        and congruence closure need only these. Indecomposables may not
+        generate (a face of truncated Δ factors through an idempotent), so
+        morphisms are dropped from `nonidentity`, most factorisations first,
+        while the rest generate.
+        """
+        table, names = self.table, {m.name for m in self.nonidentity}
+        factorisations = Counter(gf for (g, f), gf in table.items() if g in names and f in names)
+
+        def generate(keep: set[str]) -> bool:
+            reached = set(keep)
+            while True:
+                more = {table[(g, f)] for g in reached for f in reached if (g, f) in table} - reached
+                if not more:
+                    return names <= reached
+                reached |= more
+
+        keep = set(names)
+        for m in sorted(self.nonidentity, key=lambda m: -factorisations[m.name]):
+            if generate(keep - {m.name}):
+                keep.discard(m.name)
+        return tuple(m for m in self.nonidentity if m.name in keep)
 
 
 def _validate_category(cat: FinCategory) -> list[str]:
@@ -422,13 +450,16 @@ def enumerate_maps(
     The search runs in Yoneda order. A map is fixed by where it sends a set
     of generating elements, so the search picks a root element (objects
     with the most morphisms into them first) and then visits, breadth
-    first, every element the non-identity actions reach from it. A reached
-    element is forced: its only candidate is the action of Y on its
-    parent's value, which must still lie in its `allowed` entry. Every
-    other naturality constraint is checked as soon as both elements it
-    mentions are assigned. The search keeps its own stack, so its depth
-    does not grow with X, and the maps it finds are sorted into the output
-    order.
+    first, every element the actions of `base.generators` reach from it.
+    X and Y are presheaves, so naturality along the generators is
+    naturality along their composites, every morphism. A reached element
+    is forced: its only candidate is the action of Y on its parent's
+    value, which must still lie in its `allowed` entry. Every other
+    naturality constraint is checked as soon as both elements it mentions
+    are assigned. A root whose block first meets an earlier block through
+    the composite q draws its candidates from the fibre of Y's action of q
+    over the value met. The search keeps its own stack, so its depth does
+    not grow with X, and the maps it finds are sorted into the output order.
     """
     if not _same(X.base, Y.base):
         raise IncompatibleInput("enumerate_maps: presheaves live over different bases")
@@ -447,26 +478,29 @@ def enumerate_maps(
         elements.extend((a, x) for x in X.carrier[a])
     n = len(elements)
 
-    # arrows[a]: how a non-identity morphism into a moves elements there,
-    # in X (onto variables) and in Y
-    arrows: dict[str, list[tuple[Mapping[int, int], dict[int, int], Mapping[int, int]]]] = {
+    # arrows[a]: how a generator into a moves elements there, in X (onto
+    # variables) and in Y, with the generator's name
+    arrows: dict[str, list[tuple[str, Mapping[int, int], dict[int, int], Mapping[int, int]]]] = {
         a: [] for a in base.objects
     }
     incoming = dict.fromkeys(base.objects, 0)
     for m in base.morphisms:
         incoming[m.cod] += 1
-        if base.identity.get(m.dom) != m.name:
-            arrows[m.cod].append((X.action[m.name], var[m.dom], Y.action[m.name]))
+    for m in base.generators:
+        arrows[m.cod].append((m.name, X.action[m.name], var[m.dom], Y.action[m.name]))
 
     # Breadth-first from each root. A variable reached for the first time is
     # forced by the arrow that reached it; every other arrow between two
     # variables is a check (s, d, act), meaning vals[d] == act[vals[s]], run
     # when the later of the two is assigned. Those all lie in the current
-    # block, so each block's plan is complete once its walk ends.
+    # block or an earlier one, so each block's plan is complete once its
+    # walk ends. path[u] is the composite morphism from u's root to u.
     step = [-1] * n
     order: list[int] = []
     parent: list[tuple[int, Mapping[int, int]]] = [(-1, {})] * n
+    path = [""] * n
     checks: list[list[tuple[int, int, Mapping[int, int]]]] = [[] for _ in range(n)]
+    fibres: dict = {}
     plan = []
     for c in sorted(base.objects, key=lambda a: (-incoming[a], a)):
         for x in X.carrier[c]:
@@ -476,27 +510,47 @@ def enumerate_maps(
             start = len(order)
             step[root] = start
             order.append(root)
+            path[root] = base.identity[c]
+            tie = None
             i = start
             while i < len(order):
                 u = order[i]
                 i += 1
                 a, e = elements[u]
-                for act_x, dvar, act_y in arrows[a]:
+                for name, act_x, dvar, act_y in arrows[a]:
                     w = dvar[act_x[e]]
                     if step[w] < 0:
                         step[w] = len(order)
                         order.append(w)
                         parent[w] = (u, act_y)
+                        path[w] = base.table[(path[u], name)]
                     else:
                         checks[u if step[u] >= step[w] else w].append((u, w, act_y))
+                        if tie is None and step[w] < start:
+                            tie = (base.table[(path[u], name)], w)
 
             forced = []
             for w in order[start + 1 :]:
                 keep = allowed.get(elements[w])
                 forced.append((w, *parent[w], None if keep is None else set(keep), checks[w]))
-            plan.append((root, allowed.get((c, x), Y.carrier[c]), checks[root], forced))
+            cands = allowed.get((c, x), Y.carrier[c])
+            if tie is not None:
+                # the candidates by their value under q; roots tied through q
+                # share one index of Y's, and one with an allowed entry has its own
+                q, w = tie
+                key = (q, (c, x)) if (c, x) in allowed else q
+                if key not in fibres:
+                    fibres[key] = index = {}
+                    for y in cands:
+                        index.setdefault(Y.action[q][y], []).append(y)
+                tie = (fibres[key], w)
+            plan.append((root, cands, tie, checks[root], forced))
 
     vals: list = [None] * n
+
+    def candidates(b: int) -> Iterable[int]:
+        _, cands, tie, _, _ = plan[b]
+        return iter(cands if tie is None else tie[0].get(vals[tie[1]], ()))
 
     def fits(root_checks, forced) -> bool:
         for s, d, act in root_checks:
@@ -517,10 +571,10 @@ def enumerate_maps(
     found: list[tuple[int, ...]] = []
     last = len(plan) - 1
     its = [iter(())] * len(plan)
-    its[0] = iter(plan[0][1])
+    its[0] = candidates(0)
     b = 0
     while b >= 0:
-        root, _, root_checks, forced = plan[b]
+        root, _, _, root_checks, forced = plan[b]
         if b == last:
             for y in its[b]:
                 vals[root] = y
@@ -532,7 +586,7 @@ def enumerate_maps(
             vals[root] = y
             if fits(root_checks, forced):
                 b += 1
-                its[b] = iter(plan[b][1])
+                its[b] = candidates(b)
                 break
         else:
             b -= 1

@@ -7,7 +7,7 @@ import random
 import hypothesis.strategies as st
 
 from nwfs.catalog import get_category, representable, terminal_category, terminal_presheaf
-from nwfs.core import Presheaf, PresheafMap, presheaf
+from nwfs.core import FinCategory, Morphism, Presheaf, PresheafMap, presheaf
 
 
 def finset(elements) -> Presheaf:
@@ -15,6 +15,24 @@ def finset(elements) -> Presheaf:
     if isinstance(elements, int):
         elements = range(elements)
     return presheaf(terminal_category(), {"0": list(elements)}, {})
+
+
+def one_object_category(name: str, elements: list[str], times) -> FinCategory:
+    """One object "0" whose morphisms are `elements`, the first the identity,
+    composed by `times(g, f)`, the index of g after f."""
+    return FinCategory(
+        name=name,
+        objects=("0",),
+        morphisms=tuple(Morphism(m, "0", "0") for m in elements),
+        identity={"0": elements[0]},
+        table={(g, f): elements[times(i, j)] for i, g in enumerate(elements) for j, f in enumerate(elements)},
+    )
+
+
+# a non-identity idempotent e, with e . e = e
+IDEMPOTENT = one_object_category("idempotent", ["id0", "e"], lambda i, j: max(i, j))
+# the cyclic group of order 3: r1 and r2 are inverse isomorphisms
+CYCLIC3 = one_object_category("cyclic3", ["id0", "r1", "r2"], lambda i, j: (i + j) % 3)
 
 
 def set_map(source_size: int, target_size: int, values) -> PresheafMap:

@@ -188,6 +188,17 @@ def test_input_errors_exit_four(tmp_path):
     assert res.returncode == 4
 
 
+def test_a_run_out_of_memory_exits_four_with_one_line(map_file, monkeypatch, capsys):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(sequence, "run_free", exhaust)
+    argv = ["factorize", "--category", "terminal", "--gens", "point", "--map", str(map_file)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == "error: out of memory; try a smaller --budget-successors\n"
+
+
 def test_input_nested_too_deeply_exits_four(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)

@@ -4,8 +4,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import finset, parallel_pairs, set_map, set_maps
-from test_hom_search import reflexive_graphs
+from conftest import CYCLIC3, IDEMPOTENT, finset, parallel_pairs, set_map, set_maps
+from test_hom_search import PART_LISTS, one_object_presheaves, reflexive_graphs, relabelled_coproducts
 from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
 from nwfs.colimits import (
     attach,
@@ -516,3 +516,32 @@ def test_quotient_matches_the_eager_union_find(case):
     assert leg.source is X and leg.target is cone.apex
     assert leg.components == proj
     assert validate(leg) == []
+
+
+@st.composite
+def congruence_cases(draw):
+    """A coproduct of delta<=2 pieces with random ids, or a set acted on by an
+    idempotent or a group, and random pairs, maybe none."""
+    if draw(st.booleans()):
+        X = draw(relabelled_coproducts(draw(st.sampled_from(PART_LISTS))))
+    else:
+        X = draw(one_object_presheaves(draw(st.sampled_from((IDEMPOTENT, CYCLIC3)))))
+    objects = [a for a in X.base.objects if X.carrier[a]]
+    pairs = []
+    for _ in range(draw(st.integers(0, 4)) if objects else 0):
+        a = draw(st.sampled_from(objects))
+        pairs.append((a, draw(st.sampled_from(X.carrier[a])), draw(st.sampled_from(X.carrier[a]))))
+    return X, pairs
+
+
+@given(congruence_cases())
+@settings(max_examples=150, deadline=None)
+def test_quotient_closes_along_generators_as_the_oracle_does_along_every_morphism(case):
+    X, pairs = case
+    (leg,) = quotient(X, pairs).legs
+    classes = {a: {} for a in X.base.objects}
+    for a in X.base.objects:
+        for x in X.carrier[a]:
+            classes[a].setdefault(leg.components[a][x], set()).add(x)
+    assert {a: {frozenset(c) for c in cs.values()} for a, cs in classes.items()} == closure_oracle(X, pairs)
+    assert validate(leg.target) == [] and validate(leg) == []

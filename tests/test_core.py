@@ -2,9 +2,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import finset, set_map, set_maps
-from nwfs.catalog import get_category, representable, terminal_category
+from conftest import CYCLIC3, IDEMPOTENT, finset, set_map, set_maps
+from nwfs.catalog import get, get_category, keys, representable, terminal_category
 from nwfs.core import (
+    FinCategory,
     IncompatibleInput,
     PresheafMap,
     compose_maps,
@@ -22,6 +23,49 @@ from nwfs.core import (
 
 def test_terminal_category_is_valid():
     assert validate(terminal_category()) == []
+
+
+CATEGORIES = [get(k).category for k in keys() if get(k).kind == "category"]
+
+
+def composites(cat: FinCategory, names) -> set[str]:
+    """Every composite of one or more of `names`, by saturation."""
+    reached = set(names)
+    while True:
+        more = {cat.table[(g, f)] for g in reached for f in reached if (g, f) in cat.table} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+@pytest.mark.parametrize("cat", [*CATEGORIES, IDEMPOTENT, CYCLIC3], ids=lambda c: c.name)
+def test_generators_compose_to_every_nonidentity_morphism(cat):
+    assert validate(cat) == []
+    gens = [m.name for m in cat.generators]
+    nonidentity = {m.name for m in cat.nonidentity}
+    assert set(gens) <= nonidentity and len(set(gens)) == len(gens)
+    assert nonidentity <= composites(cat, gens)
+    # no generator is a composite of the others
+    for g in gens:
+        assert not nonidentity <= composites(cat, set(gens) - {g})
+    # the same set, in morphism order, on every call and whatever the order
+    # of the composition table
+    again = FinCategory(cat.name, cat.objects, cat.morphisms, dict(cat.identity), dict(reversed(cat.table.items())))
+    assert cat.generators == cat.generators == again.generators
+    assert again.generators == tuple(m for m in again.nonidentity if m.name in gens)
+
+
+def test_generators_of_the_catalog_and_hand_built_categories():
+    # truncated Δ has no indecomposable morphism (a face map factors through
+    # an idempotent, f01_0 = f11_00 . f01_1), so the generators cannot be those
+    assert get_category("delta<=1").table[("f11_00", "f01_1")] == "f01_0"
+    for cat in (get_category("delta<=1"), get_category("delta<=2")):
+        names = {m.name for m in cat.nonidentity}
+        assert names <= {gf for (g, f), gf in cat.table.items() if g in names and f in names}
+    assert [len(get_category(k).generators) for k in ("terminal", "delta<=1", "delta<=2")] == [0, 3, 7]
+    assert [m.name for m in IDEMPOTENT.generators] == ["e"]
+    # a composite of generators can be an identity: r2 . r2 = r1, r2 . r1 = id0
+    assert [m.name for m in CYCLIC3.generators] == ["r2"]
 
 
 def test_presheaf_fills_identity_actions():

@@ -13,7 +13,7 @@ import math
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import finset
+from conftest import CYCLIC3, IDEMPOTENT, finset
 from nwfs.catalog import get_category, horn_inclusion, representable
 from nwfs.core import Presheaf, enumerate_maps, presheaf, validate
 
@@ -155,6 +155,107 @@ def test_graph_maps_match_the_oracle(data):
 def test_delta2_maps_match_the_oracle(data):
     X = data.draw(relabelled_coproducts(data.draw(st.sampled_from(PART_LISTS))))
     Y = data.draw(relabelled_coproducts(data.draw(st.sampled_from(PART_LISTS))))
+    assert validate(X) == [] and validate(Y) == []
+    assert_matches_oracle(X, Y, data.draw(constraints(X, Y)))
+
+
+TRIANGLE = representable(DELTA2, "2")
+TOP = DELTA2.hom("2", "2").index("id2")
+
+
+def at_vertex(a: str, i: int) -> int:
+    """The element of TRIANGLE at a that is its vertex i, made degenerate."""
+    return DELTA2.hom(a, "2").index(f"f{a}2_{str(i) * (int(a) + 1)}")
+
+
+@st.composite
+def triangle_wedges(draw):
+    """Two or three triangles, each after the first glued at one vertex to a
+    vertex of an earlier one; returns the presheaf and its top triangles.
+
+    Every element gets a random id, but the top (nondegenerate) triangles
+    get the least ids at object 2, in gluing order, so each is a root of
+    the search. A later triangle's block shares only the glued vertex and
+    its degeneracies with the earlier blocks, and no generator into object
+    2 sends a top triangle there, so the block meets them only through a
+    composite morphism.
+    """
+    k = draw(st.integers(2, 3))
+    glue = [None] + [
+        (draw(st.integers(0, t - 1)), draw(st.integers(0, 2)), draw(st.integers(0, 2))) for t in range(1, k)
+    ]
+    # element (t, a, e) of triangle t is the class owner[(t, a, e)]
+    owner = {}
+    for t, g in enumerate(glue):
+        for a in DELTA2.objects:
+            for e in TRIANGLE.carrier[a]:
+                owner[(t, a, e)] = (t, a, e)
+        if g is not None:
+            s, i, j = g
+            for a in DELTA2.objects:
+                owner[(t, a, at_vertex(a, j))] = owner[(s, a, at_vertex(a, i))]
+    classes = {a: sorted({c for (t, b, e), c in owner.items() if b == a}) for a in DELTA2.objects}
+    tops = [(t, "2", TOP) for t in range(k)]
+    rest = [c for c in classes["2"] if c not in tops]
+    ids = {
+        a: dict(zip(classes[a], draw(st.permutations(range(3 * len(classes[a]))))))
+        for a in ("0", "1")
+    }
+    ids["2"] = dict(zip(tops + draw(st.permutations(rest)), range(len(classes["2"]))))
+    carrier = {a: list(ids[a].values()) for a in DELTA2.objects}
+    action = {m.name: {} for m in DELTA2.morphisms}
+    for (t, a, e), c in owner.items():
+        for m in DELTA2.morphisms:
+            if m.cod == a:
+                action[m.name][ids[a][c]] = ids[m.dom][owner[(t, m.dom, TRIANGLE.action[m.name][e])]]
+    return presheaf(DELTA2, carrier, action), [ids["2"][c] for c in tops]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_roots_tied_through_a_composite_match_the_oracle(data):
+    X, tops = data.draw(triangle_wedges())
+    pieces = relabelled_coproducts(data.draw(st.sampled_from(PART_LISTS)))
+    Y = data.draw(st.one_of(pieces, triangle_wedges().map(lambda wedge: wedge[0])))
+    assert validate(X) == [] and validate(Y) == []
+    # no generator sends a top triangle to a vertex or its degeneracies
+    for g in DELTA2.generators:
+        if g.cod == "2":
+            assert TRIANGLE.action[g.name][TOP] not in {at_vertex(g.dom, i) for i in range(3)}
+    allowed = data.draw(constraints(X, Y))
+    # an allowed entry on a later, tied root that the pins left free
+    for x in tops[1:]:
+        if ("2", x) not in allowed and Y.carrier["2"] and data.draw(st.booleans()):
+            order = data.draw(st.permutations(Y.carrier["2"]))
+            allowed[("2", x)] = tuple(order[: data.draw(st.integers(1, len(order)))])
+    assert_matches_oracle(X, Y, allowed)
+
+
+@st.composite
+def one_object_presheaves(draw, base):
+    """A set with random ids acted on by IDEMPOTENT or CYCLIC3."""
+    if base is IDEMPOTENT:
+        ids = draw(st.lists(st.integers(0, 20), max_size=4, unique=True))
+        fixed = ids[: draw(st.integers(1, len(ids)))] if ids else []
+        e = {x: x if x in fixed else draw(st.sampled_from(fixed)) for x in ids}
+        return presheaf(base, {"0": ids}, {"e": e})
+    # orbits of size 1 or 3; r1 moves each element one step round its orbit
+    sizes = draw(st.lists(st.sampled_from((1, 3)), max_size=2))
+    ids = draw(st.lists(st.integers(0, 20), min_size=sum(sizes), max_size=sum(sizes), unique=True))
+    r1, r2, start = {}, {}, 0
+    for n in sizes:
+        orbit = ids[start : start + n]
+        start += n
+        for i, x in enumerate(orbit):
+            r1[x], r2[x] = orbit[(i + 1) % n], orbit[(i + 2) % n]
+    return presheaf(base, {"0": ids}, {"r1": r1, "r2": r2})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_maps_over_an_idempotent_and_a_group_match_the_oracle(data):
+    base = data.draw(st.sampled_from((IDEMPOTENT, CYCLIC3)))
+    X, Y = data.draw(one_object_presheaves(base)), data.draw(one_object_presheaves(base))
     assert validate(X) == [] and validate(Y) == []
     assert_matches_oracle(X, Y, data.draw(constraints(X, Y)))
 

@@ -1,18 +1,25 @@
-"""Algebra structures for the one-step factorisation and lifting tables.
+"""Algebra structures and lifting tables on one built one-step factorisation.
 
 An algebra structure on an arrow g retracts the one-step middle back onto
 g's domain compatibly with both factorisation halves. A lifting table picks
-one diagonal filler for every generating square into g. The two notions
-determine each other: cells go to fillers by composing with the structure
-map, and fillers induce a structure map through the pushout because the top
-triangle of each filler agrees with the identity on everything the pushout
-glues. `check_bijection` verifies that correspondence exhaustively and
-compares the counts against the product of the per-square filler counts.
+one diagonal filler for every generating square into g. Both are data on
+the one-step factorisation of g, and both hold the `OneStepFactorization`
+they live on: a table's fillers follow its squares, and its cocone is what
+they induce a structure map out of. The two notions determine each other:
+cells go to fillers by composing with the structure map, and fillers induce
+a structure map through the pushout because the top triangle of each filler
+agrees with the identity on everything the pushout glues.
+
+`check_bijection` builds the step once, lists its algebras and its
+per-square filler sets, and verifies that correspondence exhaustively.
 It sends each algebra to its table and back once. A table that such a trip
 reached and returned from unchanged needs no trip of its own: that trip
 would induce from the same step and the same cocone legs, so it is the
 algebra's trip again. Tables are numbered in product order, so the table an
-algebra reaches is found from its fillers' positions in their sets.
+algebra reaches is found from its fillers' positions in their sets. The
+report's `product_count` is the product of the filler-set sizes; the tables
+are the product of the same sets, so it always equals the table count and
+checks nothing on its own.
 """
 
 from __future__ import annotations
@@ -20,14 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .arrows import (
     ArrowObj,
     GeneratingSet,
     Square,
     as_arrow,
-    generating_squares,
     square_fixing_domain,
     square_key,
     values,
@@ -51,65 +56,59 @@ from .sequence import SequenceState
 
 @dataclass(frozen=True)
 class AlgebraStructure:
-    """A structure map for the one-step factorisation of `target`.
+    """A structure map for one built step of the arrow `step.arrow`.
 
     `structure` runs from the step middle back to the arrow's domain; it
     restricts to the identity along the left half and covers the right half
     over the arrow itself.
     """
 
-    target: ArrowObj
-    structure: PresheafMap
     step: OneStepFactorization
+    structure: PresheafMap
 
 
 def validate_algebra(alg: AlgebraStructure) -> list[str]:
     out = []
     p, step = alg.structure, alg.step
     # inline, not `arrows.filler_triangles`: every bijection round trip checks here, and a square costs an identity map
-    if not composite_equals(p, step.left, identity_of=alg.target.dom):
+    if not composite_equals(p, step.left, identity_of=step.arrow.dom):
         out.append("structure map does not retract the left half")
-    if not composite_equals(alg.target.f, p, step.right):
+    if not composite_equals(step.arrow.f, p, step.right):
         out.append("structure map does not cover the right half")
     return out
 
 
 @dataclass(frozen=True)
 class LiftingTable:
-    """One chosen diagonal filler per generating square into `target`."""
+    """One chosen diagonal filler per square of `step`, in square order."""
 
-    target: ArrowObj
-    gens: GeneratingSet
-    squares: tuple[tuple[int, Square], ...]
+    step: OneStepFactorization
     fillers: tuple[PresheafMap, ...]
 
-    @cached_property
-    def _index(self) -> dict[tuple, PresheafMap]:
-        return {
-            square_key(i, s): filler
-            for (i, s), filler in zip(self.squares, self.fillers)
-        }
-
     def lookup(self, gen_index: int, sq: Square) -> PresheafMap:
+        step = self.step
         # keys are exact only among maps with one source, so the generator is checked
-        if not 0 <= gen_index < len(self.gens.members) or not _same(sq.source.f, self.gens.members[gen_index].f):
+        if not 0 <= gen_index < len(step.gens.members) or not _same(sq.source.f, step.gens.members[gen_index].f):
             raise IncompatibleInput("lookup: square does not start at the generator it is looked up under")
-        if not _same(sq.target.f, self.target.f):
+        if not _same(sq.target.f, step.arrow.f):
             raise IncompatibleInput("lookup: square lands in a different arrow")
-        filler = self._index.get(square_key(gen_index, sq))
-        if filler is None:
+        n = step.square_index.get(square_key(gen_index, sq))
+        if n is None:
             raise IncompatibleInput("lookup: square not present in the table")
-        return filler
+        return self.fillers[n]
 
 
 def validate_table(table: LiftingTable) -> list[str]:
+    step = table.step
     out = []
-    for n, ((i, sq), filler) in enumerate(zip(table.squares, table.fillers)):
-        j = table.gens.members[i]
+    if len(table.fillers) != len(step.squares):
+        out.append(f"table has {len(table.fillers)} fillers for {len(step.squares)} squares")
+    g = step.arrow.f
+    for n, ((i, sq), filler) in enumerate(zip(step.squares, table.fillers)):
         # inline, not `arrows.filler_triangles`: one more call per filler measurably slows the bijection check
-        if not composite_equals(filler, j.f, sq.top):
+        if not composite_equals(filler, step.gens.members[i].f, sq.top):
             out.append(f"filler {n} breaks the top triangle")
-        if not composite_equals(table.target.f, filler, sq.bottom):
+        if not composite_equals(g, filler, sq.bottom):
             out.append(f"filler {n} breaks the bottom triangle")
     return out
 
@@ -130,7 +129,7 @@ def extract_algebra(state: SequenceState) -> AlgebraStructure:
     if fold is None:
         fold = identity_map(step.mid)
     p = compose_maps(inverse_map(state.links[gamma]), fold)
-    alg = AlgebraStructure(target=ArrowObj(state.stages[gamma].right), structure=p, step=step)
+    alg = AlgebraStructure(step=step, structure=p)
     problems = validate_algebra(alg)
     if problems:
         raise InternalCheckFailed(f"extracted algebra is invalid: {problems[0]}")
@@ -139,35 +138,25 @@ def extract_algebra(state: SequenceState) -> AlgebraStructure:
 
 def fillers_from_algebra(alg: AlgebraStructure) -> LiftingTable:
     """Solve every generating square by routing its cell through the structure map."""
-    fillers = tuple(
-        compose_maps(alg.structure, alg.step.cell_leg(n))
-        for n in range(len(alg.step.squares))
-    )
-    table = LiftingTable(
-        target=alg.target,
-        gens=alg.step.gens,
-        squares=alg.step.squares,
-        fillers=fillers,
-    )
+    step = alg.step
+    fillers = tuple(compose_maps(alg.structure, step.cell_leg(n)) for n in range(len(step.squares)))
+    table = LiftingTable(step=step, fillers=fillers)
     problems = validate_table(table)
     if problems:
         raise InternalCheckFailed(f"derived table is invalid: {problems[0]}")
     return table
 
 
-def algebra_from_fillers(table: LiftingTable, step: OneStepFactorization) -> AlgebraStructure:
-    """Induce the structure map from a full table of fillers over `step`.
+def algebra_from_fillers(table: LiftingTable) -> AlgebraStructure:
+    """Induce the structure map from a full table of fillers over its step.
 
-    `step` must factor the table's arrow. Well-definedness over the pushout
-    comes from the top triangles, which is re-checked during induction.
+    Well-definedness over the pushout comes from the top triangles, which is
+    re-checked during induction.
     """
-    if not _same(step.arrow.f, table.target.f):
-        raise IncompatibleInput("algebra_from_fillers: the step does not factor the table's arrow")
-    if len(step.squares) != len(table.squares):
-        raise IncompatibleInput("table does not cover the generating squares of its arrow")
-    C = table.target.dom
+    step = table.step
+    C = step.arrow.dom
     p = induce(step.cocone, [identity_map(C), *table.fillers], C)
-    alg = AlgebraStructure(target=table.target, structure=p, step=step)
+    alg = AlgebraStructure(step=step, structure=p)
     problems = validate_algebra(alg)
     if problems:
         raise InternalCheckFailed(f"induced algebra is invalid: {problems[0]}")
@@ -203,56 +192,27 @@ def _fillers(sq: Square) -> list[PresheafMap]:
     return enumerate_maps(j.cod, g.dom, allowed=allowed)
 
 
-def square_filler_sets(
-    gens: GeneratingSet, g: PresheafMap | ArrowObj
-) -> tuple[tuple[tuple[int, Square], ...], list[list[PresheafMap]]]:
-    """Per generating square, every filler it admits."""
-    arrow = as_arrow(g)
-    squares = tuple(generating_squares(gens, arrow))
-    sets = [_fillers(sq) for _, sq in squares]
-    return squares, sets
+def square_filler_sets(step: OneStepFactorization) -> list[list[PresheafMap]]:
+    """Per square of `step`, every filler it admits."""
+    return [_fillers(sq) for _, sq in step.squares]
 
 
-def enumerate_lifting_tables(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> list[LiftingTable]:
-    """Every lifting table on g, as the product of the per-square filler sets.
+def enumerate_lifting_tables(step: OneStepFactorization) -> list[LiftingTable]:
+    """Every lifting table on `step`, as the product of the per-square filler sets.
 
     Exhaustive by design; meant for small instances.
     """
-    arrow = as_arrow(g)
-    return _tables(gens, arrow, *square_filler_sets(gens, arrow))
+    return [LiftingTable(step, choice) for choice in itertools.product(*square_filler_sets(step))]
 
 
-def _tables(
-    gens: GeneratingSet,
-    arrow: ArrowObj,
-    squares: tuple[tuple[int, Square], ...],
-    sets: list[list[PresheafMap]],
-) -> list[LiftingTable]:
-    """The lifting tables of one filler listing, in product order."""
-    if any(not s for s in sets):
-        return []
-    return [
-        LiftingTable(target=arrow, gens=gens, squares=squares, fillers=choice)
-        for choice in itertools.product(*sets)
-    ]
-
-
-def enumerate_algebra_structures(
-    gens: GeneratingSet, g: PresheafMap | ArrowObj
-) -> list[AlgebraStructure]:
-    """Every algebra structure on the one-step factorisation of g.
+def enumerate_algebra_structures(step: OneStepFactorization) -> list[AlgebraStructure]:
+    """Every algebra structure on `step`, in enumerate_maps order.
 
     A structure map is exactly a filler of the square from the left half to
-    g whose top is the identity and whose bottom is the right half.
+    the arrow whose top is the identity and whose bottom is the right half.
     """
-    return _algebra_structures(build_onestep(gens, as_arrow(g)))
-
-
-def _algebra_structures(step: OneStepFactorization) -> list[AlgebraStructure]:
-    """Every algebra structure on one built step, in enumerate_maps order."""
-    arrow = step.arrow
-    sq = square_fixing_domain(step.left, arrow, step.right)
-    return [AlgebraStructure(target=arrow, structure=p, step=step) for p in _fillers(sq)]
+    sq = square_fixing_domain(step.left, step.arrow, step.right)
+    return [AlgebraStructure(step, p) for p in _fillers(sq)]
 
 
 @dataclass(frozen=True)
@@ -280,6 +240,12 @@ class BijectionReport:
 def check_bijection(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> BijectionReport:
     """Exhaustively verify that algebras and tables determine each other.
 
+    One step of g is built, and both sides live on it: the algebras come
+    from `enumerate_algebra_structures`, and the tables are the product of
+    the filler sets that `square_filler_sets` finds for the step's squares,
+    so the squares are searched once. The public enumerators are called
+    through this module's globals, as a caller would call them.
+
     Every algebra is sent to its table and back. When that trip gives the
     algebra back, the table it reached is settled: the table's own trip
     through algebras would induce from the same step and from cocone legs
@@ -288,11 +254,10 @@ def check_bijection(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> Bijection
     whose algebra's trip moved, make their own trip; the problems found,
     and their order, are those of sending every table round.
     """
-    arrow = as_arrow(g)
-    step = build_onestep(gens, arrow)
-    algebras = _algebra_structures(step)
-    squares, sets = square_filler_sets(gens, arrow)
-    tables = _tables(gens, arrow, squares, sets)
+    step = build_onestep(gens, as_arrow(g))
+    algebras = enumerate_algebra_structures(step)
+    sets = square_filler_sets(step)
+    tables = [LiftingTable(step, choice) for choice in itertools.product(*sets)]
     product_count = math.prod(len(s) for s in sets)
     problems: list[str] = []
 
@@ -311,7 +276,7 @@ def check_bijection(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> Bijection
         if m in hit:
             problems.append(f"algebras collide on table {m}")
         hit.add(m)
-        back = algebra_from_fillers(t, step=alg.step)
+        back = algebra_from_fillers(t)
         if maps_equal(back.structure, alg.structure):
             settled.add(m)
         else:
@@ -319,7 +284,7 @@ def check_bijection(gens: GeneratingSet, g: PresheafMap | ArrowObj) -> Bijection
     for m, t in enumerate(tables):
         if m in settled:
             continue
-        back = fillers_from_algebra(algebra_from_fillers(t, step=step))
+        back = fillers_from_algebra(algebra_from_fillers(t))
         if not all(maps_equal(a, b) for a, b in zip(back.fillers, t.fillers)):
             problems.append(f"round trip through algebras moves table {m}")
     return BijectionReport(
@@ -335,7 +300,7 @@ def _table_number(
     positions: list[dict[tuple, int]],
     fillers: tuple[PresheafMap, ...],
 ) -> int | None:
-    """Index in `_tables(..., sets)` of the table with these fillers, if any.
+    """Index of the table with these fillers among the tables of `sets`, if any.
 
     Tables follow `itertools.product(*sets)`, so a table's index is its
     fillers' positions in their sets read as a mixed-radix number.
@@ -359,23 +324,17 @@ def compose_lifting_tables(first: LiftingTable, second: LiftingTable) -> Lifting
     and lift against `second`, then use that lift as the bottom of a square
     solved by `first`.
     """
-    if first.gens != second.gens:
+    gens = first.step.gens
+    if gens != second.step.gens:
         raise IncompatibleInput("compose_lifting_tables: tables use different generating sets")
-    f, g = first.target, second.target
-    composite = as_arrow(compose_maps(g.f, f.f))
-    gens = first.gens
-    squares = tuple(generating_squares(gens, composite))
+    f, g = first.step.arrow, second.step.arrow
+    step = build_onestep(gens, as_arrow(compose_maps(g.f, f.f)))
     fillers = []
-    for i, sq in squares:
+    for i, sq in step.squares:
         j = gens.members[i]
-        through = second.lookup(
-            i,
-            Square(source=j, target=g, top=compose_maps(f.f, sq.top), bottom=sq.bottom),
-        )
-        fillers.append(
-            first.lookup(i, Square(source=j, target=f, top=sq.top, bottom=through))
-        )
-    table = LiftingTable(target=composite, gens=gens, squares=squares, fillers=tuple(fillers))
+        through = second.lookup(i, Square(source=j, target=g, top=compose_maps(f.f, sq.top), bottom=sq.bottom))
+        fillers.append(first.lookup(i, Square(source=j, target=f, top=sq.top, bottom=through)))
+    table = LiftingTable(step, tuple(fillers))
     problems = validate_table(table)
     if problems:
         raise InternalCheckFailed(f"composite table is invalid: {problems[0]}")

@@ -18,8 +18,10 @@ builds one per generator; a single call builds its own.
 This module also owns the row layout of a map: its values on its source's
 elements, object by object in carrier order. `values` gives that row as the
 map's key, `segments` cuts a key into one slice per object, and
-`square_key` keys a square by its two sides; the one-step factorisation
-and the lifting tables find squares and fillers by these keys only.
+`square_key` keys a square by its two sides. A one-step factorisation's
+`square_index` is the one index of squares by these keys: the functorial
+step finds a pasted square's cell there, and a lifting table, which holds
+its step, finds a square's filler there.
 """
 
 from __future__ import annotations

@@ -141,14 +141,8 @@ class SequenceState:
             raise IncompatibleInput(f"one-step data for stage {i} was not built")
         return built
 
-    def connect(self, i: int, j: int) -> PresheafMap:
-        """The composite connecting map from stage i to stage j."""
-        if not 0 <= i <= j < len(self.stages):
-            raise IncompatibleInput(f"connect({i}, {j}) out of range for {len(self.stages)} stages")
-        return chain_composites(self.links[i:j], self.stages[j].mid)[0]
-
     def connect_all(self, j: int) -> list[PresheafMap]:
-        """`connect(i, j)` for every i <= j, entry i, one composite each."""
+        """The composite connecting maps into stage j: entry i runs from stage i, for every i <= j."""
         if not 0 <= j < len(self.stages):
             raise IncompatibleInput(f"connect_all({j}) out of range for {len(self.stages)} stages")
         return chain_composites(self.links[:j], self.stages[j].mid)
@@ -236,12 +230,12 @@ def _free_step(run: SequenceState, ordinal: str, bottoms: tuple[BottomIndex, ...
         raise IncompatibleInput("free step without a fold to coequalize against")
     step = build_onestep(run.gens, ArrowObj(last.right), bottoms)
 
-    # to_top[i - low] is connect(i, top), from one backward sweep
+    # to_top[i - low] is connect_all(top)[i], from one backward sweep
     low, high = below[0], below[-1]
     to_top = chain_composites(run.links[low:top], last.mid)
     # The step functor on the link between consecutive folds i < j: every
     # fold but the first was coequalized at its own stage j, which carried
-    # connect(i, j) then, also across a limit stage between them.
+    # connect_all(j)[i] then, also across a limit stage between them.
     web_links = [run.carries[j] for j in below[1:]]
     web = chain_colimit(web_links, start=run.step_of(low).mid)
     first = induce(

@@ -6,8 +6,10 @@ import random
 
 import hypothesis.strategies as st
 
+from nwfs.arrows import as_arrow
 from nwfs.catalog import get_category, representable, terminal_category, terminal_presheaf
 from nwfs.core import FinCategory, Morphism, Presheaf, PresheafMap, presheaf
+from nwfs.onestep import OneStepFactorization, build_onestep
 
 
 def finset(elements) -> Presheaf:
@@ -38,6 +40,11 @@ CYCLIC3 = one_object_category("cyclic3", ["id0", "r1", "r2"], lambda i, j: (i + 
 def set_map(source_size: int, target_size: int, values) -> PresheafMap:
     src, tgt = finset(source_size), finset(target_size)
     return PresheafMap(src, tgt, {"0": {i: v for i, v in enumerate(values)}})
+
+
+def onestep(gens, g) -> OneStepFactorization:
+    """The one-step factorisation of a map or arrow g, which algebras and tables live on."""
+    return build_onestep(gens, as_arrow(g))
 
 
 def edge_to_point() -> PresheafMap:

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import edge_to_point, finset, random_set_map, random_surjection, set_map
+from conftest import edge_to_point, finset, onestep, random_set_map, random_surjection, set_map
 from test_onestep import SPARSE_GENS, set_maps_with_ids
 from nwfs import algebras, arrows
 from nwfs.algebras import (
@@ -84,12 +84,12 @@ def test_lift_search_matches_brute_force_in_order():
             if maps_equal(compose_maps(p, step.left), identity_map(arrow.dom))
             and maps_equal(compose_maps(arrow.f, p), step.right)
         ]
-        found = [a.structure for a in enumerate_algebra_structures(gens, arrow)]
+        found = [a.structure for a in enumerate_algebra_structures(step)]
         assert [p.components for p in found] == [p.components for p in oracle]
 
-        squares, sets = square_filler_sets(gens, arrow)
-        assert len(sets) == len(squares)
-        for (i, sq), fillers in zip(squares, sets):
+        sets = square_filler_sets(step)
+        assert len(sets) == len(step.squares)
+        for (i, sq), fillers in zip(step.squares, sets):
             j = gens.members[i]
             oracle = [
                 h
@@ -122,7 +122,7 @@ def test_extracted_algebra_satisfies_its_laws():
     alg = extract_algebra(state)
     assert validate_algebra(alg) == []
     # the algebra lives on the converged right half, not on g itself
-    assert maps_equal(alg.target.f, state.stages[state.converged_at].right)
+    assert maps_equal(alg.step.arrow.f, state.stages[state.converged_at].right)
     # spot check the retraction law element by element
     p = alg.structure
     for x, image in alg.step.left.components["0"].items():
@@ -142,24 +142,14 @@ def test_round_trip_algebra_to_table_and_back():
     alg = extract_algebra(state)
     table = fillers_from_algebra(alg)
     assert validate_table(table) == []
-    back = algebra_from_fillers(table, step=alg.step)
+    back = algebra_from_fillers(table)
     assert maps_equal(back.structure, alg.structure)
-
-
-def test_algebra_from_fillers_rejects_the_step_of_another_arrow():
-    # the same domain and codomain, and as many squares, but another arrow
-    f, g = set_map(2, 2, [0, 1]), set_map(2, 2, [1, 0])
-    table = enumerate_lifting_tables(POINT, f)[0]
-    step = build_onestep(POINT, as_arrow(g))
-    assert len(step.squares) == len(table.squares)
-    with pytest.raises(IncompatibleInput, match="does not factor the table's arrow"):
-        algebra_from_fillers(table, step)
 
 
 def test_enumerations_are_deterministic():
     g = set_map(2, 2, [0, 0])
-    first = enumerate_lifting_tables(POINT, g)
-    second = enumerate_lifting_tables(POINT, g)
+    first = enumerate_lifting_tables(onestep(POINT, g))
+    second = enumerate_lifting_tables(onestep(POINT, g))
     assert len(first) == len(second)
     for a, b in zip(first, second):
         assert all(maps_equal(x, y) for x, y in zip(a.fillers, b.fillers))
@@ -194,8 +184,8 @@ def test_bijection_with_no_fillers_anywhere():
 
 
 def test_bijection_lists_the_generating_squares_once_per_use(monkeypatch):
-    # once to build the step, once for the filler sets behind the tables and
-    # the product count
+    # once, to build the step; the filler sets behind the tables and the
+    # product count read the step's squares
     calls = []
     listing = arrows.enumerate_squares
     monkeypatch.setattr(arrows, "enumerate_squares", lambda j, g: calls.append(j) or listing(j, g))
@@ -205,14 +195,14 @@ def test_bijection_lists_the_generating_squares_once_per_use(monkeypatch):
     report = check_bijection(HORNS1, g)
     assert report.ok, report.problems
     assert report.algebra_count == report.product_count > 0
-    assert len(calls) == 2 * len(HORNS1.members)
+    assert len(calls) == len(HORNS1.members)
 
 
 def test_algebra_count_detects_injectivity():
     g = set_map(3, 4, [2, 0, 3])
-    assert len(enumerate_algebra_structures(CODIAG, g)) == 1
+    assert len(enumerate_algebra_structures(onestep(CODIAG, g))) == 1
     h = set_map(3, 4, [2, 0, 0])
-    assert len(enumerate_algebra_structures(CODIAG, h)) == 0
+    assert len(enumerate_algebra_structures(onestep(CODIAG, h))) == 0
 
 
 def test_composite_tables_solve_the_composite():
@@ -220,11 +210,11 @@ def test_composite_tables_solve_the_composite():
     for _ in range(12):
         f = random_surjection(rng)
         g = surjection_from(rng, f.target.total_size)
-        tf = enumerate_lifting_tables(POINT, f)[0]
-        tg = enumerate_lifting_tables(POINT, g)[0]
+        tf = enumerate_lifting_tables(onestep(POINT, f))[0]
+        tg = enumerate_lifting_tables(onestep(POINT, g))[0]
         comp = compose_lifting_tables(tf, tg)
         assert validate_table(comp) == []
-        assert maps_equal(comp.target.f, compose_maps(g, f))
+        assert maps_equal(comp.step.arrow.f, compose_maps(g, f))
 
 
 def test_table_composition_is_associative():
@@ -233,9 +223,9 @@ def test_table_composition_is_associative():
         f = random_surjection(rng)
         g = surjection_from(rng, f.target.total_size)
         h = surjection_from(rng, g.target.total_size)
-        tf = enumerate_lifting_tables(POINT, f)[0]
-        tg = enumerate_lifting_tables(POINT, g)[0]
-        th = enumerate_lifting_tables(POINT, h)[0]
+        tf = enumerate_lifting_tables(onestep(POINT, f))[0]
+        tg = enumerate_lifting_tables(onestep(POINT, g))[0]
+        th = enumerate_lifting_tables(onestep(POINT, h))[0]
         left = compose_lifting_tables(compose_lifting_tables(tf, tg), th)
         right = compose_lifting_tables(tf, compose_lifting_tables(tg, th))
         assert all(maps_equal(a, b) for a, b in zip(left.fillers, right.fillers))
@@ -245,9 +235,9 @@ def test_table_composition_units():
     rng = random.Random(37)
     for _ in range(6):
         f = random_surjection(rng)
-        tf = enumerate_lifting_tables(POINT, f)[0]
-        t_id_dom = enumerate_lifting_tables(POINT, identity_map(f.source))[0]
-        t_id_cod = enumerate_lifting_tables(POINT, identity_map(f.target))[0]
+        tf = enumerate_lifting_tables(onestep(POINT, f))[0]
+        t_id_dom = enumerate_lifting_tables(onestep(POINT, identity_map(f.source)))[0]
+        t_id_cod = enumerate_lifting_tables(onestep(POINT, identity_map(f.target)))[0]
         left_unit = compose_lifting_tables(t_id_dom, tf)
         right_unit = compose_lifting_tables(tf, t_id_cod)
         for combined in (left_unit, right_unit):
@@ -257,7 +247,7 @@ def test_table_composition_units():
 def test_lookup_rejects_foreign_squares():
     g = set_map(2, 1, [0, 0])
     h = set_map(1, 1, [0])
-    table = enumerate_lifting_tables(POINT, g)[0]
+    table = enumerate_lifting_tables(onestep(POINT, g))[0]
     (i, sq), *_ = generating_squares(POINT, as_arrow(h))
     with pytest.raises(IncompatibleInput):
         table.lookup(i, sq)
@@ -266,7 +256,7 @@ def test_lookup_rejects_foreign_squares():
 def test_lookup_rejects_a_square_under_another_generator():
     """The two horns of Δ[1] share their domain, so their squares' sides can agree."""
     g = edge_to_point()
-    table = enumerate_lifting_tables(HORNS1, g)[0]
+    table = enumerate_lifting_tables(onestep(HORNS1, g))[0]
     squares = generating_squares(HORNS1, as_arrow(g))
     assert [i for i, _ in squares] == [0, 0, 1, 1]
     for n, (i, sq) in enumerate(squares):
@@ -287,24 +277,16 @@ def two_loop_check_bijection(gens, g):
     The engine's functions are read off the module at call time, so a
     monkeypatched function acts here as it does in `check_bijection`.
     """
-    arrow = as_arrow(g)
-    found = algebras.enumerate_algebra_structures(gens, arrow)
-    squares, sets = algebras.square_filler_sets(gens, arrow)
-    tables = (
-        []
-        if any(not s for s in sets)
-        else [
-            LiftingTable(target=arrow, gens=gens, squares=squares, fillers=choice)
-            for choice in itertools.product(*sets)
-        ]
-    )
+    step = onestep(gens, g)
+    found = algebras.enumerate_algebra_structures(step)
+    sets = algebras.square_filler_sets(step)
+    tables = [LiftingTable(step, choice) for choice in itertools.product(*sets)]
     product_count = math.prod(len(s) for s in sets)
     problems = []
 
     if len(found) != len(tables):
         problems.append(f"{len(found)} algebras against {len(tables)} tables")
 
-    step = found[0].step if found else build_onestep(gens, arrow)
     table_keys = {tuple(sorted_items_key(f) for f in t.fillers): n for n, t in enumerate(tables)}
     hit = set()
     for n, alg in enumerate(found):
@@ -316,11 +298,11 @@ def two_loop_check_bijection(gens, g):
         if m in hit:
             problems.append(f"algebras collide on table {m}")
         hit.add(m)
-        back = algebras.algebra_from_fillers(t, step=alg.step)
+        back = algebras.algebra_from_fillers(t)
         if not maps_equal(back.structure, alg.structure):
             problems.append(f"round trip through tables moves algebra {n}")
     for m, t in enumerate(tables):
-        back = algebras.fillers_from_algebra(algebras.algebra_from_fillers(t, step=step))
+        back = algebras.fillers_from_algebra(algebras.algebra_from_fillers(t))
         if not all(maps_equal(a, b) for a, b in zip(back.fillers, t.fillers)):
             problems.append(f"round trip through algebras moves table {m}")
     return BijectionReport(
@@ -406,10 +388,10 @@ def test_a_moved_algebra_round_trip_is_reported_alike(monkeypatch):
     elsewhere = honest.algebras[3].structure
     real = algebras.algebra_from_fillers
 
-    def moving(table, step):
-        alg = real(table, step)
+    def moving(table):
+        alg = real(table)
         if components_of(table.fillers) == moved:
-            return AlgebraStructure(target=alg.target, structure=elsewhere, step=alg.step)
+            return AlgebraStructure(step=alg.step, structure=elsewhere)
         return alg
 
     monkeypatch.setattr(algebras, "algebra_from_fillers", moving)
@@ -432,7 +414,7 @@ def test_an_algebra_outside_the_enumeration_is_reported_alike(monkeypatch, fault
             return table
         first, second, *rest = table.fillers
         fillers = (second, first, *rest) if fault == "foreign filler" else (first,)
-        return LiftingTable(target=table.target, gens=table.gens, squares=table.squares, fillers=fillers)
+        return LiftingTable(step=table.step, fillers=fillers)
 
     monkeypatch.setattr(algebras, "fillers_from_algebra", misplacing)
     report = assert_matches_two_loop_check(POINT, FOUR)
@@ -445,8 +427,8 @@ def test_an_algebra_outside_the_enumeration_is_reported_alike(monkeypatch, fault
 
 
 def test_colliding_algebras_are_reported_alike(monkeypatch):
-    real = algebras._algebra_structures
-    monkeypatch.setattr(algebras, "_algebra_structures", lambda step: [real(step)[0], *real(step)[:-1]])
+    real = algebras.enumerate_algebra_structures
+    monkeypatch.setattr(algebras, "enumerate_algebra_structures", lambda step: [real(step)[0], *real(step)[:-1]])
     report = assert_matches_two_loop_check(POINT, FOUR)
     assert report.problems == ("algebras collide on table 0",)
 
@@ -459,7 +441,7 @@ def counting(monkeypatch, name: str) -> list:
 
 
 def test_missing_algebras_leave_every_table_to_its_own_trip(monkeypatch):
-    monkeypatch.setattr(algebras, "_algebra_structures", lambda step: [])
+    monkeypatch.setattr(algebras, "enumerate_algebra_structures", lambda step: [])
     trips = counting(monkeypatch, "algebra_from_fillers")
     steps = counting(monkeypatch, "build_onestep")
     report = check_bijection(POINT, FOUR)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import edge_to_point, set_map
+from conftest import edge_to_point, onestep, set_map
 from nwfs import sequence
 from nwfs.algebras import enumerate_algebra_structures, fillers_from_algebra, validate_algebra
 from nwfs.catalog import get_category, get_gens
@@ -759,7 +759,7 @@ def test_validate_rejects_another_algebra_of_the_converged_step(tmp_path, map_fi
     run = run_free(get_gens("point"), set_map(2, 3, [1, 1]))
     structures = [
         alg
-        for alg in enumerate_algebra_structures(run.gens, run.stages[run.converged_at].right)
+        for alg in enumerate_algebra_structures(onestep(run.gens, run.stages[run.converged_at].right))
         if components_doc(alg.structure) != doc["algebra"]["structure"]
     ]
     assert len(structures) == 2

@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import finset, set_map
+from conftest import finset, onestep, set_map
 from test_hom_search import reflexive_graphs
 from nwfs import jsonio, sequence
 from nwfs.algebras import (
@@ -403,11 +403,11 @@ def moved(f, a, x, value):
 
 def test_a_moved_structure_map_fails_both_algebra_checks():
     g = set_map(2, 2, [0, 1])
-    alg = enumerate_algebra_structures(POINT, g)[0]
+    alg = enumerate_algebra_structures(onestep(POINT, g))[0]
     assert validate_algebra(alg) == []
     # the copy of 0 in the middle now goes to 1, which g sends elsewhere
     y = alg.step.left.components["0"][0]
-    bad = type(alg)(target=alg.target, structure=moved(alg.structure, "0", y, 1), step=alg.step)
+    bad = type(alg)(step=alg.step, structure=moved(alg.structure, "0", y, 1))
     assert validate_algebra(bad) == [
         "structure map does not retract the left half",
         "structure map does not cover the right half",
@@ -419,7 +419,7 @@ def table_on_a_non_injective_arrow():
     j = ArrowObj(set_map(1, 2, [0]))
     gens = GeneratingSet((j,))
     g = set_map(3, 2, [0, 0, 1])
-    table = enumerate_lifting_tables(gens, g)[0]
+    table = enumerate_lifting_tables(onestep(gens, g))[0]
     assert validate_table(table) == []
     return table
 
@@ -428,12 +428,12 @@ def test_a_filler_that_breaks_its_top_triangle_fails_the_table():
     table = table_on_a_non_injective_arrow()
     # a square whose top lands in g's fibre {0, 1}: moving the pinned value
     # within the fibre keeps the bottom triangle
-    n = next(n for n, (_, sq) in enumerate(table.squares) if sq.top.components["0"][0] in (0, 1))
+    n = next(n for n, (_, sq) in enumerate(table.step.squares) if sq.top.components["0"][0] in (0, 1))
     filler = table.fillers[n]
     other = 1 - filler.components["0"][0]
     fillers = list(table.fillers)
     fillers[n] = moved(filler, "0", 0, other)
-    bad = type(table)(target=table.target, gens=table.gens, squares=table.squares, fillers=tuple(fillers))
+    bad = type(table)(step=table.step, fillers=tuple(fillers))
     assert validate_table(bad) == [f"filler {n} breaks the top triangle"]
 
 
@@ -443,11 +443,22 @@ def test_a_filler_that_breaks_its_bottom_triangle_fails_the_table():
     filler = table.fillers[n]
     # element 1 is off the image of j; send it over the other point of g's codomain
     value = filler.components["0"][1]
-    other = next(c for c in (0, 1, 2) if table.target.f.components["0"][c] != table.target.f.components["0"][value])
+    over = table.step.arrow.f.components["0"]
+    other = next(c for c in (0, 1, 2) if over[c] != over[value])
     fillers = list(table.fillers)
     fillers[n] = moved(filler, "0", 1, other)
-    bad = type(table)(target=table.target, gens=table.gens, squares=table.squares, fillers=tuple(fillers))
+    bad = type(table)(step=table.step, fillers=tuple(fillers))
     assert validate_table(bad) == [f"filler {n} breaks the bottom triangle"]
+
+
+@pytest.mark.parametrize("fault", ["missing", "extra"])
+def test_a_table_with_a_filler_count_off_its_squares_fails(fault):
+    table = enumerate_lifting_tables(onestep(POINT, set_map(2, 2, [0, 1])))[0]
+    assert len(table.fillers) == len(table.step.squares) == 2
+    # the fillers that are there still solve their squares
+    fillers = table.fillers[:-1] if fault == "missing" else (*table.fillers, table.fillers[0])
+    bad = type(table)(step=table.step, fillers=fillers)
+    assert validate_table(bad) == [f"table has {len(fillers)} fillers for 2 squares"]
 
 
 def runs_to_compare():

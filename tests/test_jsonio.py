@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import set_map
+from conftest import onestep, set_map
 from nwfs.algebras import check_bijection, enumerate_lifting_tables
 from nwfs.arrows import as_arrow, generating_squares
 from nwfs.catalog import get_category, get_gens, representable, terminal_category, terminal_presheaf
@@ -292,7 +292,7 @@ def test_filler_certificate_round_trip():
     g = set_map(2, 1, [0, 0])
     arrow = as_arrow(g)
     (i, sq), *_ = generating_squares(POINT, arrow)
-    table = enumerate_lifting_tables(POINT, g)[0]
+    table = enumerate_lifting_tables(onestep(POINT, g))[0]
     cert = reload(
         filler_certificate(
             terminal_category(), POINT.members[i], g, sq.top, sq.bottom, table.fillers[0]

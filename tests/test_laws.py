@@ -20,6 +20,7 @@ from nwfs.rules import (
     cograph_rule,
     graph_rule,
     mutant_rule,
+    odot_product,
     tensor_product,
     trivial_left_rule,
     trivial_right_rule,
@@ -114,11 +115,16 @@ def test_trivial_rules_only_carry_one_side():
 
 
 def test_composites_satisfy_the_functor_laws():
-    combined = tensor_product(graph_rule(), cograph_rule())
-    report = check_laws([combined], exhaustive_arrows(3))
-    assert report.ok
-    laws = {c.law for c in report.checks}
-    assert laws == {"factors", "functor-id"}
+    # each composite on its own, so that every one is seen to check both laws
+    for combined in (
+        tensor_product(graph_rule(), cograph_rule()),
+        odot_product(graph_rule(), cograph_rule()),
+        odot_product(cograph_rule(), graph_rule()),
+    ):
+        report = check_laws([combined], exhaustive_arrows(3))
+        assert report.ok, combined.name
+        laws = {c.law for c in report.checks}
+        assert laws == {"factors", "functor-id"}
 
 
 def test_each_mutant_is_caught_by_the_predicted_law():

@@ -133,24 +133,33 @@ def test_limit_stage_bookkeeping():
     # numbered as the colimit of the chain up to it
     assert is_iso(state.links[2])
     chain = chain_colimit(state.links[:3], state.stages[0].mid)
+    into = state.connect_all(3)
     for i in range(4):
-        assert maps_equal(chain.legs[i], state.connect(i, 3))
+        assert maps_equal(chain.legs[i], into[i])
 
 
 def test_connect_composes_links():
     g = set_map(1, 2, [0])
     state = run_plain(POINT, g, budget=OrdinalBudget(3, 1), stop_at_convergence=False)
-    assert maps_equal(state.connect(0, 0), identity_map(state.stages[0].mid))
+    assert maps_equal(state.connect_all(0)[0], identity_map(state.stages[0].mid))
     two_step = compose_maps(state.links[1], state.links[0])
-    assert maps_equal(state.connect(0, 2), two_step)
+    assert maps_equal(state.connect_all(2)[0], two_step)
     with pytest.raises(IncompatibleInput):
-        state.connect(2, 99)
+        state.connect_all(99)
 
 
 def interval_to_point():
     base = get_category("delta<=1")
     edge, point = representable(base, "1"), terminal_presheaf(base)
     return PresheafMap(edge, point, {a: dict.fromkeys(edge.carrier[a], 0) for a in base.objects})
+
+
+def composed_links(state, i: int, j: int):
+    """The connecting map from stage i to stage j, one `compose_maps` per link."""
+    out = identity_map(state.stages[i].mid)
+    for link in state.links[i:j]:
+        out = compose_maps(link, out)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -171,7 +180,7 @@ def test_connect_all_gives_every_connect_into_a_stage(gens, g, budget):
             into = state.connect_all(j)
             assert len(into) == j + 1
             for i, got in enumerate(into):
-                want = state.connect(i, j)
+                want = composed_links(state, i, j)
                 assert got.source is want.source and got.target is want.target
                 assert got.components == want.components
         with pytest.raises(IncompatibleInput):
@@ -237,7 +246,7 @@ def web_free_step(run, ordinal, bottoms):
     low = below[0]
     to_top = chain_composites(run.links[low:top], last.mid)
     web = chain_colimit(
-        [sequence._carry(run.connect(i, j), run.step_of(i), run.step_of(j)) for i, j in zip(below, below[1:])],
+        [sequence._carry(run.connect_all(j)[i], run.step_of(i), run.step_of(j)) for i, j in zip(below, below[1:])],
         start=run.step_of(low).mid,
     )
     first = induce(

@@ -42,6 +42,13 @@ class Cocone:
     legs: tuple[PresheafMap, ...]
 
 
+@dataclass(frozen=True)
+class Attachment(Cocone):
+    """`attach`'s cocone; `fresh[id(v)][a]` lists v's fresh elements at a, as each span of v numbers them."""
+
+    fresh: dict[int, dict[str, list[int]]]
+
+
 class UnionFind:
     """Disjoint sets over ints, union by size.
 
@@ -203,11 +210,12 @@ def coequalizer(f: PresheafMap, g: PresheafMap) -> Cocone:
 def _cell_template(v: PresheafMap) -> tuple:
     """What gluing a copy of B along v: A -> B needs, whatever u is.
 
-    Returns (hits, fresh, merges, writes). Per object a:
+    Returns (hits, fresh, merges, writes, elements). Per object a:
     - `hits[a]`: (position in B's carrier, A-element) for each element of
       B in v's image, with the first A-element over it in A's carrier order;
     - `fresh[a]`: the positions of the other elements of B, in carrier
-      order, so the r-th of them becomes apex element offset + r;
+      order, so the r-th of them becomes apex element offset + r, and
+      `elements[a]` those elements themselves;
     - `merges[a]`: the pairs (first, other) of A-elements that v sends to
       one element.
     `writes` lists, for each morphism m that acts on a fresh element, m's
@@ -216,7 +224,7 @@ def _cell_template(v: PresheafMap) -> tuple:
     """
     A, B = v.source, v.target
     base = B.base
-    hits, fresh, merges, image, position = {}, {}, {}, {}, {}
+    hits, fresh, merges, image, position, elements = {}, {}, {}, {}, {}, {}
     for a in base.objects:
         vc, first, same = v.components[a], {}, []
         for x in A.carrier[a]:
@@ -226,6 +234,7 @@ def _cell_template(v: PresheafMap) -> tuple:
         at = position[a] = {b: p for p, b in enumerate(B.carrier[a])}
         hits[a] = [(at[b], x0) for b, x0 in first.items()]
         fresh[a] = [p for p, b in enumerate(B.carrier[a]) if b not in first]
+        elements[a] = [B.carrier[a][p] for p in fresh[a]]
         merges[a] = same
         image[a] = first
     writes = []
@@ -234,10 +243,10 @@ def _cell_template(v: PresheafMap) -> tuple:
         entries = [(p, at[act[b]]) for p, b in enumerate(B.carrier[m.cod]) if b not in hit]
         if entries:
             writes.append((m.name, m.cod, m.dom, entries))
-    return hits, fresh, merges, writes
+    return hits, fresh, merges, writes, elements
 
 
-def attach(X: Presheaf, spans: Sequence[tuple[PresheafMap, PresheafMap]]) -> Cocone:
+def attach(X: Presheaf, spans: Sequence[tuple[PresheafMap, PresheafMap]]) -> Attachment:
     """X with a copy of B glued along A for every span (u: A -> X, v: A -> B).
 
     This is the quotient of the coproduct X + B0 + B1 + ... that identifies
@@ -254,6 +263,8 @@ def attach(X: Presheaf, spans: Sequence[tuple[PresheafMap, PresheafMap]]) -> Coc
     so the classes of X/~ come first, in X's order; then each span's
     elements of B outside the image of v, span by span and in carrier
     order. Legs come back in the order (from X, from B0, from B1, ...).
+    The cocone's `fresh` gives that layout, so a map out of the apex can be
+    written block by block with no `induce`, as `onestep` does.
 
     Everything about a cell that depends on v alone is worked out once per
     distinct v object (`_cell_template`). `quotient` is called once, and the
@@ -276,7 +287,7 @@ def attach(X: Presheaf, spans: Sequence[tuple[PresheafMap, PresheafMap]]) -> Coc
         template = templates.get(id(v))
         if template is None:
             template = templates[id(v)] = _cell_template(v)
-        _, _, merges, _ = template
+        merges = template[2]
         for a, same in merges.items():
             uc = u.components[a]
             for x0, x in same:
@@ -289,7 +300,7 @@ def attach(X: Presheaf, spans: Sequence[tuple[PresheafMap, PresheafMap]]) -> Coc
     size = Q.sizes
     action = Q.action
     cell_legs = []
-    for (u, v), (hits, fresh, _, writes) in zip(spans, cells):
+    for (u, v), (hits, fresh, _, writes, _) in zip(spans, cells):
         B, rows, into = v.target, {}, {}
         for a in objects:
             on_x, uc, carrier = proj.components[a], u.components[a], B.carrier[a]
@@ -313,7 +324,7 @@ def attach(X: Presheaf, spans: Sequence[tuple[PresheafMap, PresheafMap]]) -> Coc
     apex = Presheaf(base=X.base, carrier={a: tuple(range(size[a])) for a in objects}, action=action)
     legs = [PresheafMap(X, apex, proj.components)]
     legs.extend(PresheafMap(B, apex, into) for B, into in cell_legs)
-    return Cocone(apex=apex, legs=tuple(legs))
+    return Attachment(apex=apex, legs=tuple(legs), fresh={key: t[4] for key, t in templates.items()})
 
 
 def pushout(f: PresheafMap, g: PresheafMap) -> Cocone:

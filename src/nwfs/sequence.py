@@ -198,13 +198,16 @@ def _limit_stage(run: SequenceState, block: int) -> SequenceState:
     """Pass to the colimit of the chain built so far."""
     last = run.stages[-1]
     cocone = chain_colimit(list(run.links), start=run.stages[0].mid)
+    # the apex is the last stage renumbered: read that stage's right half through the last leg
+    into, below = cocone.legs[-1].components, last.right.components
+    right = {a: {y: below[a][x] for x, y in into[a].items()} for a in into}
     stage = Stage(
         index=last.index + 1,
         ordinal=_ordinal_label(block, 0),
         kind="limit",
         mid=cocone.apex,
         left=compose_maps(cocone.legs[-1], last.left),
-        right=induce(cocone, [s.right for s in run.stages], run.arrow.cod),
+        right=PresheafMap(cocone.apex, run.arrow.cod, right),
     )
     return run.extended(stage, link=cocone.legs[-1])
 

@@ -1,8 +1,13 @@
+import importlib
+import pkgutil
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+import nwfs
 from conftest import finset, set_map, set_maps
+from test_colimits import CODIAGONAL, DELTA2_PIECES, TWO_INTO_THREE
 from test_hom_search import PIECES, reflexive_graphs
 from nwfs.arrows import (
     ArrowObj,
@@ -12,6 +17,8 @@ from nwfs.arrows import (
     enumerate_squares,
     generating_squares,
     identity_square,
+    square_fixing_codomain,
+    square_fixing_domain,
 )
 from nwfs.catalog import get_gens, terminal_presheaf
 from nwfs.colimits import Cocone, coequalizer, coproduct, induce
@@ -27,6 +34,7 @@ from nwfs.core import (
 )
 from nwfs.jsonio import cells_doc, components_doc
 from nwfs.onestep import build_onestep, onestep_on_square
+from nwfs.sequence import OrdinalBudget, run_free
 
 POINT = get_gens("point")
 CODIAG = get_gens("codiagonal")
@@ -322,3 +330,91 @@ def test_on_square_rejects_steps_of_different_generating_sets():
     g = as_arrow(set_map(3, 2, [0, 0, 1]))
     with pytest.raises(IncompatibleInput, match="different generating sets"):
         onestep_on_square(identity_square(g), build_onestep(POINT, g), build_onestep(CODIAG, g))
+
+
+def twin(v):
+    """A map equal to v that is another object."""
+    return PresheafMap(v.source, v.target, {a: dict(c) for a, c in v.components.items()})
+
+
+@st.composite
+def layout_cases(draw):
+    """A generating set and an arrow to factor, drawn as the `attach` tests draw spans.
+
+    Horns over delta<=2 into a small simplicial set, each the catalog's own
+    object and possibly listed twice, so that the cells of one generator
+    share its template; sets under the codiagonal, an injection 2 -> 3 out
+    of its source and the point; and either with one generator beside an
+    equal but distinct twin.
+    """
+    if draw(st.booleans()):
+        members = draw(st.lists(st.sampled_from(HORNS2.members), min_size=1, max_size=3))
+        maps = enumerate_maps(draw(st.sampled_from(DELTA2_PIECES)), draw(st.sampled_from(DELTA2_PIECES)))
+        assume(maps)
+        g = draw(st.sampled_from(maps))
+    else:
+        vs = draw(st.lists(st.sampled_from([CODIAGONAL, TWO_INTO_THREE, POINT.members[0].f]), min_size=1, max_size=3))
+        members = [ArrowObj(v) for v in vs]
+        g = draw(set_maps_with_ids(max_size=4))
+    if draw(st.booleans()):
+        members.append(ArrowObj(twin(draw(st.sampled_from(members)).f)))
+    return GeneratingSet(members=tuple(members)), as_arrow(g)
+
+
+@given(layout_cases(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_the_step_writers_match_induce_out_of_the_same_cocone(case, data):
+    gens, g = case
+    step = build_onestep(gens, g)
+    want = induce(step.cocone, [g.f] + [sq.bottom for _, sq in step.squares], g.cod)
+    assert step.right.source is step.mid and step.right.target is g.cod
+    assert step.right.components == want.components
+    # a cell's fresh block is what its leg reaches outside the left leg's image
+    for a in step.mid.base.objects:
+        starts, image = step.cell_starts[a], set(step.left.components[a].values())
+        assert len(starts) == len(step.squares) + 1 and starts[-1] == len(step.mid.carrier[a])
+        for n in range(len(step.squares)):
+            assert sorted(set(step.cell_leg(n).components[a].values()) - image) == list(range(starts[n], starts[n + 1]))
+
+    # the identity, the run's carry (left, 1): g -> right, and (1, h): g -> h g
+    rho = as_arrow(step.right)
+    h = data.draw(st.sampled_from(enumerate_maps(g.cod, g.cod)))
+    hg = as_arrow(compose_maps(h, g.f))
+    for sq, source_step, target_step in [
+        (identity_square(g), step, step),
+        (square_fixing_codomain(g, rho, step.left), step, build_onestep(gens, rho)),
+        (square_fixing_domain(g, hg, h), step, build_onestep(gens, hg)),
+    ]:
+        got = onestep_on_square(sq, source_step, target_step)
+        assert got.source is source_step.mid and got.target is target_step.mid
+        assert got.components == pasted_onestep(sq, source_step, target_step).components
+
+
+def test_the_step_writers_call_no_induce(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return induce(*args)
+
+    # every module that holds the name, as a tracer patches it
+    modules = [nwfs] + [importlib.import_module(f"nwfs.{m.name}") for m in pkgutil.iter_modules(nwfs.__path__)]
+    for module in modules:
+        if hasattr(module, "induce"):
+            monkeypatch.setattr(module, "induce", counted)
+    cases = [
+        (POINT, set_map(3, 2, [0, 0, 1])),
+        (CODIAG, set_map(4, 2, [0, 0, 1, 1])),
+        (HORNS2, enumerate_maps(DELTA2_PIECES[2], terminal_presheaf(DELTA2_PIECES[2].base))[0]),
+    ]
+    for gens, g in cases:
+        g = as_arrow(g)
+        step = build_onestep(gens, g)
+        rho = as_arrow(step.right)
+        onestep_on_square(identity_square(g), step, step)
+        onestep_on_square(square_fixing_codomain(g, rho, step.left), step, build_onestep(gens, rho))
+    assert calls[0] == 0
+    # the patch reaches the callers that still induce: a free successor
+    # stage induces its web maps
+    run_free(POINT, cases[0][1], OrdinalBudget(successors_per_block=2), stop_at_convergence=False)
+    assert calls[0] > 0

@@ -196,14 +196,16 @@ def coproduct(parts: Sequence[Presheaf], base: FinCategory | None = None) -> Coc
 
 
 def coequalizer(f: PresheafMap, g: PresheafMap) -> Cocone:
-    """Coequalizer of the parallel pair f, g; the single leg is the quotient map."""
+    """Coequalizer of the parallel pair f, g; the single leg is the quotient map.
+
+    Where f and g agree there is no pair: it adds nothing to the congruence.
+    """
     if not (_same(f.source, g.source) and _same(f.target, g.target)):
         raise IncompatibleInput("coequalizer: the two maps are not a parallel pair")
-    pairs = [
-        (a, f.components[a][x], g.components[a][x])
-        for a in f.source.base.objects
-        for x in f.source.carrier[a]
-    ]
+    pairs = []
+    for a in f.source.base.objects:
+        fa, ga = f.components[a], g.components[a]
+        pairs.extend((a, fa[x], ga[x]) for x in f.source.carrier[a] if fa[x] != ga[x])
     return quotient(f.target, pairs)
 
 
@@ -349,14 +351,15 @@ def chain_composites(links: Sequence[PresheafMap], last: Presheaf) -> list[Presh
 
 
 def chain_colimit(steps: Sequence[PresheafMap], start: Presheaf) -> Cocone:
-    """Colimit of a finite chain start = X0 -> X1 -> ... -> Xn, one leg per stage.
+    """Colimit of a finite chain start = X0 -> X1 -> ... -> Xn, read through its last stage.
 
     Step i runs from Xi to Xi+1, so step 0 must start at `start`. A finite
-    chain's colimit is its last stage Xn, and leg i is the composite
-    Xi -> Xn. The apex is Xn renumbered in order of first appearance: stage
-    by stage, and in carrier order within a stage. That is the numbering
-    the quotient of the coproduct of all stages would give, whose classes
-    are ranked by their least member. With no steps the colimit is `start`
+    chain's colimit is its last stage Xn, renumbered in order of first
+    appearance: stage by stage, and in carrier order within a stage. That
+    is the numbering the quotient of the coproduct of all stages would
+    give, whose classes are ranked by their least member. The one leg is
+    the renumbering Xn -> apex, a bijection; the leg from Xi is it after
+    `chain_composites(steps, Xn)[i]`. With no steps the colimit is `start`
     itself, with an identity leg.
     """
     if not steps:
@@ -368,24 +371,22 @@ def chain_colimit(steps: Sequence[PresheafMap], start: Presheaf) -> Cocone:
         stages.append(m.target)
     last = stages[-1]
     base = last.base
-    # to_last[i] holds the components of the composite Xi -> Xn
-    to_last = [leg.components for leg in chain_composites(steps, last)]
+    # each element of Xn ranked at its first appearance through a composite
+    # Xi -> Xn; the last composite is the identity, so rank is the leg
     rank: dict[str, dict[int, int]] = {a: {} for a in base.objects}
-    for X, into in zip(stages, to_last):
+    for X, to_last in zip(stages, chain_composites(steps, last)):
         for a in base.objects:
+            into, ranked = to_last.components[a], rank[a]
             for x in X.carrier[a]:
-                rank[a].setdefault(into[a][x], len(rank[a]))
+                ranked.setdefault(into[x], len(ranked))
     carrier = {a: tuple(range(len(rank[a]))) for a in base.objects}
     action = {
         m.name: {rank[m.cod][y]: rank[m.dom][last.action[m.name][y]] for y in rank[m.cod]}
         for m in base.morphisms
     }
-    apex = presheaf(base, carrier, action)
-    legs = tuple(
-        PresheafMap(X, apex, {a: {x: rank[a][into[a][x]] for x in X.carrier[a]} for a in base.objects})
-        for X, into in zip(stages, to_last)
-    )
-    return Cocone(apex=apex, legs=legs)
+    # carriers are ranges and every morphism acts: nothing to normalise
+    apex = Presheaf(base=base, carrier=carrier, action=action)
+    return Cocone(apex=apex, legs=(PresheafMap(last, apex, rank),))
 
 
 def induce(cocone: Cocone, targets: Sequence[PresheafMap], cod: Presheaf) -> PresheafMap:

@@ -414,7 +414,10 @@ def is_surjective(f: PresheafMap) -> bool:
 
 
 def is_iso(f: PresheafMap) -> bool:
-    return is_injective(f) and is_surjective(f)
+    # a bijection keeps every carrier's size, which is cheap to compare first
+    src, tgt = f.source.carrier, f.target.carrier
+    same_sizes = all(len(src[a]) == len(tgt[a]) for a in f.source.base.objects)
+    return same_sizes and is_injective(f) and is_surjective(f)
 
 
 def inverse_map(f: PresheafMap) -> PresheafMap:

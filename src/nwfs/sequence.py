@@ -22,13 +22,14 @@ Every free stage after the first is built by one step. The one-step middle
 of the current stage is coequalized against the folds below it: after a
 successor stage that is the previous fold alone, after a limit stage every
 fold in the chain. The pair leaves the colimit of the step middles carrying
-those folds; one map goes through the folds and the links up to the current
-stage, the other applies the step functor to those links. The step functor
-takes composites to composites, so it is applied once per stage: each free
-stage carries the connecting map from the last fold below it up to itself,
-the run keeps that carry as the link of every later colimit that reaches
-the stage (across a limit stage too), and the second map is the current
-stage's carry after the colimit's own composites.
+those folds, and it leaves through that chain's last stage, since the
+colimit is that stage renumbered: one map goes through the last fold and the
+links up to the current stage, the other applies the step functor to those
+links. The step functor takes composites to composites, so it is applied
+once per stage: each free stage carries the connecting map from the last
+fold below it up to itself, the run keeps that carry as the link of every
+later colimit that reaches the stage (across a limit stage too), and the
+second map is the current stage's carry read through the renumbering.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .arrows import ArrowObj, BottomIndex, GeneratingSet, as_arrow, square_fixin
 from .colimits import Cocone, chain_colimit, chain_composites, coequalizer, induce
 from .core import (
     IncompatibleInput,
+    InternalCheckFailed,
     Presheaf,
     PresheafMap,
     compose_maps,
@@ -218,10 +220,12 @@ def _free_step(run: SequenceState, ordinal: str, bottoms: tuple[BottomIndex, ...
     After a successor stage the only fold below is the previous one; after a
     limit stage it is every fold in the chain. The step middles carrying
     those folds form a chain of their own, and both maps of the pair leave
-    its colimit: one through the folds and up to the current stage, the
-    other through the step functor. The chain's links are carries the run
-    kept from earlier stages, and the one new carry runs from its last
-    member up to the current stage; the run keeps it in turn.
+    its colimit through its last member, which the colimit only renumbers:
+    one through the last fold and up to the current stage, the other
+    through the step functor. The chain's links are carries the run kept
+    from earlier stages, and the one new carry runs from its last member up
+    to the current stage; the run keeps it in turn. The first map's
+    targets must agree along the links, which is checked.
     """
     last = run.stages[-1]
     top = last.index
@@ -241,16 +245,19 @@ def _free_step(run: SequenceState, ordinal: str, bottoms: tuple[BottomIndex, ...
     # connect_all(j)[i] then, also across a limit stage between them.
     web_links = [run.carries[j] for j in below[1:]]
     web = chain_colimit(web_links, start=run.step_of(low).mid)
-    first = induce(
-        web,
-        [compose_maps(step.left, compose_maps(to_top[i + 1 - low], run.folds[i])) for i in below],
-        step.mid,
-    )
-    # Functoriality gives the second map's targets as `up` after the web's
-    # own composites, so its agreement check holds by construction; the
-    # tests compare the run with a web that carries every link and leg.
+    targets = [compose_maps(step.left, compose_maps(to_top[i + 1 - low], run.folds[i])) for i in below]
+    for n, link in enumerate(web_links):
+        if not composite_equals(targets[n + 1], link, targets[n]):
+            raise InternalCheckFailed(f"free step: the folds below stage {top} disagree along web link {n}")
+    # the second map's targets are `up` after the web's own composites, so
+    # they agree by construction; the tests compare a web with every leg
     up = _carry(to_top[high - low], run.step_of(high), step)
-    second = induce(web, chain_composites(web_links + [up], step.mid)[:-1], step.mid)
+    # both maps leave the web through its last leg, a bijection
+    into = web.legs[-1].components
+    first, second = (
+        PresheafMap(web.apex, step.mid, {a: {y: t.components[a][x] for x, y in into[a].items()} for a in into})
+        for t in (targets[-1], up)
+    )
     coeq = coequalizer(first, second)
     fold = coeq.legs[0]
     link = compose_maps(fold, step.left)

@@ -8,7 +8,8 @@ import hypothesis.strategies as st
 
 from nwfs.arrows import as_arrow
 from nwfs.catalog import get_category, representable, terminal_category, terminal_presheaf
-from nwfs.core import FinCategory, Morphism, Presheaf, PresheafMap, presheaf
+from nwfs.colimits import Cocone, chain_composites
+from nwfs.core import FinCategory, Morphism, Presheaf, PresheafMap, compose_maps, presheaf
 from nwfs.onestep import OneStepFactorization, build_onestep
 
 
@@ -40,6 +41,12 @@ CYCLIC3 = one_object_category("cyclic3", ["id0", "r1", "r2"], lambda i, j: (i + 
 def set_map(source_size: int, target_size: int, values) -> PresheafMap:
     src, tgt = finset(source_size), finset(target_size)
     return PresheafMap(src, tgt, {"0": {i: v for i, v in enumerate(values)}})
+
+
+def chain_legs(cone: Cocone, steps, start: Presheaf) -> list[PresheafMap]:
+    """Every leg of `chain_colimit(steps, start)`: its one leg, from the last stage, after each stage's composite into the end."""
+    last = steps[-1].target if steps else start
+    return [compose_maps(cone.legs[-1], c) for c in chain_composites(steps, last)]
 
 
 def onestep(gens, g) -> OneStepFactorization:

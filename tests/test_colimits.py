@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import CYCLIC3, IDEMPOTENT, finset, parallel_pairs, set_map, set_maps
+from conftest import CYCLIC3, IDEMPOTENT, chain_legs, finset, parallel_pairs, set_map, set_maps
 from test_hom_search import PART_LISTS, one_object_presheaves, reflexive_graphs, relabelled_coproducts
 from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
 from nwfs.colimits import (
@@ -128,6 +128,41 @@ def test_coequalizer_universal_property(pair):
         assert len(matches) == 1
 
 
+@st.composite
+def graph_pairs(draw):
+    """Two maps between one pair of reflexive graphs, each drawn from all maps between them."""
+    X, Y = draw(reflexive_graphs(0, 2, 2)), draw(reflexive_graphs(1, 3, 3))
+    maps = enumerate_maps(X, Y)
+    pick = st.integers(0, len(maps) - 1)
+    return maps[draw(pick)], maps[draw(pick)]
+
+
+@st.composite
+def equal_pairs(draw):
+    f, _ = draw(st.one_of(parallel_pairs(), graph_pairs()))
+    return f, f
+
+
+@given(st.one_of(parallel_pairs(), graph_pairs(), equal_pairs()))
+@settings(max_examples=80, deadline=None)
+def test_coequalizer_matches_the_quotient_by_every_pair(pair):
+    # the coequalizer drops the pairs whose sides are equal; the quotient
+    # by every pair, those included, is the reference
+    f, g = pair
+    got = coequalizer(f, g)
+    want = quotient(
+        f.target,
+        [(a, f.components[a][x], g.components[a][x]) for a in f.source.base.objects for x in f.source.carrier[a]],
+    )
+    assert dict(got.apex.carrier) == dict(want.apex.carrier)
+    assert {m: dict(act) for m, act in got.apex.action.items()} == {m: dict(act) for m, act in want.apex.action.items()}
+    assert got.legs[0].source is f.target
+    assert got.legs[0].components == want.legs[0].components
+    if f is g:
+        # nothing merges: the projection only renumbers
+        assert is_iso(got.legs[0])
+
+
 @given(st.data())
 @settings(max_examples=60)
 def test_pushout_square_and_mono_preservation(data):
@@ -156,8 +191,11 @@ def test_chain_colimit_stabilizing_chain():
     steps = [set_map(2, 3, [0, 1]), set_map(3, 3, [0, 1, 2]), set_map(3, 3, [0, 1, 2])]
     cone = chain_colimit(steps, steps[0].source)
     assert cone.apex.sizes == {"0": 3}
-    for i, leg in enumerate(cone.legs[:-1]):
-        assert maps_equal(leg, compose_maps(cone.legs[i + 1], steps[i]))
+    # the cocone carries the last stage's leg alone
+    assert len(cone.legs) == 1 and cone.legs[0].source is steps[-1].target
+    legs = chain_legs(cone, steps, steps[0].source)
+    for i, leg in enumerate(legs[:-1]):
+        assert maps_equal(leg, compose_maps(legs[i + 1], steps[i]))
     assert is_iso(cone.legs[-1])
 
 
@@ -174,7 +212,7 @@ def test_chain_colimit_with_collapsing_links():
     steps = [set_map(3, 2, [0, 0, 1]), set_map(2, 1, [0, 0])]
     cone = chain_colimit(steps, steps[0].source)
     assert cone.apex.sizes == {"0": 1}
-    assert all(is_surjective(leg) for leg in cone.legs)
+    assert all(is_surjective(leg) for leg in chain_legs(cone, steps, steps[0].source))
 
 
 def quotient_of_coproduct(steps):
@@ -224,8 +262,11 @@ def test_chain_colimit_matches_the_quotient_of_the_coproduct(steps):
     apex, legs = quotient_of_coproduct(steps)
     assert dict(cone.apex.carrier) == dict(apex.carrier)
     assert {m: dict(act) for m, act in cone.apex.action.items()} == {m: dict(act) for m, act in apex.action.items()}
-    assert len(cone.legs) == len(legs)
-    for got, want in zip(cone.legs, legs):
+    # the last leg renumbers the last stage, so it is a bijection
+    assert is_iso(cone.legs[-1])
+    got_legs = chain_legs(cone, steps, steps[0].source)
+    assert len(got_legs) == len(legs)
+    for got, want in zip(got_legs, legs):
         assert got.source is want.source
         assert got.components == want.components
 

@@ -1,8 +1,9 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import CYCLIC3, IDEMPOTENT, finset, set_map, set_maps
+from test_hom_search import reflexive_graphs
 from nwfs.catalog import get, get_category, keys, representable, terminal_category
 from nwfs.core import (
     FinCategory,
@@ -134,6 +135,29 @@ def test_iso_predicates():
     assert not is_surjective(not_inj)
     with pytest.raises(IncompatibleInput):
         inverse_map(not_inj)
+
+
+@st.composite
+def equal_size_set_maps(draw, max_size: int = 5):
+    """A set map whose source and target have one size, so only injectivity decides an iso."""
+    n = draw(st.integers(0, max_size))
+    return set_map(n, n, draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) if n else [])
+
+
+@st.composite
+def graph_maps(draw):
+    """A reflexive-graph map drawn from all maps between its ends, often an endomorphism."""
+    X = draw(reflexive_graphs(1, 3, 3))
+    Y = X if draw(st.booleans()) else draw(reflexive_graphs(1, 3, 3))
+    maps = enumerate_maps(X, Y)
+    return maps[draw(st.integers(0, len(maps) - 1))]
+
+
+@given(st.one_of(set_maps(), equal_size_set_maps(), graph_maps()))
+@settings(max_examples=120, deadline=None)
+def test_is_iso_is_injective_and_surjective(f):
+    # is_iso compares carrier sizes first; the answer must not change
+    assert is_iso(f) == (is_injective(f) and is_surjective(f))
 
 
 def test_enumerate_maps_counts_functions():

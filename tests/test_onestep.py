@@ -415,6 +415,6 @@ def test_the_step_writers_call_no_induce(monkeypatch):
         onestep_on_square(square_fixing_codomain(g, rho, step.left), step, build_onestep(gens, rho))
     assert calls[0] == 0
     # the patch reaches the callers that still induce: a free successor
-    # stage induces its web maps
+    # stage induces its right half out of the coequalizer
     run_free(POINT, cases[0][1], OrdinalBudget(successors_per_block=2), stop_at_convergence=False)
     assert calls[0] > 0

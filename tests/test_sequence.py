@@ -4,11 +4,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from conftest import edge_to_point, finset, random_set_map, set_map, set_maps
+from conftest import chain_legs, edge_to_point, finset, random_set_map, set_map, set_maps
+from test_colimits import quotient_of_coproduct
 from nwfs import arrows, sequence
 from nwfs.arrows import ArrowObj, BottomIndex, Square, as_arrow, enumerate_squares, generating_squares
 from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
-from nwfs.colimits import chain_colimit, chain_composites, coequalizer, induce
+from nwfs.colimits import Cocone, chain_colimit, chain_composites, coequalizer, induce
 from nwfs.core import IncompatibleInput, PresheafMap, compose_maps, identity_map, is_iso, maps_equal
 from nwfs.onestep import build_onestep, onestep_on_square
 from nwfs.sequence import (
@@ -134,8 +135,9 @@ def test_limit_stage_bookkeeping():
     assert is_iso(state.links[2])
     chain = chain_colimit(state.links[:3], state.stages[0].mid)
     into = state.connect_all(3)
+    legs = chain_legs(chain, state.links[:3], state.stages[0].mid)
     for i in range(4):
-        assert maps_equal(chain.legs[i], into[i])
+        assert maps_equal(legs[i], into[i])
 
 
 def test_connect_composes_links():
@@ -245,10 +247,10 @@ def web_free_step(run, ordinal, bottoms):
     step = build_onestep(run.gens, ArrowObj(last.right))
     low = below[0]
     to_top = chain_composites(run.links[low:top], last.mid)
-    web = chain_colimit(
-        [sequence._carry(run.connect_all(j)[i], run.step_of(i), run.step_of(j)) for i, j in zip(below, below[1:])],
-        start=run.step_of(low).mid,
-    )
+    web_links = [sequence._carry(run.connect_all(j)[i], run.step_of(i), run.step_of(j)) for i, j in zip(below, below[1:])]
+    start = run.step_of(low).mid
+    cone = chain_colimit(web_links, start=start)
+    web = Cocone(cone.apex, tuple(chain_legs(cone, web_links, start)))
     first = induce(
         web,
         [compose_maps(step.left, compose_maps(to_top[i + 1 - low], run.folds[i])) for i in below],
@@ -267,6 +269,21 @@ def web_free_step(run, ordinal, bottoms):
         right=induce(coeq, [step.right], run.arrow.cod),
     )
     return run.extended(stage, link=link, step=step, fold=fold, pair=(first, second))
+
+
+def every_leg_limit_stage(run, block):
+    """The limit stage induced out of the quotient of the coproduct of every stage, kept as the reference."""
+    last = run.stages[-1]
+    apex, legs = quotient_of_coproduct(list(run.links))
+    stage = Stage(
+        index=last.index + 1,
+        ordinal=sequence._ordinal_label(block, 0),
+        kind="limit",
+        mid=apex,
+        left=compose_maps(legs[-1], last.left),
+        right=induce(Cocone(apex, tuple(legs)), [s.right for s in run.stages], run.arrow.cod),
+    )
+    return run.extended(stage, link=legs[-1])
 
 
 def free_step_cases():
@@ -293,6 +310,21 @@ def test_free_step_matches_the_web_that_carries_every_link(monkeypatch, gens, g,
     assert got.links == want.links
     assert got.folds == want.folds
     assert got.pairs == want.pairs
+
+
+@pytest.mark.parametrize("gens, g, budget", free_step_cases())
+@pytest.mark.parametrize("runner", [run_free, run_plain])
+def test_limit_stages_match_the_cocone_that_carries_every_leg(monkeypatch, runner, gens, g, budget):
+    got = runner(gens, g, OrdinalBudget(*budget), stop_at_convergence=False)
+    with monkeypatch.context() as m:
+        m.setattr(sequence, "_limit_stage", every_leg_limit_stage)
+        want = runner(gens, g, OrdinalBudget(*budget), stop_at_convergence=False)
+    assert sum(s.kind == "limit" for s in got.stages) == budget[1] - 1
+    assert len(got.stages) == len(want.stages)
+    for n, (a, b) in enumerate(zip(got.stages, want.stages)):
+        assert a == b, f"stage {n}"
+    assert got.links == want.links
+    assert got.folds == want.folds
 
 
 def test_free_step_carries_each_link_once(monkeypatch):

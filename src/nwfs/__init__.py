@@ -14,7 +14,6 @@ from .algebras import (
     LiftingTable,
     algebra_from_fillers,
     check_bijection,
-    compose_lifting_tables,
     enumerate_algebra_structures,
     enumerate_lifting_tables,
     extract_algebra,

@@ -34,7 +34,6 @@ from .arrows import (
     Square,
     as_arrow,
     square_fixing_domain,
-    square_key,
     values,
 )
 from .colimits import induce
@@ -42,7 +41,6 @@ from .core import (
     IncompatibleInput,
     InternalCheckFailed,
     PresheafMap,
-    _same,
     compose_maps,
     composite_equals,
     enumerate_maps,
@@ -84,18 +82,6 @@ class LiftingTable:
 
     step: OneStepFactorization
     fillers: tuple[PresheafMap, ...]
-
-    def lookup(self, gen_index: int, sq: Square) -> PresheafMap:
-        step = self.step
-        # keys are exact only among maps with one source, so the generator is checked
-        if not 0 <= gen_index < len(step.gens.members) or not _same(sq.source.f, step.gens.members[gen_index].f):
-            raise IncompatibleInput("lookup: square does not start at the generator it is looked up under")
-        if not _same(sq.target.f, step.arrow.f):
-            raise IncompatibleInput("lookup: square lands in a different arrow")
-        n = step.square_index.get(square_key(gen_index, sq))
-        if n is None:
-            raise IncompatibleInput("lookup: square not present in the table")
-        return self.fillers[n]
 
 
 def validate_table(table: LiftingTable) -> list[str]:
@@ -314,28 +300,3 @@ def _table_number(
             return None
         m = m * len(s) + k
     return m
-
-
-def compose_lifting_tables(first: LiftingTable, second: LiftingTable) -> LiftingTable:
-    """Table for the composite arrow, given tables for both factors.
-
-    `first` solves squares into the arrow applied first. A square into the
-    composite is solved in two moves: push its top through the first arrow
-    and lift against `second`, then use that lift as the bottom of a square
-    solved by `first`.
-    """
-    gens = first.step.gens
-    if gens != second.step.gens:
-        raise IncompatibleInput("compose_lifting_tables: tables use different generating sets")
-    f, g = first.step.arrow, second.step.arrow
-    step = build_onestep(gens, as_arrow(compose_maps(g.f, f.f)))
-    fillers = []
-    for i, sq in step.squares:
-        j = gens.members[i]
-        through = second.lookup(i, Square(source=j, target=g, top=compose_maps(f.f, sq.top), bottom=sq.bottom))
-        fillers.append(first.lookup(i, Square(source=j, target=f, top=sq.top, bottom=through)))
-    table = LiftingTable(step, tuple(fillers))
-    problems = validate_table(table)
-    if problems:
-        raise InternalCheckFailed(f"composite table is invalid: {problems[0]}")
-    return table

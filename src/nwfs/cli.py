@@ -44,11 +44,11 @@ def _unique_keys(what: str, pairs: list) -> dict:
     return doc
 
 
-def _read_json(path: str, what: str, *, unique_keys: bool = True):
-    """The JSON document in `path`; in an input, unlike a certificate, a repeated key is an error."""
+def _read_json(path: str, what: str):
+    """The JSON document in `path`; a key repeated in one object is an error, in an input or a certificate."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-        return json.loads(raw, object_pairs_hook=partial(_unique_keys, what) if unique_keys else None)
+        return json.loads(raw, object_pairs_hook=partial(_unique_keys, what))
     except OSError as err:
         raise InputError(f"/{what}", f"cannot read {path}: {err}") from None
     except UnicodeDecodeError:
@@ -200,7 +200,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_fill(args) -> int:
-    doc = _read_json(args.certificate, "certificate", unique_keys=False)
+    doc = _read_json(args.certificate, "certificate")
     problems, run = jsonio.replay_certificate(doc)
     if problems:
         for p in problems:
@@ -226,7 +226,7 @@ def cmd_fill(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    doc = _read_json(args.certificate, "certificate", unique_keys=False)
+    doc = _read_json(args.certificate, "certificate")
     problems = jsonio.validate_certificate(doc)
     if problems:
         for p in problems:

@@ -8,10 +8,14 @@ mode just re-applies the step and never identifies anything.
 
 Budgets are organised in blocks of successor steps. Between blocks the
 sequence passes to the colimit of the chain built so far (a limit stage).
-A finite chain's colimit is its last stage, renumbered, so a limit stage's
-connecting map is an isomorphism by construction and is excluded from the
-convergence test. `stage_schedule` is the one place that orders the stages;
-the runners and the certificate validator all consume it.
+A finite chain's colimit is its last stage, numbered in order of first
+appearance (`colimits.chain_colimit`), and on a run's chain that numbering
+is the last stage's own: every link numbers its source's image first, in
+first-appearance order, since `attach` puts the block X/~ first in X's
+order and `quotient` numbers classes by their least member. So a limit
+stage is the stage below it, its link the identity, which the convergence
+test skips. `stage_schedule` is the one place that orders the stages; the
+runners and the certificate validator all consume it.
 
 A run lists each generator's square bottoms once, not once per stage: they
 run from the generator's codomain to D, where every stage ends, so they
@@ -38,7 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .arrows import ArrowObj, BottomIndex, GeneratingSet, as_arrow, square_fixing_codomain
-from .colimits import Cocone, chain_colimit, chain_composites, coequalizer, induce
+from .colimits import chain_colimit, chain_composites, coequalizer, induce
 from .core import (
     IncompatibleInput,
     InternalCheckFailed,
@@ -197,21 +201,15 @@ def _first_step(run: SequenceState, ordinal: str, bottoms: tuple[BottomIndex, ..
 
 
 def _limit_stage(run: SequenceState, block: int) -> SequenceState:
-    """Pass to the colimit of the chain built so far."""
+    """Pass to the colimit of the chain built so far: its last stage, with an identity link.
+
+    `chain_colimit` would number that stage in order of first appearance
+    along the chain, and every link of a run numbers its source's image
+    first, in that order, so the numbering is the stage's own.
+    """
     last = run.stages[-1]
-    cocone = chain_colimit(list(run.links), start=run.stages[0].mid)
-    # the apex is the last stage renumbered: read that stage's right half through the last leg
-    into, below = cocone.legs[-1].components, last.right.components
-    right = {a: {y: below[a][x] for x, y in into[a].items()} for a in into}
-    stage = Stage(
-        index=last.index + 1,
-        ordinal=_ordinal_label(block, 0),
-        kind="limit",
-        mid=cocone.apex,
-        left=compose_maps(cocone.legs[-1], last.left),
-        right=PresheafMap(cocone.apex, run.arrow.cod, right),
-    )
-    return run.extended(stage, link=cocone.legs[-1])
+    stage = replace(last, index=last.index + 1, ordinal=_ordinal_label(block, 0), kind="limit")
+    return run.extended(stage, link=identity_map(last.mid))
 
 
 def _free_step(run: SequenceState, ordinal: str, bottoms: tuple[BottomIndex, ...]) -> SequenceState:
@@ -377,13 +375,15 @@ def build_comparison(free: SequenceState, plain: SequenceState) -> ComparisonRep
     # both runs start at the arrow's domain
     maps = [PresheafMap(plain.stages[0].mid, free.stages[0].mid, identity_map(plain.stages[0].mid).components)]
     for n in range(1, n_stages):
-        fs, ps = free.stages[n], plain.stages[n]
-        if ps.kind == "limit":
-            # inducing out of the plain chain checks that the maps below
-            # commute with the links into the limit
-            into_free = free.connect_all(n)
-            chain = Cocone(ps.mid, tuple(plain.connect_all(n)[:n]))
-            maps.append(induce(chain, [compose_maps(into_free[i], maps[i]) for i in range(n)], fs.mid))
+        if plain.stages[n].kind == "limit":
+            # both limit stages are the stages below them; the map below
+            # must commute with the connecting maps from every earlier stage
+            below = maps[n - 1]
+            into_plain, into_free = plain.connect_all(n - 1), free.connect_all(n - 1)
+            for i in range(n - 1):
+                if not composite_equals(below, into_plain[i], compose_maps(into_free[i], maps[i])):
+                    raise IncompatibleInput(f"comparison: map {i} does not commute with the links into limit stage {n}")
+            maps.append(below)
             continue
         carried = _carry(maps[n - 1], plain.step_of(n - 1), free.step_of(n - 1))
         fold = free.folds[n - 1]

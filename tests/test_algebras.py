@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import edge_to_point, finset, onestep, random_set_map, random_surjection, set_map
+from conftest import finset, onestep, random_set_map, set_map
 from test_onestep import SPARSE_GENS, set_maps_with_ids
 from nwfs import algebras, arrows
 from nwfs.algebras import (
@@ -15,7 +15,6 @@ from nwfs.algebras import (
     LiftingTable,
     algebra_from_fillers,
     check_bijection,
-    compose_lifting_tables,
     enumerate_algebra_structures,
     enumerate_lifting_tables,
     extract_algebra,
@@ -106,16 +105,6 @@ def test_bijection_on_the_empty_arrow():
     assert report.ok
 
 
-def surjection_from(rng: random.Random, source_size: int) -> "PresheafMap":
-    """Random surjection with a fixed source, so pairs compose."""
-    n_tgt = rng.randint(1, source_size)
-    values = list(range(n_tgt)) + [
-        rng.randrange(n_tgt) for _ in range(source_size - n_tgt)
-    ]
-    rng.shuffle(values)
-    return set_map(source_size, n_tgt, values)
-
-
 def test_extracted_algebra_satisfies_its_laws():
     g = set_map(2, 3, [0, 0])
     state = run_free(POINT, g)
@@ -203,67 +192,6 @@ def test_algebra_count_detects_injectivity():
     assert len(enumerate_algebra_structures(onestep(CODIAG, g))) == 1
     h = set_map(3, 4, [2, 0, 0])
     assert len(enumerate_algebra_structures(onestep(CODIAG, h))) == 0
-
-
-def test_composite_tables_solve_the_composite():
-    rng = random.Random(23)
-    for _ in range(12):
-        f = random_surjection(rng)
-        g = surjection_from(rng, f.target.total_size)
-        tf = enumerate_lifting_tables(onestep(POINT, f))[0]
-        tg = enumerate_lifting_tables(onestep(POINT, g))[0]
-        comp = compose_lifting_tables(tf, tg)
-        assert validate_table(comp) == []
-        assert maps_equal(comp.step.arrow.f, compose_maps(g, f))
-
-
-def test_table_composition_is_associative():
-    rng = random.Random(31)
-    for _ in range(8):
-        f = random_surjection(rng)
-        g = surjection_from(rng, f.target.total_size)
-        h = surjection_from(rng, g.target.total_size)
-        tf = enumerate_lifting_tables(onestep(POINT, f))[0]
-        tg = enumerate_lifting_tables(onestep(POINT, g))[0]
-        th = enumerate_lifting_tables(onestep(POINT, h))[0]
-        left = compose_lifting_tables(compose_lifting_tables(tf, tg), th)
-        right = compose_lifting_tables(tf, compose_lifting_tables(tg, th))
-        assert all(maps_equal(a, b) for a, b in zip(left.fillers, right.fillers))
-
-
-def test_table_composition_units():
-    rng = random.Random(37)
-    for _ in range(6):
-        f = random_surjection(rng)
-        tf = enumerate_lifting_tables(onestep(POINT, f))[0]
-        t_id_dom = enumerate_lifting_tables(onestep(POINT, identity_map(f.source)))[0]
-        t_id_cod = enumerate_lifting_tables(onestep(POINT, identity_map(f.target)))[0]
-        left_unit = compose_lifting_tables(t_id_dom, tf)
-        right_unit = compose_lifting_tables(tf, t_id_cod)
-        for combined in (left_unit, right_unit):
-            assert all(maps_equal(a, b) for a, b in zip(combined.fillers, tf.fillers))
-
-
-def test_lookup_rejects_foreign_squares():
-    g = set_map(2, 1, [0, 0])
-    h = set_map(1, 1, [0])
-    table = enumerate_lifting_tables(onestep(POINT, g))[0]
-    (i, sq), *_ = generating_squares(POINT, as_arrow(h))
-    with pytest.raises(IncompatibleInput):
-        table.lookup(i, sq)
-
-
-def test_lookup_rejects_a_square_under_another_generator():
-    """The two horns of Δ[1] share their domain, so their squares' sides can agree."""
-    g = edge_to_point()
-    table = enumerate_lifting_tables(onestep(HORNS1, g))[0]
-    squares = generating_squares(HORNS1, as_arrow(g))
-    assert [i for i, _ in squares] == [0, 0, 1, 1]
-    for n, (i, sq) in enumerate(squares):
-        assert table.lookup(i, sq) is table.fillers[n]
-        for wrong in (1 - i, 2, -1):
-            with pytest.raises(IncompatibleInput):
-                table.lookup(wrong, sq)
 
 
 def sorted_items_key(f: PresheafMap) -> tuple:

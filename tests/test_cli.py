@@ -221,25 +221,45 @@ REPEATED_MAP = """{"source": {"sets": {"0": [0, 1]}, "actions": {"id0": {"0": 0,
  "components": {"0": {"0": 0, "0": 1, "1": 1}}}"""
 
 
+# a certificate with a key repeated: the command that writes it, and the
+# value put before the first value it writes for the key
+REPEATED_LAWS = (["laws", "--rules", "graph", "--max-total", "2"], "false")
+REPEATED_RUN = (["factorize", "--category", "terminal", "--gens", "point", "--map", "MAP"], "null")
+
+
 @pytest.mark.parametrize(
     "what, key, text",
     [
         ("map", "0", REPEATED_MAP),
         ("category", "objects", '{"objects": ["0"], "objects": ["0", "1"]}'),
         ("gens", "source", '[{"source": {}, "source": {}}]'),
+        ("validate", "ok", REPEATED_LAWS),
+        ("fill", "converged_at", REPEATED_RUN),
     ],
-    ids=["map", "category", "gens"],
+    ids=["map", "category", "gens", "validate", "fill"],
 )
 def test_a_repeated_key_in_an_input_exits_four(tmp_path, capsys, what, key, text):
     # json.loads alone keeps the last value: the map above would be
-    # certified as {"0": 1, "1": 1}
-    (tmp_path / "doc.json").write_text(text)
+    # certified as {"0": 1, "1": 1}, the validator would pass a check that
+    # reads "ok": false, and fill would fill from a run that reads as not
+    # converged
+    doc, out = tmp_path / "doc.json", tmp_path / "out.json"
     (tmp_path / "map.json").write_text(json.dumps(MAP_DOC))
-    inputs = {"category": "terminal", "gens": "point", "map": str(tmp_path / "map.json"), what: str(tmp_path / "doc.json")}
-    argv = ["compare"] + [a for k, v in inputs.items() for a in (f"--{k}", v)] + ["--out", str(tmp_path / "c.json")]
+    inputs = {"category": "terminal", "gens": "point", "map": str(tmp_path / "map.json")}
+    if what in inputs:
+        doc.write_text(text)
+        inputs[what] = str(doc)
+        argv = ["compare"] + [a for k, v in inputs.items() for a in (f"--{k}", v)] + ["--out", str(out)]
+    else:
+        writer, first = text
+        assert main([inputs["map"] if a == "MAP" else a for a in writer] + ["--out", str(doc)]) == 0
+        doc.write_text(doc.read_text().replace(f'"{key}": ', f'"{key}": {first}, "{key}": ', 1))
+        argv = ["validate", str(doc)] if what == "validate" else ["fill", str(doc), "--square", "0", "--out", str(out)]
+        capsys.readouterr()
+        what = "certificate"
     assert main(argv) == 4
     assert f'error: /{what}: key "{key}" repeated in one object' in capsys.readouterr().err
-    assert not (tmp_path / "c.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

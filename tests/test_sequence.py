@@ -1,11 +1,14 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from conftest import chain_legs, edge_to_point, finset, random_set_map, set_map, set_maps
 from test_colimits import quotient_of_coproduct
+from test_onestep import set_maps_with_ids
 from nwfs import arrows, sequence
 from nwfs.arrows import ArrowObj, BottomIndex, Square, as_arrow, enumerate_squares, generating_squares
 from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
@@ -130,14 +133,43 @@ def test_limit_stage_bookkeeping():
                      "limit", "successor", "successor"]
     ordinals = [s.ordinal for s in state.stages]
     assert ordinals == ["0", "1", "2", "ω", "ω+1", "ω+2", "ω·2", "ω·2+1", "ω·2+2"]
-    # the link into the limit is an iso, and the limit stage is already
-    # numbered as the colimit of the chain up to it
-    assert is_iso(state.links[2])
+    # the limit stage is the stage below it, linked by the identity, and
+    # already numbered as the colimit of the chain up to it
+    for n in (3, 6):
+        assert state.stages[n].mid is state.stages[n - 1].mid
+        assert maps_equal(state.links[n - 1], identity_map(state.stages[n - 1].mid))
     chain = chain_colimit(state.links[:3], state.stages[0].mid)
     into = state.connect_all(3)
     legs = chain_legs(chain, state.links[:3], state.stages[0].mid)
     for i in range(4):
         assert maps_equal(legs[i], into[i])
+
+
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from([POINT, CODIAG]), set_maps_with_ids(max_size=4)),
+        st.just((get_gens("horns<=1"), edge_to_point())),
+    ),
+    st.sampled_from([run_free, run_plain]),
+    st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_run_chain_is_numbered_in_order_of_first_appearance(case, runner, budget):
+    """`chain_colimit` leaves every prefix of a run's chain numbered as it is.
+
+    Its one leg renumbers the last stage in order of first appearance along
+    the chain; it is the identity because every link numbers its source's
+    image first, in that order. That is why a limit stage can be the stage
+    below it. Stage 0 may carry sparse ids.
+    """
+    gens, g = case
+    run = runner(gens, g, OrdinalBudget(*budget), stop_at_convergence=False)
+    assert [s.kind for s in run.stages].count("limit") == budget[1] - 1
+    for k in range(len(run.stages)):
+        cone = chain_colimit(run.links[:k], run.stages[0].mid)
+        mid = run.stages[k].mid
+        assert maps_equal(cone.legs[0], identity_map(mid))
+        assert cone.apex.action == mid.action
 
 
 def test_connect_composes_links():
@@ -226,6 +258,24 @@ def test_comparison_crosses_limit_stages():
     plain = run_plain(POINT, g, budget=budget, stop_at_convergence=False)
     report = build_comparison(free, plain)
     assert report.ok
+
+
+def test_comparison_rejects_a_map_below_a_limit_that_breaks_a_plain_link():
+    # a limit stage's comparison map is the one below it, which must commute
+    # with the links into it; bending one plain link moves nothing else the
+    # comparison reads, so only that check can catch it
+    g = set_map(2, 2, [0, 0])
+    budget = OrdinalBudget(2, 2)
+    free = run_free(POINT, g, budget=budget, stop_at_convergence=False)
+    plain = run_plain(POINT, g, budget=budget, stop_at_convergence=False)
+    assert plain.stages[3].kind == "limit"
+    below = build_comparison(free, plain).maps[2].components["0"]
+    link = plain.links[1]
+    x, y = next(iter(link.components["0"].items()))
+    other = next(z for z in link.target.carrier["0"] if below[z] != below[y])
+    bent = PresheafMap(link.source, link.target, {"0": {**link.components["0"], x: other}})
+    with pytest.raises(IncompatibleInput, match="limit stage 3"):
+        build_comparison(free, replace(plain, links=(plain.links[0], bent, *plain.links[2:])))
 
 
 def test_work_counters_are_deterministic():

@@ -34,6 +34,16 @@ once per stage: each free stage carries the connecting map from the last
 fold below it up to itself, the run keeps that carry as the link of every
 later colimit that reaches the stage (across a limit stage too), and the
 second map is the current stage's carry read through the renumbering.
+
+A free run stands still from its convergence on. A bijective run link is
+the identity, by the numbering above. After an identity link a free pair
+identifies each step element with its fold's image under the step's left
+half, so the next fold has the kernel of the fold below and, numbered by
+least member, is that fold (a web re-keys the pair but changes no pair of
+values): every link after `converged_at` is the identity.
+Once the links into the last two stages, both successors, are identities,
+the next successor stage is the last one again, with the stage below's
+link, step, fold, pair and carry, and nothing is built.
 """
 
 from __future__ import annotations
@@ -224,9 +234,18 @@ def _free_step(run: SequenceState, ordinal: str, bottoms: tuple[BottomIndex, ...
     from earlier stages, and the one new carry runs from its last member up
     to the current stage; the run keeps it in turn. The first map's
     targets must agree along the links, which is checked.
+
+    When the last two stages are successors and the run converged by the
+    link into the first of them, both links into them are identities, and
+    the new stage repeats the last with the stage below's entries (see the
+    module docstring).
     """
     last = run.stages[-1]
     top = last.index
+    if run.converged_at is not None and run.converged_at < top - 1 and run.stages[top - 1].kind == last.kind == "successor":
+        i = top - 1
+        stage = replace(last, index=top + 1, ordinal=ordinal)
+        return run.extended(stage, run.links[i], run.steps[i], run.folds[i], run.pairs[i], run.carries[i])
     if last.kind == "limit":
         below = [i for i in range(top) if run.folds[i] is not None]
     else:

@@ -595,6 +595,28 @@ def test_validate_requires_a_plain_stage_to_be_its_steps_middle(tmp_path, map_fi
     assert "/plain/steps/0/mid/sets/0/4: recorded 7, expected 4" in capsys.readouterr().out
 
 
+def test_validate_replays_the_stages_a_converged_run_repeats(tmp_path, map_file, capsys):
+    # the free run converges at stage 1, and stages 8 and 9 of block ω repeat
+    # stage 7 with its fold; both the honest and the edited certificate
+    # also fail on the limit stages' missing steps and folds
+    out = tmp_path / "cmp.json"
+    assert main([
+        "compare", "--category", "terminal", "--gens", "point", "--map", str(map_file),
+        "--budget-successors", "4", "--budget-omega-blocks", "3", "--out", str(out),
+    ]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["free"]["converged_at"] == 1 and doc["free"]["stages"][9]["ordinal"] == "ω+4"
+    capsys.readouterr()
+    main(["validate", str(out)])
+    assert "/free/folds/8" not in capsys.readouterr().out
+    fold = doc["free"]["folds"][8]["0"]
+    assert fold == doc["free"]["folds"][7]["0"] and fold["7"] == 4
+    fold["7"] = 3
+    out.write_text(json.dumps(doc))
+    assert main(["validate", str(out)]) == 3
+    assert "problem: /free/folds/8/0/7: recorded 3, expected 4" in capsys.readouterr().out.splitlines()
+
+
 def _glue_the_cell_over_one_to_zero(holder):
     """Replace a 5-element point middle of 2 -> 3 [1, 1] by a 4-element one.
 

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -10,10 +11,11 @@ from conftest import chain_legs, edge_to_point, finset, random_set_map, set_map,
 from test_colimits import quotient_of_coproduct
 from test_onestep import set_maps_with_ids
 from nwfs import arrows, sequence
-from nwfs.arrows import ArrowObj, BottomIndex, Square, as_arrow, enumerate_squares, generating_squares
-from nwfs.catalog import get_category, get_gens, representable, terminal_presheaf
+from nwfs.arrows import ArrowObj, BottomIndex, GeneratingSet, Square, as_arrow, enumerate_squares, generating_squares
+from nwfs.catalog import action_closure, get_category, get_gens, representable, terminal_presheaf
 from nwfs.colimits import Cocone, chain_colimit, chain_composites, coequalizer, induce
-from nwfs.core import IncompatibleInput, PresheafMap, compose_maps, identity_map, is_iso, maps_equal
+from nwfs.core import IncompatibleInput, PresheafMap, compose_maps, identity_map, is_iso, maps_equal, presheaf
+from nwfs.jsonio import load_gens, map_doc, pretty_json, sequence_body
 from nwfs.onestep import build_onestep, onestep_on_square
 from nwfs.sequence import (
     FREE,
@@ -388,9 +390,94 @@ def test_free_step_carries_each_link_once(monkeypatch):
     state = run_free(POINT, set_map(2, 3, [1, 1]), OrdinalBudget(4, 3), stop_at_convergence=False)
     kinds = [s.kind for s in state.stages]
     assert kinds.count("successor") == 11 and kinds.count("limit") == 2
-    # one carry per successor stage, up to it from the last fold below it;
-    # the web after ω·2 reuses the carry across ω that the stage after ω made
-    assert len(calls) == 11
+    # one carry per free step that builds a stage: the two after stage 1,
+    # where the run converges, and the two after each limit stage; every
+    # later successor stage repeats the one below, entries and all
+    assert state.converged_at == 1
+    assert len(calls) == 6
+    reused = [i for i in range(1, len(kinds) - 1) if state.steps[i] is state.steps[i - 1]]
+    assert reused == [3, 7, 8, 12, 13]
+    for i in reused:
+        assert state.stages[i + 1].mid is state.stages[i].mid
+        for entries in (state.links, state.steps, state.folds, state.pairs, state.carries):
+            assert entries[i] is entries[i - 1], i
+
+
+def delta1_gens() -> tuple[GeneratingSet, GeneratingSet]:
+    """Generating sets over delta<=1, each read from a JSON document.
+
+    The first is ∂Δ[1] → Δ[1] alone; on a set it converges at stage 1 or
+    before. The second adds the vertex ∅ → Δ[0]: the vertices stage 1 adds
+    get their edges at stage 2, and the run converges there.
+    """
+    base = get_category("delta<=1")
+    edge, vertex = representable(base, "1"), representable(base, "0")
+    boundary = action_closure(edge, [("0", x) for x in edge.carrier["0"]])
+    empty = presheaf(base, {})
+    arrows = [map_doc(boundary, "boundary"), map_doc(PresheafMap(empty, vertex, dict.fromkeys(base.objects, {})), "vertex")]
+    return tuple(load_gens(json.loads(json.dumps({"arrows": arrows[:n]})), "$", base) for n in (1, 2))
+
+
+def discrete(g: PresheafMap, base) -> PresheafMap:
+    """A set map over `base`: each set has its elements at every object, where every morphism fixes them."""
+
+    def lift(X):
+        elements = X.carrier["0"]
+        actions = {m.name: dict(zip(elements, elements)) for m in base.morphisms}
+        return presheaf(base, dict.fromkeys(base.objects, elements), actions)
+
+    return PresheafMap(lift(g.source), lift(g.target), dict.fromkeys(base.objects, g.components["0"]))
+
+
+BUILDING_FREE_STEP = sequence._free_step
+
+
+def building_every_step(run, ordinal, bottoms):
+    """`sequence._free_step` with the run's convergence hidden from it, so it builds every step."""
+    built = BUILDING_FREE_STEP(replace(run, converged_at=None), ordinal, bottoms)
+    return built if run.converged_at is None else replace(built, converged_at=run.converged_at)
+
+
+def components(entry):
+    """A run entry's components: a map's, each map's of a pair, or a step's squares and halves'."""
+    if entry is None:
+        return None
+    if isinstance(entry, PresheafMap):
+        return entry.components
+    if isinstance(entry, tuple):
+        return tuple(m.components for m in entry)
+    return entry.squares, entry.left.components, entry.right.components
+
+
+BOUNDARY, BOUNDARY_AND_VERTEX = delta1_gens()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gens=st.sampled_from(["point", "codiagonal", "boundary", "boundary and vertex"]),
+    g=set_maps_with_ids(4),
+    blocks=st.integers(1, 3),
+    per_block=st.integers(1, 4),
+)
+def test_a_converged_free_run_repeats_what_building_every_step_gives(gens, g, blocks, per_block):
+    if gens in ("point", "codiagonal"):
+        gens = get_gens(gens)
+    else:
+        gens = BOUNDARY if gens == "boundary" else BOUNDARY_AND_VERTEX
+        g = discrete(g, gens.members[0].f.source.base)
+    budget = OrdinalBudget(per_block, blocks)
+    got = run_free(gens, g, budget, stop_at_convergence=False)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sequence, "_free_step", building_every_step)
+        want = run_free(gens, g, budget, stop_at_convergence=False)
+    # the reference shares no entry between stages
+    assert not any(a is b for a, b in zip(want.steps, want.steps[1:]) if a is not None)
+    assert [(s.kind, s.mid.sizes) for s in got.stages] == [(s.kind, s.mid.sizes) for s in want.stages]
+    assert got.converged_at == want.converged_at
+    assert got.stages == want.stages
+    for name in ("links", "steps", "folds", "pairs", "carries"):
+        assert list(map(components, getattr(got, name))) == list(map(components, getattr(want, name))), name
+    assert pretty_json(sequence_body(got)) == pretty_json(sequence_body(want))
 
 
 def run_cases():
